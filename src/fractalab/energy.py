@@ -38,7 +38,7 @@ from .cutoff import CutoffFunction
 from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
 from .measures import GridMeasure
-from .quadrature import simpson_doubling
+from .quadrature import require_converged, simpson_doubling
 
 BRUTEFORCE_ATOM_LIMIT = 200
 _MAX_GRID = 1 << 24  # dense sumset arrays beyond this are refused
@@ -273,8 +273,8 @@ def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction)
         vals = nu.transform(eta)
         return (np.abs(vals) ** 4) * cutoff.transform(eta / t)
     initial = max(64, 2 * int(8.0 * span))
-    value, _, _ = simpson_doubling(integrand, 0.0, span, initial_intervals=initial, rel_tol=1e-9)
-    return (2.0 / t) * value
+    result = simpson_doubling(integrand, 0.0, span, initial_intervals=initial, rel_tol=1e-9)
+    return (2.0 / t) * require_converged(result, "smoothed-energy Simpson", 1e-9)
 
 
 def smoothed_energy(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> tuple[float, float]:
@@ -302,15 +302,13 @@ class DZParams:
     E(X, nu, r) <= C~ r^(alpha + beta).
 
     K is a configurable absolute constant (the bound's statement fixes no
-    value; it defaults to 1 here and is always reported). C~ depends only on
-    alpha and C_nu and is never computed, only carried through if supplied.
+    value; it defaults to 1 here and is always reported).
     """
 
     alpha: float
     c_nu: float
     k: float
     beta: float
-    c_tilde: float | None = None
 
 
 def dz_beta(alpha: float, c_nu: float, k: float = 1.0) -> DZParams:

@@ -21,4 +21,5 @@ class ValidityCapError(ValidationError):
 
 
 class BudgetError(FractalabError, RuntimeError):
-    """Work-size guard tripped (pair counts, brute-force sizes, grid sizes)."""
+    """Work-size guard tripped (pair counts, brute-force sizes, grid sizes),
+    or a quadrature reached its node cap before its tolerance."""

@@ -12,12 +12,14 @@ A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
-d = 2 angular averages use the uniform trapezoid rule over [0, 2pi) with
-node doubling until successive values agree to a relative tolerance. The
+Every deterministic quadrature here runs through quadrature.converge and
+raises BudgetError when it reaches its node cap before its tolerance. d = 2
+angular averages use the uniform trapezoid rule over [0, 2pi); the
 integrands of product measures are invariant under theta -> -theta and
-theta -> pi - theta, so only the first quadrant is evaluated. d >= 3 uses
-seeded Monte Carlo over the sphere (the weighted integrand is not separable
-over angles) and reports the standard error.
+theta -> pi - theta, so it is 4 x the trapezoid sum on [0, pi/2]. Solid
+averages, the angular sectors and the stationary-phase circle integral use
+Simpson. d >= 3 uses seeded Monte Carlo over the sphere (the weighted
+integrand is not separable over angles) and reports the standard error.
 """
 from __future__ import annotations
 
@@ -33,12 +35,14 @@ from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
 from .quadrature import (
     QuadratureSpec,
+    converge,
+    require_converged,
     sample_sphere,
     simpson_doubling,
     sphere_surface_area,
+    trapezoid_refinements,
 )
 
-_TINY = 1e-300
 _WEIGHTS = ("none", "sin_theta", "cos_theta")
 
 
@@ -99,25 +103,19 @@ def _quadrant_integrand(mu: ProductMeasure, t: float, weight: str):
 def _sigma_uniform_angle(
     mu: ProductMeasure, t: float, weight: str, spec: QuadratureSpec
 ) -> tuple[float, int]:
-    """Full-circle uniform trapezoid, evaluated on the first quadrant by
-    symmetry of the product integrand. Returns (value, node count)."""
+    """Full-circle uniform trapezoid, evaluated as 4 x the trapezoid sum on
+    the first quadrant by symmetry of the product integrand. Returns
+    (value, full-circle node count)."""
     f = _quadrant_integrand(mu, t, weight)
     n = max(16, int(spec.node_count))
     n += (-n) % 4  # multiple of 4 so 0 and pi/2 are nodes
-    interior = np.arange(1, n // 4) * (2.0 * np.pi / n)
-    ends = f(np.array([0.0, np.pi / 2.0]))
-    total = 2.0 * float(ends[0] + ends[1]) + 4.0 * float(np.sum(f(interior)))
-    value = (2.0 * np.pi / n) * total
-    while n < spec.max_nodes:
-        new = (2.0 * np.arange(n // 4) + 1.0) * (np.pi / n)
-        total += 4.0 * float(np.sum(f(new)))
-        n *= 2
-        new_value = (2.0 * np.pi / n) * total
-        done = abs(new_value - value) <= spec.rel_tol * max(abs(new_value), _TINY)
-        value = new_value
-        if done:
-            break
-    return value, n
+    # m + 1 quadrant points stand for 4 m circle nodes
+    quadrant, points, converged = converge(
+        trapezoid_refinements(f, 0.0, np.pi / 2.0, n // 4), spec.rel_tol, spec.max_nodes / 4 + 1
+    )
+    nodes = 4 * (points - 1)
+    result = (4.0 * quadrant, nodes, converged)
+    return require_converged(result, "uniform-angle trapezoid", spec.rel_tol), nodes
 
 
 def _sigma_monte_carlo(
@@ -150,7 +148,8 @@ def spherical_average_detailed(
     of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3);
     'cos_theta' (d = 2 only) is the complementary weight used by the
     axis-exchange symmetry checks. Returns (value, node_count, stderr);
-    stderr is 0 for deterministic rules.
+    stderr is 0 for deterministic rules, which raise BudgetError when they
+    reach quadrature.max_nodes before quadrature.rel_tol.
     """
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
@@ -232,8 +231,6 @@ def spherical_average_series(
 def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1.0, 1.0)) -> float:
     """int_a^b |nu_hat(t u)|^2 du by Simpson doubling on [a, b]."""
     a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise ValidationError(f"empty interval [{a}, {b}]")
     if t < 1.0:
         raise ValidationError(f"t must be >= 1, got {t}")
 
@@ -241,8 +238,8 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
         return _factor_sq_ft(nu, t * np.asarray(u))
 
     initial = max(32, 2 * int(4.0 * t * (b - a)))
-    value, _, _ = simpson_doubling(integrand, a, b, initial_intervals=initial, rel_tol=1e-7)
-    return value
+    result = simpson_doubling(integrand, a, b, initial_intervals=initial, rel_tol=1e-7)
+    return require_converged(result, "solid-average Simpson", 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +249,28 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
 def _circle_phase_integral(
     gap: np.ndarray, t: float, rel_tol: float = 1e-10, abs_tol: float = 1e-10
 ) -> complex:
-    """int_0^{2pi} exp(2 pi i t (gap . omega)) |sin theta| dtheta by the
-    trapezoid rule with doubling, at least ~10 nodes per phase cycle.
+    """int_0^{2pi} exp(2 pi i t (gap . omega)) |sin theta| dtheta by Simpson
+    doubling, from ~16 nodes per phase cycle (per 2pi of theta), 8 doublings.
 
     The integrand at theta + pi is the conjugate of the one at theta, so the
-    integral is real and only half the circle is evaluated. The stopping
+    integral is 2 int_0^pi cos(phase) sin theta dtheta: smooth, unlike the
+    |sin| kinks that hold a full-circle trapezoid to O(h^2). The stopping
     test carries an absolute floor: near the oscillation zeros the value
     itself vanishes and a purely relative criterion never fires; the floor
     sits well below the stationary-phase residuals measured downstream.
     """
     x = t * float(np.hypot(gap[0], gap[1]))
-    n = max(1024, 16 * int(math.ceil(x)))
-    n += n % 2
+    intervals = max(512, 8 * int(math.ceil(x)))
 
-    def half_sum(th):
-        # sum of f(theta) + f(theta + pi) = 2 Re f(theta) over given nodes
+    def f(th):
         phase = 2.0 * np.pi * t * (gap[0] * np.cos(th) + gap[1] * np.sin(th))
-        return 2.0 * float(np.sum(np.cos(phase) * np.abs(np.sin(th))))
+        return np.cos(phase) * np.sin(th)
 
-    total = half_sum(np.arange(n // 2) * (2.0 * np.pi / n))
-    value = (2.0 * np.pi / n) * total
-    for _ in range(8):
-        total += half_sum(np.arange(n // 2) * (2.0 * np.pi / n) + np.pi / n)
-        n *= 2
-        new_value = (2.0 * np.pi / n) * total
-        if abs(new_value - value) <= max(rel_tol * abs(new_value), abs_tol):
-            return complex(new_value)
-        value = new_value
-    return complex(value)
+    result = simpson_doubling(
+        f, 0.0, np.pi, initial_intervals=intervals, rel_tol=rel_tol,
+        max_intervals=intervals << 8, abs_tol=abs_tol,
+    )
+    return complex(2.0 * require_converged(result, "stationary-phase Simpson", rel_tol, abs_tol))
 
 
 def stationary_phase_main_term(gap, t):
@@ -413,8 +404,8 @@ def angular_decomposition(
 
     def sector(a: float, b: float) -> float:
         initial = max(32, 2 * int(4.0 * t * (b - a)))
-        value, _, _ = simpson_doubling(f, a, b, initial_intervals=initial, rel_tol=1e-7)
-        return value
+        result = simpson_doubling(f, a, b, initial_intervals=initial, rel_tol=1e-7)
+        return require_converged(result, "angular-sector Simpson", 1e-7)
 
     near_zero = sector(0.0, eps)
     near_half_pi = sector(np.pi / 2.0 - eps, np.pi / 2.0)

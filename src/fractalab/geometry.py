@@ -22,7 +22,7 @@ from .errors import BudgetError, ValidationError, ValidityCapError
 from .fitting import loglog_fit
 from .fourier import spherical_average_detailed, validity_cap
 from .measures import GridMeasure, ProductMeasure
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, converge
 
 DEFAULT_PAIR_BUDGET = 400_000_000
 
@@ -252,23 +252,19 @@ def mattila_truncated(
         grid = np.unique(np.concatenate((base, np.asarray(checkpoints), [1.0, T])))
         return grid
 
-    n = max(17, int(quadrature.initial_t_nodes))
-    grid = build_grid(n)
     integrand_of = lambda ts: np.array([sigma(t) for t in ts]) ** 2 * ts ** (d - 1)
-    integ = integrand_of(grid)
-    value = float(_log_trapezoid_cumulative(grid, integ)[-1])
-    converged = False
-    while n < quadrature.max_t_nodes:
-        n = 2 * n - 1
-        grid = build_grid(n)
-        integ = integrand_of(grid)
-        new_value = float(_log_trapezoid_cumulative(grid, integ)[-1])
-        done = abs(new_value - value) <= quadrature.t_rel_tol * max(abs(new_value), 1e-300)
-        value = new_value
-        if done:
-            converged = True
-            break
 
+    def refinements():
+        n = max(17, int(quadrature.initial_t_nodes))
+        while True:
+            grid = build_grid(n)
+            yield float(_log_trapezoid_cumulative(grid, integrand_of(grid))[-1]), n
+            n = 2 * n - 1
+
+    value, n, converged = converge(refinements(), quadrature.t_rel_tol, quadrature.max_t_nodes)
+    # the final grid's sigma values are all cached: no new quadrature runs
+    grid = build_grid(n)
+    integ = integrand_of(grid)
     partials = _log_trapezoid_cumulative(grid, integ)
     sig = np.sqrt(np.maximum(integ / grid ** (d - 1), 0.0))
     fit = loglog_fit(grid[integ > 0], integ[integ > 0])

@@ -1,22 +1,24 @@
 """Self-converging quadrature rules and sphere sampling.
 
-Two workhorses: the uniform trapezoid rule on a full period (spectrally
-accurate for smooth periodic integrands) and composite Simpson on a finite
-interval. Both double their node count until successive values agree to a
-relative tolerance, reusing previous evaluations, so callers get a node
-count alongside the value. Monte Carlo sphere sampling is seeded and used
-only in ambient dimension >= 3.
+`converge` is the package's one refinement loop. It consumes a rule's
+(value, nodes) refinements, each reusing the earlier evaluations, until
+|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. The rules are the
+trapezoid sums of `trapezoid_refinements` and, as their Richardson
+extrapolation, composite Simpson (`simpson_doubling`). Non-convergence is
+never silent: a bare-number result goes through `require_converged`, which
+raises BudgetError (CLI exit 3) naming the rule, the tolerance and the cap;
+a report carries the flag instead (Mattila's t_grid_converged). Monte Carlo
+sphere sampling is seeded and used only in ambient dimension >= 3.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import ValidationError
-
-_TINY = 1e-300
+from .errors import BudgetError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -44,32 +46,48 @@ class QuadratureSpec:
             raise ValidationError("rel_tol must be positive")
 
 
-def periodic_trapezoid_doubling(
-    f, initial_nodes: int = 64, rel_tol: float = 1e-6, max_nodes: int = 1 << 21
-) -> tuple[float, int, bool]:
-    """Integrate f over [0, 2pi) on uniform grids, doubling until stable.
-
-    Returns (value, node_count, converged). f maps an array of angles to an
-    array of integrand values.
-    """
-    n = max(8, int(initial_nodes))
-    thetas = np.arange(n) * (2.0 * np.pi / n)
-    total = float(np.sum(f(thetas)))
-    value = (2.0 * np.pi / n) * total
-    while n < max_nodes:
-        new_thetas = np.arange(n) * (2.0 * np.pi / n) + np.pi / n
-        total += float(np.sum(f(new_thetas)))
-        n *= 2
-        new_value = (2.0 * np.pi / n) * total
-        done = abs(new_value - value) <= rel_tol * max(abs(new_value), _TINY)
+def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):
+    """Take refinements while nodes < max_nodes until the stopping test
+    passes. Returns (value, nodes, converged); when the cap comes first,
+    converged is False and value is the last refinement."""
+    value, nodes = next(refinements)
+    while nodes < max_nodes:
+        new_value, nodes = next(refinements)
+        if abs(new_value - value) <= max(rel_tol * abs(new_value), abs_tol):
+            return new_value, nodes, True
         value = new_value
-        if done:
-            return value, n, True
-    return value, n, False
+    return value, nodes, False
 
 
-def _simpson_value(fx: np.ndarray, h: float) -> float:
-    return (h / 3.0) * float(fx[0] + fx[-1] + 4.0 * np.sum(fx[1:-1:2]) + 2.0 * np.sum(fx[2:-1:2]))
+def require_converged(
+    result: tuple[float, int, bool], rule: str, rel_tol: float, abs_tol: float = 0.0
+) -> float:
+    """The non-convergence policy for callers that return a bare number:
+    the value of a converged result, else BudgetError."""
+    value, nodes, converged = result
+    if not converged:
+        floor = f", abs_tol {abs_tol:g}" if abs_tol else ""
+        raise BudgetError(
+            f"{rule} did not converge to rel_tol {rel_tol:g}{floor} before its "
+            f"node cap ({nodes} nodes)"
+        )
+    return value
+
+
+def trapezoid_refinements(f, a: float, b: float, intervals: int):
+    """Endless trapezoid sums on [a, b] over intervals, 2 intervals, ...;
+    each refinement evaluates f only at the new midpoints. Yields
+    (value, nodes evaluated so far)."""
+    n = int(intervals)
+    h = (b - a) / n
+    fx = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)
+    total = 0.5 * float(fx[0] + fx[-1]) + float(np.sum(fx[1:-1]))
+    yield h * total, n + 1
+    while True:
+        total += float(np.sum(f(a + (np.arange(n) + 0.5) * h)))
+        n *= 2
+        h /= 2.0
+        yield h * total, n + 1
 
 
 def simpson_doubling(
@@ -79,34 +97,23 @@ def simpson_doubling(
     initial_intervals: int = 16,
     rel_tol: float = 1e-8,
     max_intervals: int = 1 << 22,
+    abs_tol: float = 0.0,
 ) -> tuple[float, int, bool]:
     """Composite Simpson on [a, b] with interval doubling and node reuse.
 
-    Returns (value, node_count, converged).
+    Simpson on 2n intervals is (4 T_2n - T_n) / 3 of the trapezoid sums, so
+    it rides on trapezoid_refinements; abs_tol is the absolute floor of the
+    stopping test. Returns (value, node_count, converged).
     """
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
     n = max(4, int(initial_intervals))
-    if n % 2:
-        n += 1
-    xs = np.linspace(a, b, n + 1)
-    fx = np.asarray(f(xs), dtype=float)
-    value = _simpson_value(fx, (b - a) / n)
-    while n < max_intervals:
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        fmid = np.asarray(f(mids), dtype=float)
-        merged = np.empty(2 * n + 1)
-        merged[0::2] = fx
-        merged[1::2] = fmid
-        n *= 2
-        fx = merged
-        xs = np.linspace(a, b, n + 1)
-        new_value = _simpson_value(fx, (b - a) / n)
-        done = abs(new_value - value) <= rel_tol * max(abs(new_value), _TINY)
-        value = new_value
-        if done:
-            return value, n + 1, True
-    return value, n + 1, False
+    n += n % 2
+    simpsons = (
+        ((4.0 * fine - coarse) / 3.0, nodes)
+        for (coarse, _), (fine, nodes) in pairwise(trapezoid_refinements(f, a, b, n // 2))
+    )
+    return converge(simpsons, rel_tol, max_intervals + 1, abs_tol)
 
 
 def sphere_surface_area(d: int) -> float:

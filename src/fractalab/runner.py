@@ -523,10 +523,11 @@ def _summary_line(results: dict, rel: str) -> list[str]:
     elif kind == "mattila":
         conv = "integrand slope < -1: truncations converging" if results["integrand_slope"] < -1 else \
             "integrand slope >= -1: no convergence signal at this truncation"
+        t_grid = "" if results["t_grid_converged"] else "; t grid NOT converged: value taken at the node cap"
         lines.append(
             f"mattila [{rel}]: value {results['value']:.6g} at T={results['truncation']}, "
             f"slope {results['integrand_slope']:.3f} ({conv}); a finite weighted integral "
-            f"implies a positive-measure distance set"
+            f"implies a positive-measure distance set{t_grid}"
         )
     elif kind == "stationary":
         for g in results["gaps"]:

@@ -160,6 +160,25 @@ class TestRunner:
         summary = fl.emit_report(tmp_path).read_text()
         assert "[d = 2]" in summary and "[d = 3]" in summary
 
+    def test_emit_report_flags_unconverged_mattila_grid(self, tmp_path):
+        results = {
+            "kind": "mattila",
+            "d": 2,
+            "truncation": 100.0,
+            "weighted": True,
+            "value": 12.5,
+            "integrand_slope": -1.5,
+            "doubling_ratios": [1.01, 1.0],
+            "t_grid_converged": False,
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
+        (tmp_path / "results.json").write_text(json.dumps(results))
+        summary = fl.emit_report(tmp_path).read_text()
+        assert "t grid NOT converged" in summary
+        results["t_grid_converged"] = True
+        (tmp_path / "results.json").write_text(json.dumps(results))
+        assert "NOT converged" not in fl.emit_report(tmp_path).read_text()
+
 
 class TestCli:
     def test_energy_exit_zero(self, tmp_path, capsys):

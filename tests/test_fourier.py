@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
 from conftest import random_grid_measure
+from fractalab import fourier
+from fractalab.quadrature import simpson_doubling
 from fractalab.errors import ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
@@ -190,6 +192,23 @@ class TestStationaryPhase:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValidationError, match="nonzero"):
             fl.stationary_phase_check((0.0, 0.0), [100.0])
+
+    def test_circle_integral_converges_within_budget(self, monkeypatch):
+        # a full-circle trapezoid meets the |sin theta| kinks at 0 and pi and
+        # exhausted its 8 doublings here; Simpson on [0, pi] does not
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(simpson_doubling(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fourier, "simpson_doubling", recording)
+        ts = [100.0, 101.37, 148.79081175884915]
+        report = fl.stationary_phase_check((0.0, 1.0), ts)
+        assert len(report.exact) == len(results) == 3
+        for t, (_, nodes, converged) in zip(ts, results):
+            initial = max(512, 8 * math.ceil(t))
+            assert converged and nodes <= (initial << 5) + 1
 
 
 class TestAngularDecomposition:

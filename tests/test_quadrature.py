@@ -1,0 +1,116 @@
+import math
+
+import numpy as np
+import pytest
+
+import fractalab as fl
+from fractalab import fourier
+from fractalab.errors import BudgetError
+from fractalab.quadrature import converge, require_converged, simpson_doubling, trapezoid_refinements
+
+ALPHA_MT = math.log(2.0) / math.log(3.0)
+
+
+class CountingIntegrand:
+    """Wraps f and records every abscissa it is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls: list[np.ndarray] = []
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        self.calls.append(x.copy())
+        return self.f(x)
+
+    @property
+    def evaluated(self) -> np.ndarray:
+        return np.concatenate(self.calls)
+
+
+def capped_simpson(f, a, b, initial_intervals=16, rel_tol=1e-8, max_intervals=1 << 22, abs_tol=0.0):
+    """simpson_doubling with no room to refine: the cap is the initial grid."""
+    return simpson_doubling(f, a, b, initial_intervals, rel_tol, initial_intervals, abs_tol)
+
+
+class TestRules:
+    def test_trapezoid_periodic_bessel_integral(self):
+        # int_0^{2pi} e^{cos theta} dtheta = 2 pi I_0(1)
+        value, _, converged = converge(
+            trapezoid_refinements(lambda th: np.exp(np.cos(th)), 0.0, 2.0 * np.pi, 8), 1e-14, 1 << 10
+        )
+        assert converged
+        assert value == pytest.approx(2.0 * np.pi * float(np.i0(1.0)), rel=1e-14)
+
+    def test_simpson_sine_integral(self):
+        value, nodes, converged = simpson_doubling(np.sin, 0.0, np.pi, rel_tol=1e-12)
+        assert converged
+        assert abs(value - 2.0) <= 1e-12
+        assert (nodes - 1) % 16 == 0
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "simpson"])
+    def test_each_doubling_evaluates_only_new_nodes(self, rule):
+        f = CountingIntegrand(lambda x: np.exp(np.sin(3.0 * x)))
+        if rule == "trapezoid":
+            _, nodes, _ = converge(trapezoid_refinements(f, 0.0, 1.0, 8), 1e-12, 1 << 16)
+        else:
+            _, nodes, _ = simpson_doubling(f, 0.0, 1.0, initial_intervals=8, rel_tol=1e-12)
+        xs = f.evaluated
+        assert len(f.calls) >= 3
+        assert xs.size == nodes
+        assert np.unique(xs).size == nodes  # no abscissa is evaluated twice
+        # after the first grid, each call adds exactly as many nodes as it had
+        sizes = [c.size for c in f.calls]
+        assert all(later == sum(sizes[:k + 1]) - 1 for k, later in enumerate(sizes[1:]))
+
+    def test_cap_reached_reports_not_converged(self):
+        f = CountingIntegrand(lambda x: np.cos(200.0 * x))
+        value, nodes, converged = simpson_doubling(
+            f, 0.0, 1.0, initial_intervals=8, rel_tol=1e-12, max_intervals=64
+        )
+        assert not converged
+        assert nodes == 65  # stops at the first grid at or past the cap
+        assert f.evaluated.size == nodes
+        assert math.isfinite(value)
+
+    def test_stopping_test_has_relative_and_absolute_parts(self):
+        def sequence(values):
+            yield from ((v, k + 1) for k, v in enumerate(values))
+
+        # successive values 1e-12 apart around zero: no relative test fires
+        near_zero = [3e-12, -2e-12, 1e-12]
+        assert converge(sequence(near_zero), 1e-10, 3) == (1e-12, 3, False)
+        assert converge(sequence(near_zero), 1e-10, 3, abs_tol=1e-10) == (-2e-12, 2, True)
+        assert converge(sequence([1.0, 1.5, 1.5 + 1e-9]), 1e-8, 3) == (1.5 + 1e-9, 3, True)
+
+    def test_require_converged_names_rule_tolerance_and_cap(self):
+        assert require_converged((1.25, 33, True), "some rule", 1e-7) == 1.25
+        with pytest.raises(BudgetError, match=r"some rule .*rel_tol 1e-07.*\(33 nodes\)"):
+            require_converged((1.25, 33, False), "some rule", 1e-7)
+
+
+class TestNonConvergenceRaises:
+    def test_solid_average(self, monkeypatch, middle_thirds_8):
+        monkeypatch.setattr(fourier, "simpson_doubling", capped_simpson)
+        with pytest.raises(BudgetError, match="solid-average Simpson"):
+            fl.solid_average(middle_thirds_8, 81.0)
+
+    def test_angular_decomposition_sector(self, monkeypatch, middle_thirds_8):
+        monkeypatch.setattr(fourier, "simpson_doubling", capped_simpson)
+        mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
+        with pytest.raises(BudgetError, match="angular-sector Simpson"):
+            fl.angular_decomposition(mu, 81.0, 0.1, fl.CutoffFunction("fejer", 2.0))
+
+    def test_spherical_average_with_tiny_node_cap(self):
+        nu = fl.build_cantor(fl.middle_thirds(6))
+        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
+        spec = fl.QuadratureSpec(node_count=16, max_nodes=32)
+        with pytest.raises(BudgetError, match=r"uniform-angle trapezoid .*\(32 nodes\)"):
+            fl.spherical_average_detailed(mu, 27.0, "sin_theta", spec)
+
+    def test_spherical_average_converged_under_a_cap(self):
+        pm = fl.point_mass()
+        mu = fl.build_product([pm, pm], [0.0, 0.0])
+        value, nodes, _ = fl.spherical_average_detailed(mu, 5.0, "none", fl.QuadratureSpec(max_nodes=128))
+        assert value == pytest.approx(2.0 * np.pi, rel=1e-12)
+        assert nodes == 128
