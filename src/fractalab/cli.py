@@ -1,7 +1,8 @@
 """Command line entry point.
 
-One subcommand per experiment kind. Values come from an optional JSON config
-file (--config); any flag given on the command line overrides the file.
+One subcommand per experiment kind, with the flags that ExperimentConfig's
+field metadata declares. Values come from an optional JSON config file
+(--config); any flag given on the command line overrides the file.
 Exit codes: 0 success, 2 validation error, 3 budget error.
 """
 from __future__ import annotations
@@ -9,15 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .config import EXPERIMENT_KINDS, ExperimentConfig, GeometricSweep, parse_factor_spec
+from .config import (
+    EXPERIMENT_KINDS,
+    ExperimentConfig,
+    non_null,
+    parse_factor_spec,
+    to_plain,
+)
 from .errors import BudgetError, ValidationError
+from .measures import CantorSpec
 from .runner import run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+_FLAGGED = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,41 +42,32 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", type=Path, help="JSON config file; flags override it")
-        p.add_argument("--output", help="output directory")
-        p.add_argument("--seed", type=int, help="root seed for all randomness")
-        p.add_argument("--parallelism", type=int, help="worker count for sweeps")
-        p.add_argument(
-            "--factor",
-            action="append",
-            metavar="BASE:DIGITS:LEVEL",
-            help="factor spec like 3:0,2:8 (repeatable)",
-        )
-        p.add_argument("--sweep", metavar="START:STOP:COUNT", help="geometric sweep")
-        p.add_argument("--weight", choices=["none", "sin_theta"])
-        p.add_argument("--gamma0", type=float, help="angular cut exponent")
-        p.add_argument("--dz-k", type=float, help="absolute constant in the energy-improvement exponent")
-        p.add_argument("--dz-c-nu", type=float, help="regularity constant fed to the energy bound")
-        p.add_argument("--cutoff-scale", type=float, help="Fejer cutoff dilation")
-        p.add_argument("--alpha", type=float, help="reference dimension override")
-        p.add_argument("--cap", type=float, help="regularity pass cap")
-        p.add_argument("--truncation", type=float, help="Mattila truncation T")
-        p.add_argument("--unweighted", action="store_true", help="drop the |sin theta| weight")
-        p.add_argument("--bin-width", type=float, help="distance histogram bin width")
-        p.add_argument("--weighted-distance", action="store_true", help="weighted distance measure")
-        p.add_argument("--widths", help="comma-separated coverage widths")
-        p.add_argument("--interval", metavar="A:B", help="solid average interval")
-        p.add_argument("--gap", action="append", metavar="GX:GY", help="gap vector (repeatable)")
-        p.add_argument("--dims", help="comma-separated factor dimensions (floats or p/q)")
-        p.add_argument("--mc-nodes", type=int, help="Monte Carlo sample count (d >= 3)")
+        for f in _FLAGGED:
+            options = dict(f.metadata)
+            p.add_argument(options.pop("flag"), **options)
     return parser
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValidationError(f"{flag}: expected A:B, got {text!r}")
+def _from_text(tp, text: str, f) -> object:
+    """The JSON value of a field of type ``tp`` written as flag text: a factor
+    spec, colon-separated parts for a tuple or a record (A:B,
+    START:STOP:COUNT), a comma-separated list, or a single value."""
+    flag = f.metadata["flag"]
+    tp = non_null(tp)
+    if tp is CantorSpec:
+        return to_plain(parse_factor_spec(text))
+    if get_origin(tp) is list:
+        return [_from_text(get_args(tp)[0], x, f) for x in text.split(",") if x]
+    if get_origin(tp) is tuple or is_dataclass(tp):
+        hints = get_type_hints(tp) if is_dataclass(tp) else None
+        types = list(hints.values()) if hints else get_args(tp)
+        texts = text.split(":")
+        if len(texts) != len(types):
+            raise ValidationError(f"{flag}: expected {f.metadata['metavar']}, got {text!r}")
+        values = [_from_text(t, x, f) for t, x in zip(types, texts)]
+        return dict(zip(hints, values)) if hints else values
     try:
-        return float(parts[0]), float(parts[1])
+        return tp(text)
     except ValueError as exc:
         raise ValidationError(f"{flag}: bad numbers in {text!r}") from exc
 
@@ -83,59 +86,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(payload, dict):
             raise ValidationError("config: JSON must be an object")
     payload["kind"] = args.kind
-    if args.output is not None:
-        payload["output_dir"] = args.output
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.parallelism is not None:
-        payload["parallelism"] = args.parallelism
-    if args.factor:
-        payload["factors"] = [parse_factor_spec(f).to_dict() for f in args.factor]
-    if args.sweep is not None:
-        parts = args.sweep.split(":")
-        if len(parts) != 3:
-            raise ValidationError(f"sweep: expected START:STOP:COUNT, got {args.sweep!r}")
-        try:
-            payload["sweep"] = GeometricSweep(
-                float(parts[0]), float(parts[1]), int(parts[2])
-            ).to_dict()
-        except ValueError as exc:
-            raise ValidationError(f"sweep: bad numbers in {args.sweep!r}") from exc
-    if args.weight is not None:
-        payload["weight"] = args.weight
-    if args.gamma0 is not None:
-        payload["gamma0"] = args.gamma0
-    if args.dz_k is not None:
-        payload["dz_k"] = args.dz_k
-    if args.dz_c_nu is not None:
-        payload["dz_c_nu"] = args.dz_c_nu
-    if args.cutoff_scale is not None:
-        payload["cutoff_scale"] = args.cutoff_scale
-    if args.alpha is not None:
-        payload["alpha"] = args.alpha
-    if args.cap is not None:
-        payload["regularity_cap"] = args.cap
-    if args.truncation is not None:
-        payload["truncation"] = args.truncation
-    if args.unweighted:
-        payload["mattila_weighted"] = False
-    if args.bin_width is not None:
-        payload["bin_width"] = args.bin_width
-    if args.weighted_distance:
-        payload["distance_weighted"] = True
-    if args.widths is not None:
-        try:
-            payload["coverage_widths"] = [float(x) for x in args.widths.split(",") if x]
-        except ValueError as exc:
-            raise ValidationError(f"widths: bad numbers in {args.widths!r}") from exc
-    if args.interval is not None:
-        payload["interval"] = list(_parse_pair(args.interval, "interval"))
-    if args.gap:
-        payload["gaps"] = [list(_parse_pair(g, "gap")) for g in args.gap]
-    if args.dims is not None:
-        payload["dims"] = [x for x in args.dims.split(",") if x]
-    if args.mc_nodes is not None:
-        payload["mc_nodes"] = args.mc_nodes
+    types = get_type_hints(ExperimentConfig)
+    for f in _FLAGGED:
+        value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
+        if isinstance(value, list):  # a repeatable flag
+            value = [_from_text(get_args(types[f.name])[0], x, f) for x in value]
+        elif isinstance(value, str):
+            value = _from_text(types[f.name], value, f)
+        if value is not None:
+            payload[f.name] = value
     return ExperimentConfig.from_dict(payload)
 
 

@@ -1,13 +1,25 @@
 """Experiment configuration: one JSON file, overridable by CLI flags.
 
+``ExperimentConfig`` is the one description of a config field: its type, its
+default, and in its metadata the field's command-line flag with the flag's
+help text and argparse options. The CLI builds its subcommands from that
+table.
+
 A config is a flat record; unknown keys are rejected so typos surface as
-validation errors with the offending field named. serialize(parse(text)) is
-idempotent: parsing normalizes, serialization is canonical JSON.
+validation errors with the offending field named. Loading checks every JSON
+value against its field's declared type: ints widen to floats, numbers in a
+text field (such as ``dims``) become their text, and ``bool`` is never a
+number; a missing required key or a wrong type raises ValidationError naming
+the field. serialize(parse(text)) is idempotent: parsing normalizes,
+serialization is canonical JSON.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from fractions import Fraction
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,38 +57,52 @@ class GeometricSweep:
     def values(self) -> list[float]:
         return [float(v) for v in np.geomspace(self.start, self.stop, self.count)]
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "stop": self.stop, "count": self.count}
 
-    @staticmethod
-    def from_dict(d: dict) -> "GeometricSweep":
-        return GeometricSweep(float(d["start"]), float(d["stop"]), int(d["count"]))
+def _flagged(default, flag: str, help: str | None = None, **options):
+    """A config field set by the command-line ``flag``; ``help`` and the
+    argparse ``options`` (metavar, choices, or action with const) describe
+    the flag."""
+    metadata = {"flag": flag, "help": help, **options}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    output_dir: str = "out"
-    seed: int = 0
-    parallelism: int = 1
-    factors: list[CantorSpec] = field(default_factory=list)
-    sweep: GeometricSweep | None = None
-    weight: str = "sin_theta"
-    gamma0: float = 0.1
-    dz_k: float = 1.0
-    dz_c_nu: float | None = None
-    cutoff_scale: float = 2.0
-    alpha: float | None = None
-    regularity_cap: float = 4.0
-    truncation: float | None = None
-    mattila_weighted: bool = True
-    bin_width: float = 0.01
-    distance_weighted: bool = False
-    coverage_widths: list[float] = field(default_factory=list)
-    interval: tuple[float, float] = (-1.0, 1.0)
-    gaps: list[tuple[float, float]] = field(default_factory=list)
-    dims: list[str] = field(default_factory=list)
-    mc_nodes: int = 20000
+    output_dir: str = _flagged("out", "--output", "output directory")
+    seed: int = _flagged(0, "--seed", "root seed for all randomness")
+    parallelism: int = _flagged(1, "--parallelism", "worker count for sweeps")
+    factors: list[CantorSpec] = _flagged(
+        [], "--factor", "factor spec like 3:0,2:8 (repeatable)",
+        action="append", metavar="BASE:DIGITS:LEVEL")
+    sweep: GeometricSweep | None = _flagged(
+        None, "--sweep", "geometric sweep", metavar="START:STOP:COUNT")
+    weight: str = _flagged("sin_theta", "--weight", choices=["none", "sin_theta"])
+    gamma0: float = _flagged(0.1, "--gamma0", "angular cut exponent")
+    dz_k: float = _flagged(
+        1.0, "--dz-k", "absolute constant in the energy-improvement exponent")
+    dz_c_nu: float | None = _flagged(
+        None, "--dz-c-nu", "regularity constant fed to the energy bound")
+    cutoff_scale: float = _flagged(2.0, "--cutoff-scale", "Fejer cutoff dilation")
+    alpha: float | None = _flagged(None, "--alpha", "reference dimension override")
+    regularity_cap: float = _flagged(4.0, "--cap", "regularity pass cap")
+    truncation: float | None = _flagged(None, "--truncation", "Mattila truncation T")
+    mattila_weighted: bool = _flagged(
+        True, "--unweighted", "drop the |sin theta| weight", action="store_const", const=False)
+    bin_width: float = _flagged(0.01, "--bin-width", "distance histogram bin width")
+    distance_weighted: bool = _flagged(
+        False, "--weighted-distance", "weighted distance measure",
+        action="store_const", const=True)
+    coverage_widths: list[float] = _flagged([], "--widths", "comma-separated coverage widths")
+    interval: tuple[float, float] = _flagged(
+        (-1.0, 1.0), "--interval", "solid average interval", metavar="A:B")
+    gaps: list[tuple[float, float]] = _flagged(
+        [], "--gap", "gap vector (repeatable)", action="append", metavar="GX:GY")
+    dims: list[str] = _flagged(
+        [], "--dims", "comma-separated factor dimensions (floats or p/q)")
+    mc_nodes: int = _flagged(20000, "--mc-nodes", "Monte Carlo sample count (d >= 3)")
 
     def __post_init__(self):
         self.validate()
@@ -102,6 +128,11 @@ class ExperimentConfig:
             raise ValidationError(f"interval: empty interval {self.interval}")
         if self.mc_nodes < 4:
             raise ValidationError(f"mc_nodes: must be >= 4, got {self.mc_nodes}")
+        for x in self.dims:
+            try:
+                Fraction(str(x))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"dims: {x!r} is not a number or a fraction p/q") from exc
         needs_factors = self.kind in (
             "cantor", "regularity", "energy", "spherical", "solid",
             "mattila", "distance", "full-report",
@@ -119,51 +150,14 @@ class ExperimentConfig:
             raise ValidationError("seed: required when Monte Carlo quadrature is reachable (d >= 3)")
 
     def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "factors":
-                v = [s.to_dict() for s in v]
-            elif f.name == "sweep":
-                v = None if v is None else v.to_dict()
-            elif f.name == "interval":
-                v = list(v)
-            elif f.name == "gaps":
-                v = [list(g) for g in v]
-            d[f.name] = v
-        return d
+        return to_plain(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        kw = dict(d)
-        if "kind" not in kw:
-            raise ValidationError("kind: missing required field")
-        if "factors" in kw:
-            kw["factors"] = [CantorSpec.from_dict(s) for s in kw["factors"]]
-        if kw.get("sweep") is not None:
-            kw["sweep"] = GeometricSweep.from_dict(kw["sweep"])
-        if "interval" in kw:
-            iv = kw["interval"]
-            if len(iv) != 2:
-                raise ValidationError(f"interval: expected [a, b], got {iv}")
-            kw["interval"] = (float(iv[0]), float(iv[1]))
-        if "gaps" in kw:
-            gaps = []
-            for g in kw["gaps"]:
-                if len(g) != 2:
-                    raise ValidationError(f"gaps: expected 2-vectors, got {g}")
-                gaps.append((float(g[0]), float(g[1])))
-            kw["gaps"] = gaps
-        if "dims" in kw:
-            kw["dims"] = [str(x) for x in kw["dims"]]
-        return ExperimentConfig(**kw)
+        return _load(ExperimentConfig, d, "")
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -174,6 +168,60 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ValidationError("config JSON must be an object")
         return ExperimentConfig.from_dict(payload)
+
+
+def non_null(tp):
+    """``tp`` without its ``| None``."""
+    if get_origin(tp) is UnionType:
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+    return tp
+
+
+def to_plain(value):
+    """The JSON form of a config value: records become dicts, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(v) for v in value]
+    return value
+
+
+def _load(tp, value, path: str):
+    """Check one JSON value against the declared type ``tp`` and build it;
+    ``path`` names the value in error messages."""
+    if value is None and type(None) in get_args(tp):
+        return None
+    tp = non_null(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{path}: expected a list, got {value!r}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ValidationError(f"{path}: expected {len(args)} entries, got {value!r}")
+        else:
+            args = (args[0],) * len(value)
+        items = [_load(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value))]
+        return items if origin is list else tuple(items)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path or 'config'}: expected an object, got {value!r}")
+        hints = get_type_hints(tp)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ValidationError(f"unknown {path or 'config'} fields: {sorted(unknown)}")
+        kw = {}
+        for f in fields(tp):
+            name = f"{path}.{f.name}" if path else f.name
+            if f.name in value:
+                kw[f.name] = _load(hints[f.name], value[f.name], name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{name}: missing required field")
+        return tp(**kw)
+    accepted = {float: (int, float), str: (str, int, float)}.get(tp, tp)
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return tp(value)
 
 
 def parse_factor_spec(text: str) -> CantorSpec:

@@ -74,11 +74,6 @@ class SumsetDistribution:
     def total_mass(self) -> float:
         return float(np.sum(self.values))
 
-    @property
-    def support_diameter(self) -> float:
-        nz = np.nonzero(self.values)[0]
-        return float((nz[-1] - nz[0]) * self.delta)
-
 
 def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     """Exact discrete self-convolution q(s) = sum_{i+j=s} w_i w_j.

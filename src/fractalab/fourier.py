@@ -298,11 +298,6 @@ class StationaryPhaseReport:
     residual_slope: float | None
     residual_stderr: float | None
 
-    @property
-    def scaled_arguments(self) -> tuple[float, ...]:
-        norm = math.hypot(*self.gap)
-        return tuple(t * norm for t in self.t_values)
-
 
 def stationary_phase_check(gap, t_values, fit_window=FIT_WINDOW) -> StationaryPhaseReport:
     """Compare the oscillatory circle integral with its main term across a

@@ -77,10 +77,11 @@ class DistanceMeasure:
         return k * self.bin_width
 
 
-def _pair_scan(mu: ProductMeasure, pair_budget: int):
-    positions, weights = product_atoms(mu)
-    _check_pair_budget(positions.shape[0], pair_budget)
+def _pair_scan(positions: np.ndarray, weights: np.ndarray, pair_budget: int):
+    """Chunks of all ordered atom pairs: coordinate differences, distances
+    and weight products, row block by row block."""
     n = positions.shape[0]
+    _check_pair_budget(n, pair_budget)
     chunk = max(1, (1 << 21) // max(1, n))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -101,13 +102,13 @@ def distance_measure(
         raise ValidationError(f"bin width must be positive, got {h}")
     if weighted and mu.dimension != 2:
         raise ValidationError("the weighted distance measure is defined for d = 2")
-    positions, _ = product_atoms(mu)
+    positions, weights = product_atoms(mu)
     span = positions.max(axis=0) - positions.min(axis=0)
     max_dist = float(np.sqrt(np.sum(span * span)))
     n_bins = int(max_dist / h) + 2
     acc = np.zeros(n_bins)
     diagonal = 0.0
-    for diff, dist, wpair in _pair_scan(mu, pair_budget):
+    for diff, dist, wpair in _pair_scan(positions, weights, pair_budget):
         if weighted:
             with np.errstate(divide="ignore", invalid="ignore"):
                 wfac = np.abs(diff[..., 1]) / dist
@@ -132,7 +133,7 @@ def weighted_mass(mu: ProductMeasure, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
     if mu.dimension != 2:
         raise ValidationError("the weighted mass is defined for d = 2")
     total = 0.0
-    for diff, dist, wpair in _pair_scan(mu, pair_budget):
+    for diff, dist, wpair in _pair_scan(*product_atoms(mu), pair_budget):
         with np.errstate(divide="ignore", invalid="ignore"):
             wfac = np.abs(diff[..., 1]) / dist
         wfac[dist == 0.0] = 0.0
@@ -152,15 +153,8 @@ def energy_integral(
         weights = mu.weights
     else:
         positions, weights = product_atoms(mu)
-    n = positions.shape[0]
-    _check_pair_budget(n, pair_budget)
     total = 0.0
-    chunk = max(1, (1 << 21) // max(1, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = positions[start:stop, None, :] - positions[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        wpair = weights[start:stop, None] * weights[None, :]
+    for _, dist, wpair in _pair_scan(positions, weights, pair_budget):
         off = dist > 0.0
         total += float(np.sum(wpair[off] * dist[off] ** (-s)))
     return total

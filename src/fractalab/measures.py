@@ -56,13 +56,6 @@ class CantorSpec:
         """Nominal dimension log |digits| / log base, in [0, 1]."""
         return math.log(len(self.digits)) / math.log(self.base)
 
-    def to_dict(self) -> dict:
-        return {"base": self.base, "digits": list(self.digits), "level": self.level}
-
-    @staticmethod
-    def from_dict(d: dict) -> "CantorSpec":
-        return CantorSpec(base=int(d["base"]), digits=tuple(d["digits"]), level=int(d["level"]))
-
 
 MIDDLE_THIRDS_DIMENSION = math.log(2) / math.log(3)
 

@@ -1,8 +1,11 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
 import fractalab as fl
+from fractalab.cli import _build_parser, _config_from_args
 from fractalab.cli import main as cli_main
 from fractalab.errors import ValidationError
 
@@ -219,3 +222,96 @@ class TestCli:
         code = cli_main(["thresholds", "--dims", "2/3,2/3", "--output", str(tmp_path)])
         assert code == 0
         assert "sum_threshold=4/3" in (tmp_path / "thresholds.txt").read_text()
+
+
+# Each config value with a wrong type or a missing key must exit 2 and name
+# its field, instead of running another integral or crashing.
+BAD_CONFIG_VALUES = [
+    ({"mattila_weighted": "no"}, "mattila_weighted"),
+    ({"gamma0": "0.1"}, "gamma0"),
+    ({"parallelism": "2"}, "parallelism"),
+    ({"interval": 5}, "interval"),
+    ({"factors": [{"base": 3}]}, "factors"),
+    ({"sweep": {"start": 3, "stop": 9}}, "sweep"),
+    ({"bin_width": True}, "bin_width"),
+    ({"seed": "abc"}, "seed"),
+    ({"parallelism": 2.5}, "parallelism"),
+    ({"dims": ["abc", "2/3"]}, "dims"),
+    ({"dims": ["abc"]}, "dims"),
+]
+
+# Every field flag -> (its arguments, its field, the value it must set with
+# its exact type).
+FLAG_CASES = {
+    "--output": (["--output", "o"], "output_dir", "o"),
+    "--seed": (["--seed", "3"], "seed", 3),
+    "--parallelism": (["--parallelism", "2"], "parallelism", 2),
+    "--factor": (
+        ["--factor", "3:0,2:4", "--factor", "2:0:1"],
+        "factors",
+        [fl.CantorSpec(3, (0, 2), 4), fl.CantorSpec(2, (0,), 1)],
+    ),
+    "--sweep": (["--sweep", "3:81:5"], "sweep", fl.GeometricSweep(3.0, 81.0, 5)),
+    "--weight": (["--weight", "none"], "weight", "none"),
+    "--gamma0": (["--gamma0", "0.2"], "gamma0", 0.2),
+    "--dz-k": (["--dz-k", "2"], "dz_k", 2.0),
+    "--dz-c-nu": (["--dz-c-nu", "4"], "dz_c_nu", 4.0),
+    "--cutoff-scale": (["--cutoff-scale", "3"], "cutoff_scale", 3.0),
+    "--alpha": (["--alpha", "0.6"], "alpha", 0.6),
+    "--cap": (["--cap", "5"], "regularity_cap", 5.0),
+    "--truncation": (["--truncation", "2"], "truncation", 2.0),
+    "--unweighted": (["--unweighted"], "mattila_weighted", False),
+    "--bin-width": (["--bin-width", "0.02"], "bin_width", 0.02),
+    "--weighted-distance": (["--weighted-distance"], "distance_weighted", True),
+    "--widths": (["--widths", "0.1,0.2"], "coverage_widths", [0.1, 0.2]),
+    "--interval": (["--interval=-0.5:2"], "interval", (-0.5, 2.0)),
+    "--gap": (["--gap", "0:1", "--gap", "1:1"], "gaps", [(0.0, 1.0), (1.0, 1.0)]),
+    "--dims": (["--dims", "2/3,0.5"], "dims", ["2/3", "0.5"]),
+    "--mc-nodes": (["--mc-nodes", "100"], "mc_nodes", 100),
+}
+
+
+def _plain_types(value):
+    if isinstance(value, (list, tuple)):
+        return (type(value), [_plain_types(v) for v in value])
+    return (type(value), value)
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("bad, field_name", BAD_CONFIG_VALUES, ids=lambda x: str(x))
+    def test_bad_config_value_exits_two_naming_field(self, tmp_path, capsys, bad, field_name):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dims": ["2/3", "2/3"], "output_dir": str(tmp_path), **bad}))
+        code = cli_main(["thresholds", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "validation error" in err and field_name in err
+
+    def test_every_field_but_kind_has_exactly_one_flag(self):
+        config_fields = [f for f in fields(fl.ExperimentConfig) if f.name != "kind"]
+        flags = [f.metadata["flag"] for f in config_fields]
+        assert sorted(flags) == sorted(FLAG_CASES)
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for kind in fl.EXPERIMENT_KINDS:
+            sub = subparsers.choices[kind]
+            options = {s for a in sub._actions for s in a.option_strings}
+            assert options - {"-h", "--help"} == set(FLAG_CASES) | {"--config"}
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+    def test_flag_sets_its_field(self, flag):
+        argv, field_name, expected = FLAG_CASES[flag]
+        args = _build_parser().parse_args(["thresholds", "--dims", "1/2", *argv])
+        value = getattr(_config_from_args(args), field_name)
+        assert _plain_types(value) == _plain_types(expected)
+
+    def test_int_literal_and_float_flag_give_one_config_hash(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"dims": ["2/3", "2/3"], "truncation": 2}))
+        hashes = []
+        for argv in (["--config", str(cfg)], ["--dims", "2/3,2/3", "--truncation", "2"]):
+            assert cli_main(["thresholds", "--output", str(out), *argv]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
