@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 validation error, 3 budget error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from .config import (
     ExperimentConfig,
     non_null,
     parse_factor_spec,
+    read_config_file,
     to_plain,
 )
 from .errors import BudgetError, ValidationError
@@ -73,18 +73,7 @@ def _from_text(tp, text: str, f) -> object:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    payload: dict = {}
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"config: cannot read {args.config}: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config: not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValidationError("config: JSON must be an object")
+    payload = read_config_file(args.config) if args.config is not None else {}
     payload["kind"] = args.kind
     types = get_type_hints(ExperimentConfig)
     for f in _FLAGGED:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,18 +27,19 @@ import numpy as np
 from .errors import ValidationError
 from .measures import CantorSpec
 
-EXPERIMENT_KINDS = (
-    "cantor",
-    "regularity",
-    "energy",
-    "spherical",
-    "solid",
-    "stationary",
-    "mattila",
-    "distance",
-    "thresholds",
-    "full-report",
-)
+# Every experiment kind, with the fewest Cantor factors it runs on.
+EXPERIMENT_KINDS = {
+    "cantor": 1,
+    "regularity": 1,
+    "energy": 1,
+    "spherical": 2,
+    "solid": 1,
+    "stationary": 0,
+    "mattila": 2,
+    "distance": 2,
+    "thresholds": 0,
+    "full-report": 2,
+}
 
 
 @dataclass(frozen=True)
@@ -73,19 +75,16 @@ class ExperimentConfig:
     kind: str
     output_dir: str = _flagged("out", "--output", "output directory")
     seed: int = _flagged(0, "--seed", "root seed for all randomness")
-    parallelism: int = _flagged(1, "--parallelism", "worker count for sweeps")
     factors: list[CantorSpec] = _flagged(
         [], "--factor", "factor spec like 3:0,2:8 (repeatable)",
         action="append", metavar="BASE:DIGITS:LEVEL")
     sweep: GeometricSweep | None = _flagged(
         None, "--sweep", "geometric sweep", metavar="START:STOP:COUNT")
     weight: str = _flagged("sin_theta", "--weight", choices=["none", "sin_theta"])
-    gamma0: float = _flagged(0.1, "--gamma0", "angular cut exponent")
     dz_k: float = _flagged(
         1.0, "--dz-k", "absolute constant in the energy-improvement exponent")
     dz_c_nu: float | None = _flagged(
         None, "--dz-c-nu", "regularity constant fed to the energy bound")
-    cutoff_scale: float = _flagged(2.0, "--cutoff-scale", "Fejer cutoff dilation")
     alpha: float | None = _flagged(None, "--alpha", "reference dimension override")
     regularity_cap: float = _flagged(4.0, "--cap", "regularity pass cap")
     truncation: float | None = _flagged(None, "--truncation", "Mattila truncation T")
@@ -110,18 +109,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValidationError(
-                f"kind: unknown experiment {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
+                f"kind: unknown experiment {self.kind!r}; expected one of {tuple(EXPERIMENT_KINDS)}"
             )
-        if int(self.parallelism) < 1:
-            raise ValidationError(f"parallelism: must be >= 1, got {self.parallelism}")
         if self.weight not in ("none", "sin_theta"):
             raise ValidationError(f"weight: must be 'none' or 'sin_theta', got {self.weight!r}")
-        if not 0.0 < self.gamma0 < 0.5:
-            raise ValidationError(f"gamma0: must lie in (0, 1/2), got {self.gamma0}")
         if not self.dz_k > 0:
             raise ValidationError(f"dz_k: must be positive, got {self.dz_k}")
-        if not self.cutoff_scale > 0:
-            raise ValidationError(f"cutoff_scale: must be positive, got {self.cutoff_scale}")
         if not self.bin_width > 0:
             raise ValidationError(f"bin_width: must be positive, got {self.bin_width}")
         if self.interval[0] >= self.interval[1]:
@@ -133,21 +126,16 @@ class ExperimentConfig:
                 Fraction(str(x))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"dims: {x!r} is not a number or a fraction p/q") from exc
-        needs_factors = self.kind in (
-            "cantor", "regularity", "energy", "spherical", "solid",
-            "mattila", "distance", "full-report",
-        )
-        if needs_factors and not self.factors:
-            raise ValidationError(f"factors: experiment {self.kind!r} needs at least one factor")
+        need = EXPERIMENT_KINDS[self.kind]
+        if len(self.factors) < need:
+            raise ValidationError(
+                f"factors: experiment {self.kind!r} needs >= {need} factors, "
+                f"got {len(self.factors)}"
+            )
         if self.kind == "thresholds" and not self.dims and not self.factors:
             raise ValidationError("dims: thresholds experiment needs dims or factors")
         if self.kind == "stationary" and not self.gaps:
             raise ValidationError("gaps: stationary experiment needs at least one gap vector")
-        product_kinds = ("spherical", "mattila", "distance", "full-report")
-        if self.kind in product_kinds and len(self.factors) == 1:
-            raise ValidationError(f"factors: experiment {self.kind!r} needs >= 2 factors")
-        if self.kind in ("spherical", "mattila") and len(self.factors) >= 3 and self.seed is None:
-            raise ValidationError("seed: required when Monte Carlo quadrature is reachable (d >= 3)")
 
     def to_dict(self) -> dict:
         return to_plain(self)
@@ -161,13 +149,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValidationError("config JSON must be an object")
-        return ExperimentConfig.from_dict(payload)
+        return ExperimentConfig.from_dict(_config_object(text))
+
+
+def _config_object(text: str) -> dict:
+    """The JSON object of a config file's text."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError("config: JSON must be an object")
+    return payload
+
+
+def read_config_file(path) -> dict:
+    """The JSON object of the config file at ``path``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"config: cannot read {path}: {exc}") from exc
+    return _config_object(text)
 
 
 def non_null(tp):

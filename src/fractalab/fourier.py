@@ -13,13 +13,15 @@ below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
 Every deterministic quadrature here runs through quadrature.converge and
-raises BudgetError when it reaches its node cap before its tolerance. d = 2
-angular averages use the uniform trapezoid rule over [0, 2pi); the
-integrands of product measures are invariant under theta -> -theta and
-theta -> pi - theta, so it is 4 x the trapezoid sum on [0, pi/2]. Solid
+raises BudgetError when it reaches its node cap before its tolerance. Solid
 averages, the angular sectors and the stationary-phase circle integral use
-Simpson. d >= 3 uses seeded Monte Carlo over the sphere (the weighted
-integrand is not separable over angles) and reports the standard error.
+Simpson. The angular-average rule follows from the ambient dimension alone
+(_angular_rule); QuadratureSpec sets only its sizes, tolerance and seed. d = 2
+uses the uniform trapezoid rule over [0, 2pi); the integrands of product
+measures are invariant under theta -> -theta and theta -> pi - theta, so it
+is 4 x the trapezoid sum on [0, pi/2]. d >= 3 uses seeded Monte Carlo over
+the sphere (the weighted integrand is not separable over angles) and
+reports the standard error.
 """
 from __future__ import annotations
 
@@ -100,6 +102,11 @@ def _quadrant_integrand(mu: ProductMeasure, t: float, weight: str):
     return f
 
 
+def _angular_rule(d: int) -> str:
+    """The angular-average rule in ambient dimension d."""
+    return "uniform_angle" if d == 2 else "monte_carlo_sphere"
+
+
 def _sigma_uniform_angle(
     mu: ProductMeasure, t: float, weight: str, spec: QuadratureSpec
 ) -> tuple[float, int]:
@@ -161,13 +168,7 @@ def spherical_average_detailed(
             f"t={t} exceeds the discretization validity cap {cap:.6g} "
             "(0.1/delta over the coarsest factor); deepen the level", cap
         )
-    d = mu.dimension
-    kind = quadrature.kind
-    if kind == "auto":
-        kind = "uniform_angle" if d == 2 else "monte_carlo_sphere"
-    if kind == "uniform_angle":
-        if d != 2:
-            raise ValidationError("uniform_angle quadrature is for d = 2 only")
+    if _angular_rule(mu.dimension) == "uniform_angle":
         value, nodes = _sigma_uniform_angle(mu, t, weight, quadrature)
         return value, nodes, 0.0
     if weight == "cos_theta":
@@ -212,14 +213,11 @@ def spherical_average_series(
     rows = [spherical_average_detailed(mu, t, weight, quadrature) for t in ts]
     values = [r[0] for r in rows]
     fit = loglog_fit(ts, values)
-    kind = quadrature.kind
-    if kind == "auto":
-        kind = "uniform_angle" if mu.dimension == 2 else "monte_carlo_sphere"
     return SphericalAverageSeries(
         t_values=tuple(ts),
         values=tuple(values),
         weight=weight,
-        quadrature_kind=kind,
+        quadrature_kind=_angular_rule(mu.dimension),
         node_counts=tuple(r[1] for r in rows),
         stderrs=tuple(r[2] for r in rows),
         seed=quadrature.seed,

@@ -23,23 +23,20 @@ from .errors import BudgetError, ValidationError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to evaluate an angular average.
+    """How to evaluate an angular average; the rule itself follows from the
+    ambient dimension (uniform angle for d = 2, Monte Carlo for d >= 3).
 
-    kind: 'auto' picks uniform_angle for d=2 and monte_carlo_sphere for
-    d>=3. node_count is the initial grid size (deterministic rules) or the
-    sample count (Monte Carlo). The seed is mandatory whenever Monte Carlo
-    is actually used.
+    node_count is the initial grid size (uniform angle) or the sample count
+    (Monte Carlo). The seed is mandatory whenever Monte Carlo is used.
+    rel_tol and max_nodes bound the uniform-angle refinement.
     """
 
-    kind: str = "auto"
     node_count: int = 64
     seed: int | None = None
     rel_tol: float = 1e-6
     max_nodes: int = 1 << 21
 
     def __post_init__(self):
-        if self.kind not in ("auto", "uniform_angle", "monte_carlo_sphere"):
-            raise ValidationError(f"unknown quadrature kind {self.kind!r}")
         if self.node_count < 4:
             raise ValidationError("node_count must be at least 4")
         if not self.rel_tol > 0:

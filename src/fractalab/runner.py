@@ -2,9 +2,13 @@
 manifest, deterministically.
 
 Every artifact is a pure function of (config, seed): float formatting uses
-shortest round-trip reprs, sweep reductions happen in index order even when
-a worker pool is active, and the manifest records a content hash of every
-emitted file, so identical runs are byte-identical.
+shortest round-trip reprs, sweeps run and reduce in index order, and the
+manifest records a content hash of every emitted file, so identical runs are
+byte-identical.
+
+Each experiment kind is one entry of ``_KINDS``: its runner, which writes the
+artifacts and results.json, and its summary, which turns that results.json
+into summary.txt lines. The two sit next to each other below.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,16 +50,6 @@ from .quadrature import QuadratureSpec
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.json"
-
-
-def _ordered_map(fn, items, workers: int):
-    """Map preserving input order; a thread pool is used when workers > 1
-    (all mapped calls are pure), the reduction is always in index order."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -167,6 +161,14 @@ def _run_cantor(config: ExperimentConfig, run: _Run) -> None:
     run.results = {"kind": "cantor", "d": len(measures), "factors": info}
 
 
+def _summary_cantor(results: dict, rel: str) -> list[str]:
+    parts = ", ".join(
+        f"base {f['base']} level {f['level']} ({f['atoms']} atoms, dim {f['dimension_hint']:.3f})"
+        for f in results["factors"]
+    )
+    return [f"cantor [{rel}]: {parts}"]
+
+
 def _run_regularity(config: ExperimentConfig, run: _Run) -> None:
     measures = _factor_measures(config)
     rows = []
@@ -193,6 +195,18 @@ def _run_regularity(config: ExperimentConfig, run: _Run) -> None:
         )
     _write_csv(run.add_file("regularity.csv"), ["factor", "scale", "min_ratio", "max_ratio"], rows)
     run.results = {"kind": "regularity", "d": len(measures), "factors": per_factor}
+
+
+def _summary_regularity(results: dict, rel: str) -> list[str]:
+    lines = []
+    for f in results["factors"]:
+        verdict = "regular" if f["passed"] else "NOT regular"
+        lines.append(
+            f"regularity [{rel}] factor {f['factor']}: C_nu {f['c_nu']:.3f} vs cap {f['cap']} "
+            f"-> {verdict} at alpha {f['alpha']:.3f} (two-sided ball-mass bounds); "
+            f"frostman slope {f['frostman_slope']:.3f}"
+        )
+    return lines
 
 
 def _run_energy(config: ExperimentConfig, run: _Run) -> None:
@@ -226,6 +240,20 @@ def _run_energy(config: ExperimentConfig, run: _Run) -> None:
     run.results = results
 
 
+def _summary_energy(results: dict, rel: str) -> list[str]:
+    slope = results["fitted_exponent"]
+    alpha = results["alpha"]
+    margin = results["excess_over_alpha"]
+    line = (
+        f"energy [{rel}]: E(r) slope {slope:.3f} vs alpha {alpha:.3f} "
+        f"(margin {margin:+.3f}; the trivial bound needs slope >= alpha, and the "
+        f"Dyatlov-Zahl bound for regular sets predicts a strictly positive margin)"
+    )
+    if "dz_beta" in results:
+        line += f"; closed-form beta = {results['dz_beta']:.3g} at K={results['dz_k']}, C_nu={results['dz_c_nu']}"
+    return [line]
+
+
 def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
@@ -254,14 +282,20 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
     }
 
 
+def _summary_spherical(results: dict, rel: str) -> list[str]:
+    return [
+        f"spherical [{rel}]: weight {results['weight']}, decay slope {results['fitted_decay']:.3f} "
+        f"(weighted circular average is dominated by twice the solid average of the "
+        f"larger-dimension factor)"
+    ]
+
+
 def _run_solid(config: ExperimentConfig, run: _Run) -> None:
     nu = _factor_measures(config)[0]
     alpha = config.alpha if config.alpha is not None else nu.dimension_hint
     cap = validity_cap(nu)
     ts = _default_t_sweep(config, cap, nu.base)
-    values = _ordered_map(
-        lambda t: solid_average(nu, t, config.interval), ts, config.parallelism
-    )
+    values = [solid_average(nu, t, config.interval) for t in ts]
     fit = loglog_fit(ts, values)
     rows = [(t, v, math.log(t), math.log(v)) for t, v in zip(ts, values)]
     _write_csv(
@@ -278,6 +312,13 @@ def _run_solid(config: ExperimentConfig, run: _Run) -> None:
         "fitted_decay": fit.slope,
         "fit_stderr": fit.stderr,
     }
+
+
+def _summary_solid(results: dict, rel: str) -> list[str]:
+    return [
+        f"solid [{rel}]: decay slope {results['fitted_decay']:.3f}, target <= "
+        f"{-results['alpha'] + 0.1:.3f} (solid average of a ball-regular measure decays like t^-alpha)"
+    ]
 
 
 def _run_stationary(config: ExperimentConfig, run: _Run) -> None:
@@ -311,6 +352,18 @@ def _run_stationary(config: ExperimentConfig, run: _Run) -> None:
             }
         )
     run.results = {"kind": "stationary", "d": 2, "gaps": gap_results}
+
+
+def _summary_stationary(results: dict, rel: str) -> list[str]:
+    lines = []
+    for g in results["gaps"]:
+        slope = g["residual_slope"]
+        slope_txt = "n/a" if slope is None else f"{slope:.3f}"
+        lines.append(
+            f"stationary [{rel}] gap {tuple(g['gap'])}: residual slope {slope_txt} "
+            f"(main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)"
+        )
+    return lines
 
 
 def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
@@ -349,6 +402,17 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
     }
 
 
+def _summary_mattila(results: dict, rel: str) -> list[str]:
+    conv = "integrand slope < -1: truncations converging" if results["integrand_slope"] < -1 else \
+        "integrand slope >= -1: no convergence signal at this truncation"
+    t_grid = "" if results["t_grid_converged"] else "; t grid NOT converged: value taken at the node cap"
+    return [
+        f"mattila [{rel}]: value {results['value']:.6g} at T={results['truncation']}, "
+        f"slope {results['integrand_slope']:.3f} ({conv}); a finite weighted integral "
+        f"implies a positive-measure distance set{t_grid}"
+    ]
+
+
 def _run_distance(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     dm = distance_measure(mu, config.bin_width, config.distance_weighted)
@@ -381,6 +445,13 @@ def _run_distance(config: ExperimentConfig, run: _Run) -> None:
             "density_l2": list(cov.density_l2),
         }
     run.results = results
+
+
+def _summary_distance(results: dict, rel: str) -> list[str]:
+    return [
+        f"distance [{rel}]: total mass {results['total_mass']:.6f} "
+        f"(diagonal {results['diagonal_mass']:.6f}), weighted={results['weighted']}"
+    ]
 
 
 def _run_thresholds(config: ExperimentConfig, run: _Run) -> None:
@@ -416,16 +487,31 @@ def _run_thresholds(config: ExperimentConfig, run: _Run) -> None:
     }
 
 
-_RUNNERS = {
-    "cantor": _run_cantor,
-    "regularity": _run_regularity,
-    "energy": _run_energy,
-    "spherical": _run_spherical,
-    "solid": _run_solid,
-    "stationary": _run_stationary,
-    "mattila": _run_mattila,
-    "distance": _run_distance,
-    "thresholds": _run_thresholds,
+def _summary_thresholds(results: dict, rel: str) -> list[str]:
+    margin = results["product_sum_margin"]
+    line = (
+        f"thresholds [{rel}]: sum s_j margin {margin:+.4f} over d^2/(2d-1) = {results['sum_threshold']}"
+    )
+    if results.get("mixed_margin") is not None:
+        line += f"; mixed margin s_A+s_B+max-2 = {results['mixed_margin']:+.4f}"
+    if results.get("regular_delta") is not None:
+        line += f"; regular-route delta = {results['regular_delta']:.3g}"
+    applicable = results.get("applicable") or ["none"]
+    line += f"; applicable: {', '.join(applicable)}"
+    return [line]
+
+
+# kind -> (runner, summary); full-report is the bundle of other kinds
+_KINDS = {
+    "cantor": (_run_cantor, _summary_cantor),
+    "regularity": (_run_regularity, _summary_regularity),
+    "energy": (_run_energy, _summary_energy),
+    "spherical": (_run_spherical, _summary_spherical),
+    "solid": (_run_solid, _summary_solid),
+    "stationary": (_run_stationary, _summary_stationary),
+    "mattila": (_run_mattila, _summary_mattila),
+    "distance": (_run_distance, _summary_distance),
+    "thresholds": (_run_thresholds, _summary_thresholds),
 }
 
 
@@ -442,23 +528,16 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     if config.kind == "full-report":
         return _run_full_report(config, out_dir)
     run = _Run(config, out_dir)
-    _RUNNERS[config.kind](config, run)
+    run_kind, _ = _KINDS[config.kind]
+    run_kind(config, run)
     return run.finalize()
-
-
-def _sub_config(config: ExperimentConfig, kind: str, out_dir: Path) -> ExperimentConfig:
-    d = config.to_dict()
-    d["kind"] = kind
-    d["output_dir"] = str(out_dir / kind)
-    d.pop("sweep", None)
-    return ExperimentConfig.from_dict(d)
 
 
 def _run_full_report(config: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     files: dict[str, Path] = {}
     kinds = ["cantor", "regularity", "energy", "solid", "spherical", "thresholds"]
     for kind in kinds:
-        sub = _sub_config(config, kind, out_dir)
+        sub = replace(config, kind=kind, output_dir=str(out_dir / kind), sweep=None)
         for name, path in run_experiment(sub).items():
             files[f"{kind}/{name}"] = path
     summary = emit_report(out_dir)
@@ -486,83 +565,6 @@ def _load_run(manifest_path: Path) -> tuple[dict, dict]:
     return manifest, results
 
 
-def _summary_line(results: dict, rel: str) -> list[str]:
-    kind = results.get("kind", "?")
-    lines: list[str] = []
-    if kind == "energy":
-        slope = results["fitted_exponent"]
-        alpha = results["alpha"]
-        margin = results["excess_over_alpha"]
-        line = (
-            f"energy [{rel}]: E(r) slope {slope:.3f} vs alpha {alpha:.3f} "
-            f"(margin {margin:+.3f}; the trivial bound needs slope >= alpha, and the "
-            f"Dyatlov-Zahl bound for regular sets predicts a strictly positive margin)"
-        )
-        if "dz_beta" in results:
-            line += f"; closed-form beta = {results['dz_beta']:.3g} at K={results['dz_k']}, C_nu={results['dz_c_nu']}"
-        lines.append(line)
-    elif kind == "regularity":
-        for f in results["factors"]:
-            verdict = "regular" if f["passed"] else "NOT regular"
-            lines.append(
-                f"regularity [{rel}] factor {f['factor']}: C_nu {f['c_nu']:.3f} vs cap {f['cap']} "
-                f"-> {verdict} at alpha {f['alpha']:.3f} (two-sided ball-mass bounds); "
-                f"frostman slope {f['frostman_slope']:.3f}"
-            )
-    elif kind == "solid":
-        lines.append(
-            f"solid [{rel}]: decay slope {results['fitted_decay']:.3f}, target <= "
-            f"{-results['alpha'] + 0.1:.3f} (solid average of a ball-regular measure decays like t^-alpha)"
-        )
-    elif kind == "spherical":
-        lines.append(
-            f"spherical [{rel}]: weight {results['weight']}, decay slope {results['fitted_decay']:.3f} "
-            f"(weighted circular average is dominated by twice the solid average of the "
-            f"larger-dimension factor)"
-        )
-    elif kind == "mattila":
-        conv = "integrand slope < -1: truncations converging" if results["integrand_slope"] < -1 else \
-            "integrand slope >= -1: no convergence signal at this truncation"
-        t_grid = "" if results["t_grid_converged"] else "; t grid NOT converged: value taken at the node cap"
-        lines.append(
-            f"mattila [{rel}]: value {results['value']:.6g} at T={results['truncation']}, "
-            f"slope {results['integrand_slope']:.3f} ({conv}); a finite weighted integral "
-            f"implies a positive-measure distance set{t_grid}"
-        )
-    elif kind == "stationary":
-        for g in results["gaps"]:
-            slope = g["residual_slope"]
-            slope_txt = "n/a" if slope is None else f"{slope:.3f}"
-            lines.append(
-                f"stationary [{rel}] gap {tuple(g['gap'])}: residual slope {slope_txt} "
-                f"(main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)"
-            )
-    elif kind == "thresholds":
-        margin = results["product_sum_margin"]
-        line = (
-            f"thresholds [{rel}]: sum s_j margin {margin:+.4f} over d^2/(2d-1) = {results['sum_threshold']}"
-        )
-        if results.get("mixed_margin") is not None:
-            line += f"; mixed margin s_A+s_B+max-2 = {results['mixed_margin']:+.4f}"
-        if results.get("regular_delta") is not None:
-            line += f"; regular-route delta = {results['regular_delta']:.3g}"
-        applicable = results.get("applicable") or ["none"]
-        line += f"; applicable: {', '.join(applicable)}"
-        lines.append(line)
-    elif kind == "distance":
-        lines.append(
-            f"distance [{rel}]: total mass {results['total_mass']:.6f} "
-            f"(diagonal {results['diagonal_mass']:.6f}), weighted={results['weighted']}"
-        )
-    elif kind == "cantor":
-        parts = ", ".join(
-            f"base {f['base']} level {f['level']} ({f['atoms']} atoms, dim {f['dimension_hint']:.3f})"
-            for f in results["factors"]
-        )
-        lines.append(f"cantor [{rel}]: {parts}")
-    return lines
-
-
 def emit_report(directory) -> Path:
     """Aggregate every run manifest under `directory` into summary.txt,
     grouped by ambient dimension."""
@@ -573,9 +575,15 @@ def emit_report(directory) -> Path:
     groups: dict[int, list[str]] = {}
     for mpath in manifests:
         manifest, results = _load_run(mpath)
+        kind = results.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValidationError(
+                f"unknown experiment kind {kind!r} in {mpath.parent / RESULTS_NAME}"
+            )
+        _, summarize = _KINDS[kind]
         rel = str(mpath.parent.relative_to(root)) or "."
         d = int(results.get("d", 0))
-        for line in _summary_line(results, rel):
+        for line in summarize(results, rel):
             groups.setdefault(d, []).append(line)
     out = ["experiment summary", "==================", ""]
     for d in sorted(groups):

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 from dataclasses import fields
 
@@ -7,6 +8,7 @@ import pytest
 import fractalab as fl
 from fractalab.cli import _build_parser, _config_from_args
 from fractalab.cli import main as cli_main
+from fractalab import runner
 from fractalab.errors import ValidationError
 
 
@@ -23,7 +25,7 @@ def mt_config(kind, out, level=5, **extra):
 
 class TestConfig:
     def test_round_trip_is_idempotent(self, tmp_path):
-        config = mt_config("spherical", tmp_path, gamma0=0.2, dz_k=1.5)
+        config = mt_config("spherical", tmp_path, weight="none", dz_k=1.5)
         text = config.to_json()
         again = fl.ExperimentConfig.from_json(text)
         assert again.to_json() == text
@@ -122,21 +124,29 @@ class TestRunner:
             assert text.splitlines()[0] == "t,exact_re,exact_im,main,resid"
             assert "# residual_slope=" in text
 
-    def test_parallel_solid_sweep_matches_serial(self, tmp_path):
-        serial = mt_config("solid", tmp_path / "serial", level=6)
-        parallel = mt_config("solid", tmp_path / "parallel", level=6, parallelism=4)
-        fl.run_experiment(serial)
-        fl.run_experiment(parallel)
-        a = (tmp_path / "serial" / "solid.csv").read_bytes()
-        b = (tmp_path / "parallel" / "solid.csv").read_bytes()
-        assert a == b
-
     def test_full_report_produces_summary(self, tmp_path):
         config = mt_config("full-report", tmp_path, level=6)
         files = fl.run_experiment(config)
         summary = files["summary.txt"].read_text()
-        assert "energy" in summary and "thresholds" in summary
+        for kind in ("cantor", "regularity", "energy", "solid", "spherical", "thresholds"):
+            assert any(line.startswith(f"{kind} [{kind}]") for line in summary.splitlines()), kind
         assert "[d = 2]" in summary
+
+    def test_monte_carlo_run_without_seed_rejected(self, tmp_path):
+        spec = fl.CantorSpec(3, (0, 2), 6)  # default sweep 3, 9, 27 under the cap 72.9
+        config = fl.ExperimentConfig(
+            kind="spherical", output_dir=str(tmp_path), seed=None, factors=[spec] * 3
+        )
+        with pytest.raises(ValidationError, match="seed"):
+            fl.run_experiment(config)
+
+    def test_each_kind_has_one_runner_and_summary(self):
+        assert set(runner._KINDS) | {"full-report"} == set(fl.EXPERIMENT_KINDS)
+
+    def test_every_config_field_is_read_by_the_runner(self):
+        source = inspect.getsource(runner)
+        unread = [f.name for f in fields(fl.ExperimentConfig) if f"config.{f.name}" not in source]
+        assert unread == []
 
     def test_emit_report_requires_manifest(self, tmp_path):
         with pytest.raises(ValidationError, match="manifest"):
@@ -182,6 +192,12 @@ class TestRunner:
         (tmp_path / "results.json").write_text(json.dumps(results))
         assert "NOT converged" not in fl.emit_report(tmp_path).read_text()
 
+    def test_emit_report_rejects_unknown_kind(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
+        (tmp_path / "results.json").write_text(json.dumps({"kind": "warp", "d": 2}))
+        with pytest.raises(ValidationError, match="'warp'.*results.json"):
+            fl.emit_report(tmp_path)
+
 
 class TestCli:
     def test_energy_exit_zero(self, tmp_path, capsys):
@@ -223,19 +239,31 @@ class TestCli:
         assert code == 0
         assert "sum_threshold=4/3" in (tmp_path / "thresholds.txt").read_text()
 
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_bad_config_file_exits_two(self, tmp_path, capsys, content):
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(content)
+        code = cli_main(["thresholds", "--dims", "1/2", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "validation error" in err and "config" in err
+
 
 # Each config value with a wrong type or a missing key must exit 2 and name
 # its field, instead of running another integral or crashing.
 BAD_CONFIG_VALUES = [
     ({"mattila_weighted": "no"}, "mattila_weighted"),
     ({"gamma0": "0.1"}, "gamma0"),
-    ({"parallelism": "2"}, "parallelism"),
     ({"interval": 5}, "interval"),
     ({"factors": [{"base": 3}]}, "factors"),
     ({"sweep": {"start": 3, "stop": 9}}, "sweep"),
     ({"bin_width": True}, "bin_width"),
     ({"seed": "abc"}, "seed"),
-    ({"parallelism": 2.5}, "parallelism"),
+    # removed options are unknown keys now
+    ({"parallelism": 1}, "parallelism"),
+    ({"gamma0": 0.1}, "gamma0"),
+    ({"cutoff_scale": 2.0}, "cutoff_scale"),
     ({"dims": ["abc", "2/3"]}, "dims"),
     ({"dims": ["abc"]}, "dims"),
 ]
@@ -245,7 +273,6 @@ BAD_CONFIG_VALUES = [
 FLAG_CASES = {
     "--output": (["--output", "o"], "output_dir", "o"),
     "--seed": (["--seed", "3"], "seed", 3),
-    "--parallelism": (["--parallelism", "2"], "parallelism", 2),
     "--factor": (
         ["--factor", "3:0,2:4", "--factor", "2:0:1"],
         "factors",
@@ -253,10 +280,8 @@ FLAG_CASES = {
     ),
     "--sweep": (["--sweep", "3:81:5"], "sweep", fl.GeometricSweep(3.0, 81.0, 5)),
     "--weight": (["--weight", "none"], "weight", "none"),
-    "--gamma0": (["--gamma0", "0.2"], "gamma0", 0.2),
     "--dz-k": (["--dz-k", "2"], "dz_k", 2.0),
     "--dz-c-nu": (["--dz-c-nu", "4"], "dz_c_nu", 4.0),
-    "--cutoff-scale": (["--cutoff-scale", "3"], "cutoff_scale", 3.0),
     "--alpha": (["--alpha", "0.6"], "alpha", 0.6),
     "--cap": (["--cap", "5"], "regularity_cap", 5.0),
     "--truncation": (["--truncation", "2"], "truncation", 2.0),

@@ -116,7 +116,7 @@ class TestSphericalAverage:
     def test_monte_carlo_d3_point_product(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
-        spec = fl.QuadratureSpec(kind="monte_carlo_sphere", node_count=20000, seed=11)
+        spec = fl.QuadratureSpec(node_count=20000, seed=11)
         value, nodes, stderr = fl.spherical_average_detailed(mu, 5.0, "none", spec)
         assert value == pytest.approx(4.0 * np.pi, rel=1e-12)  # constant integrand
         weighted, _, stderr_w = fl.spherical_average_detailed(mu, 5.0, "sin_theta", spec)
@@ -128,7 +128,7 @@ class TestSphericalAverage:
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
         with pytest.raises(ValidationError, match="seed"):
-            fl.spherical_average(mu, 2.0, "none", fl.QuadratureSpec(kind="monte_carlo_sphere"))
+            fl.spherical_average(mu, 2.0, "none", fl.QuadratureSpec())
 
     def test_series_fits_decay(self):
         nu = fl.build_cantor(fl.middle_thirds(7))

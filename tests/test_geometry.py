@@ -176,7 +176,7 @@ class TestMattila:
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
         quad = fl.MattilaQuadrature(
             t_rel_tol=1e-6, max_t_nodes=2000,
-            angular=fl.QuadratureSpec(kind="monte_carlo_sphere", node_count=2000, seed=3),
+            angular=fl.QuadratureSpec(node_count=2000, seed=3),
         )
         est = fl.mattila_truncated(mu, 5.0, weighted=False, quadrature=quad)
         assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-4)
