@@ -49,7 +49,11 @@ _WEIGHTS = ("none", "sin_theta", "cos_theta")
 
 
 def measure_ft(nu: GridMeasure, xi):
-    """nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi); |nu_hat| <= 1 = nu_hat(0)."""
+    """nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi); |nu_hat| <= 1 = nu_hat(0).
+
+    GridMeasure.transform picks the route: the Riesz product for a measure
+    from build_cantor, the dense sum over atoms for any other.
+    """
     return nu.transform(xi)
 
 

@@ -583,8 +583,13 @@ def emit_report(directory) -> Path:
         _, summarize = _KINDS[kind]
         rel = str(mpath.parent.relative_to(root)) or "."
         d = int(results.get("d", 0))
-        for line in summarize(results, rel):
-            groups.setdefault(d, []).append(line)
+        try:
+            lines = summarize(results, rel)
+        except KeyError as exc:
+            raise ValidationError(
+                f"incomplete results {mpath.parent / RESULTS_NAME}: missing key {exc.args[0]!r}"
+            ) from exc
+        groups.setdefault(d, []).extend(lines)
     out = ["experiment summary", "==================", ""]
     for d in sorted(groups):
         label = f"[d = {d}]" if d > 1 else "[single-factor runs]"

@@ -198,6 +198,25 @@ class TestRunner:
         with pytest.raises(ValidationError, match="'warp'.*results.json"):
             fl.emit_report(tmp_path)
 
+    def test_emit_report_rejects_incomplete_results(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
+        (tmp_path / "results.json").write_text(json.dumps({"kind": "energy", "d": 1}))
+        with pytest.raises(ValidationError, match="results.json: missing key 'fitted_exponent'"):
+            fl.emit_report(tmp_path)
+
+    def test_full_report_over_incomplete_results_exits_two(self, tmp_path, capsys):
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        (stale / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
+        (stale / "results.json").write_text(json.dumps({"kind": "energy", "d": 1}))
+        code = cli_main(
+            ["full-report", "--factor", "3:0,2:6", "--factor", "3:0,2:6", "--output", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+        assert str(stale / "results.json") in err and "'fitted_exponent'" in err
+
 
 class TestCli:
     def test_energy_exit_zero(self, tmp_path, capsys):

@@ -98,6 +98,90 @@ class TestBuildCantor:
         assert float(tri.weights[mask].sum()) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+# Grids of at most 3**8 points keep every test frequency (up to 3x the
+# validity cap 0.1 * base**level) below ~2000, where the float phases of the
+# Riesz product and of the dense oracle agree to a few 1e-12.
+RIESZ_MAX_GRID = 3**8
+
+riesz_spec_st = st.integers(2, 7).flatmap(
+    lambda base: st.builds(
+        fl.CantorSpec,
+        st.just(base),
+        st.sets(st.integers(0, base - 1), min_size=1).map(lambda s: tuple(sorted(s))),
+        st.integers(0, max(k for k in range(9) if base**k <= RIESZ_MAX_GRID)),
+    )
+)
+# frequencies as multiples of the validity cap, past it up to 3x
+cap_multiples_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
+
+
+def dense_copy(nu):
+    """The same atoms on a spec-less measure, which takes the dense sum."""
+    return fl.GridMeasure(base=nu.base, level=nu.level, indices=nu.indices, weights=nu.weights)
+
+
+class TestRieszTransform:
+    @settings(max_examples=60, deadline=None)
+    @given(riesz_spec_st, cap_multiples_st)
+    def test_matches_dense_sum(self, spec, multiples):
+        nu = fl.build_cantor(spec)
+        oracle = dense_copy(nu)
+        cap = 0.1 * spec.base**spec.level
+        xi = cap * np.array([0.0, -1.0, 1.5, 3.0, *multiples])
+        fast = nu.transform(xi)
+        assert fast.shape == xi.shape
+        assert np.max(np.abs(fast - oracle.transform(xi))) <= 1e-11
+        grid = np.concatenate([xi, -xi]).reshape(2, -1)
+        fast2 = nu.transform(grid)
+        assert fast2.shape == grid.shape
+        assert np.max(np.abs(fast2 - oracle.transform(grid))) <= 1e-11
+        scalar = nu.transform(float(xi[-1]))
+        assert isinstance(scalar, complex)
+        assert abs(scalar - oracle.transform(float(xi[-1]))) <= 1e-11
+        assert isinstance(nu.transform(np.float64(xi[-1])), complex)
+
+    @settings(max_examples=30, deadline=None)
+    @given(riesz_spec_st, riesz_spec_st, cap_multiples_st)
+    def test_product_matches_dense_factors(self, spec_a, spec_b, multiples):
+        a, b = fl.build_cantor(spec_a), fl.build_cantor(spec_b)
+        fast = fl.build_product([a, b], [0.5, 0.5])
+        oracle = fl.build_product([dense_copy(a), dense_copy(b)], [0.5, 0.5])
+        caps = np.array([0.1 * s.base**s.level for s in (spec_a, spec_b)])
+        m = np.array(multiples)
+        xi = np.stack([m, m[::-1]], axis=-1) * caps
+        diff = np.abs(fl.product_ft(fast, xi) - fl.product_ft(oracle, xi))
+        assert np.max(diff) <= 1e-11
+        grid = np.stack([xi, -xi])  # a 2-D array of frequency vectors
+        diff2 = np.abs(fl.product_ft(fast, grid) - fl.product_ft(oracle, grid))
+        assert diff2.shape == grid.shape[:-1] and np.max(diff2) <= 1e-11
+        one = fl.product_ft(fast, xi[0])
+        assert isinstance(one, complex)
+        assert abs(one - fl.product_ft(oracle, xi[0])) <= 1e-11
+
+    def test_only_build_cantor_sets_the_spec(self):
+        spec = fl.middle_thirds(4)
+        nu = fl.build_cantor(spec)
+        assert nu.spec is spec
+        assert dense_copy(nu).spec is None
+        with pytest.raises(TypeError, match="spec"):
+            fl.GridMeasure(
+                base=3, level=4, indices=nu.indices, weights=nu.weights, spec=spec
+            )
+
+    def test_text_round_trip_takes_the_dense_route(self):
+        nu = fl.build_cantor(fl.CantorSpec(base=5, digits=(0, 2, 4), level=5))
+        back = fl.grid_measure_from_text(fl.grid_measure_to_text(nu))
+        assert back.spec is None
+        xi = np.linspace(-400.0, 400.0, 2001)
+        assert np.max(np.abs(back.transform(xi) - nu.transform(xi))) <= 1e-11
+
+    def test_level_zero_is_exactly_one(self):
+        nu = fl.build_cantor(fl.CantorSpec(base=7, digits=(3, 5), level=0))
+        xi = np.array([0.0, -2.5, 1e-3, 1e9, -1e15])
+        assert np.all(nu.transform(xi) == 1.0)
+        assert nu.transform(12345.678) == 1.0
+
+
 class TestGridMeasureValidation:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
