@@ -4,9 +4,14 @@ dimension-threshold arithmetic for product sets.
 Conventions that matter here: pairs with x = y are excluded from the energy
 integral I_s (it diverges on atoms otherwise) and carry zero weight in the
 weighted distance measure; they are included, and reported separately, in
-the unweighted distance measure. Distances are binned left-closed by
-floor(|x-y|/h). Threshold arithmetic is carried out in exact rationals
-whenever the inputs are rational.
+the unweighted distance measure. Threshold arithmetic is carried out in exact
+rationals whenever the inputs are rational.
+
+Pair functionals sum over the product of the factors' folded gap pmfs, never
+over pairs of product atoms. Every route and oracle bins a pair the same way:
+c_j = |gap index| * delta_j on each axis, then sqrt(sum_j c_j**2), then / h,
+floored (left-closed bins). pair_budget bounds two counts, each checked before
+the work it bounds: every factor's atom pairs N_j**2, then the gap cells.
 """
 from __future__ import annotations
 
@@ -40,12 +45,9 @@ def product_atoms(mu: ProductMeasure) -> tuple[np.ndarray, np.ndarray]:
     return positions, weights.ravel()
 
 
-def _check_pair_budget(n_atoms: int, pair_budget: int) -> None:
-    if n_atoms * n_atoms > pair_budget:
-        raise BudgetError(
-            f"{n_atoms} atoms give {n_atoms * n_atoms:.3g} pairs, over the budget "
-            f"{pair_budget:.3g}; coarsen the factor levels"
-        )
+def _check_budget(what: str, count: int, pair_budget: int) -> None:
+    if count > pair_budget:
+        raise BudgetError(f"{what}, over the budget {pair_budget:.3g}; coarsen the factor levels")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,18 +79,36 @@ class DistanceMeasure:
         return k * self.bin_width
 
 
-def _pair_scan(positions: np.ndarray, weights: np.ndarray, pair_budget: int):
-    """Chunks of all ordered atom pairs: coordinate differences, distances
-    and weight products, row block by row block."""
-    n = positions.shape[0]
-    _check_pair_budget(n, pair_budget)
-    chunk = max(1, (1 << 21) // max(1, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = positions[start:stop, None, :] - positions[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        wpair = weights[start:stop, None] * weights[None, :]
-        yield diff, dist, wpair
+def _gap_pmf(nu: GridMeasure, pair_budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folded gap pmf of one factor: its distinct |i - j| over ordered atom
+    pairs, times delta, with masses sum w_i w_j. Row blocks merge as they
+    come, so memory is the distinct gaps plus one block, not the grid."""
+    n = nu.atom_count
+    _check_budget(f"{n} atoms give {n * n:.3g} pairs on one axis", n * n, pair_budget)
+    idx, w = nu.indices, nu.weights
+    rows = max(1, (1 << 21) // n)
+    gaps, masses = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for start in range(0, n, rows):
+        block = np.abs(idx[start : start + rows, None] - idx[None, :]).ravel()
+        gaps, inverse = np.unique(np.concatenate((gaps, block)), return_inverse=True)
+        wpair = (w[start : start + rows, None] * w[None, :]).ravel()
+        masses = np.bincount(inverse, weights=np.concatenate((masses, wpair)))
+    return gaps * nu.delta, masses
+
+
+def _gap_cells(factors: Sequence[GridMeasure], pair_budget: int):
+    """Chunks of about 2**21 cells of the product of the factors' gap pmfs:
+    per-axis coordinates, distances sqrt(sum_j c_j**2) and cell masses."""
+    pmfs = [_gap_pmf(f, pair_budget) for f in factors]
+    shape = tuple(gaps.size for gaps, _ in pmfs)
+    cells = math.prod(shape)
+    _check_budget(f"the per-axis gap pmfs give {cells:.3g} cells", cells, pair_budget)
+    chunk = 1 << 21
+    for start in range(0, cells, chunk):
+        ids = np.unravel_index(np.arange(start, min(start + chunk, cells)), shape)
+        coords = [gaps[i] for (gaps, _), i in zip(pmfs, ids)]
+        mass = math.prod(masses[i] for (_, masses), i in zip(pmfs, ids))
+        yield coords, np.sqrt(sum(c * c for c in coords)), mass
 
 
 def distance_measure(
@@ -102,22 +122,15 @@ def distance_measure(
         raise ValidationError(f"bin width must be positive, got {h}")
     if weighted and mu.dimension != 2:
         raise ValidationError("the weighted distance measure is defined for d = 2")
-    positions, weights = product_atoms(mu)
-    span = positions.max(axis=0) - positions.min(axis=0)
-    max_dist = float(np.sqrt(np.sum(span * span)))
-    n_bins = int(max_dist / h) + 2
-    acc = np.zeros(n_bins)
+    # a factor's diameter is its largest gap, by the cells' own expression
+    max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
+    acc = np.zeros(int(max_dist / h) + 2)
     diagonal = 0.0
-    for diff, dist, wpair in _pair_scan(positions, weights, pair_budget):
+    for coords, dist, mass in _gap_cells(mu.factors, pair_budget):
         if weighted:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                wfac = np.abs(diff[..., 1]) / dist
-            wfac[dist == 0.0] = 0.0
-            wpair = wpair * wfac
-        else:
-            diagonal += float(np.sum(wpair[dist == 0.0]))
-        bins = (dist / h).astype(np.int64)
-        np.add.at(acc, bins.ravel(), wpair.ravel())
+            mass = mass * np.divide(coords[1], dist, out=np.zeros_like(dist), where=dist > 0.0)
+        diagonal += float(np.sum(mass[dist == 0.0]))  # zero once weighted
+        acc += np.bincount((dist / h).astype(np.int64), weights=mass, minlength=acc.size)
     return DistanceMeasure(
         bin_width=float(h),
         masses=acc,
@@ -128,35 +141,25 @@ def distance_measure(
 
 
 def weighted_mass(mu: ProductMeasure, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """iint |x_2 - y_2| / |x - y| dmu dmu; strictly positive exactly when the
-    second coordinate of the product is non-degenerate."""
-    if mu.dimension != 2:
-        raise ValidationError("the weighted mass is defined for d = 2")
-    total = 0.0
-    for diff, dist, wpair in _pair_scan(*product_atoms(mu), pair_budget):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wfac = np.abs(diff[..., 1]) / dist
-        wfac[dist == 0.0] = 0.0
-        total += float(np.sum(wpair * wfac))
-    return total
+    """iint |x_2 - y_2| / |x - y| dmu dmu, the total mass of the weighted
+    distance measure; strictly positive exactly when the second coordinate
+    of the product is non-degenerate."""
+    return distance_measure(mu, 1.0, weighted=True, pair_budget=pair_budget).total_mass
 
 
 def energy_integral(
     mu: GridMeasure | ProductMeasure, s: float, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> float:
     """I_s = sum over pairs x != y of w_x w_y |x - y|^(-s); the diagonal is
-    excluded by convention (it diverges on atoms otherwise)."""
+    excluded by convention (it diverges on atoms otherwise). A grid measure
+    is the one-factor case."""
     if s < 0:
         raise ValidationError(f"s must be nonnegative, got {s}")
-    if isinstance(mu, GridMeasure):
-        positions = mu.positions[:, None]
-        weights = mu.weights
-    else:
-        positions, weights = product_atoms(mu)
+    factors = (mu,) if isinstance(mu, GridMeasure) else mu.factors
     total = 0.0
-    for _, dist, wpair in _pair_scan(positions, weights, pair_budget):
+    for _, dist, mass in _gap_cells(factors, pair_budget):
         off = dist > 0.0
-        total += float(np.sum(wpair[off] * dist[off] ** (-s)))
+        total += float(np.sum(mass[off] * dist[off] ** (-s)))
     return total
 
 

@@ -57,9 +57,6 @@ class CantorSpec:
         return math.log(len(self.digits)) / math.log(self.base)
 
 
-MIDDLE_THIRDS_DIMENSION = math.log(2) / math.log(3)
-
-
 def middle_thirds(level: int) -> CantorSpec:
     """The classical base-3 construction keeping digits {0, 2}."""
     return CantorSpec(base=3, digits=(0, 2), level=level)

@@ -416,8 +416,7 @@ def _summary_mattila(results: dict, rel: str) -> list[str]:
 def _run_distance(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     dm = distance_measure(mu, config.bin_width, config.distance_weighted)
-    nz = np.nonzero(dm.masses)[0]
-    rows = [(int(k), dm.bin_left(int(k)), float(dm.masses[k])) for k in nz]
+    rows = [(k, dm.bin_left(k), mass) for k, mass in dm.bins.items()]
     _write_csv(
         run.add_file("distance.csv"),
         ["bin_index", "bin_left", "mass"],
@@ -562,6 +561,8 @@ def _load_run(manifest_path: Path) -> tuple[dict, dict]:
         results = json.loads(results_path.read_text(encoding="ascii"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"missing or corrupt results next to {manifest_path}: {exc}") from exc
+    if not isinstance(results, dict):
+        raise ValidationError(f"corrupt results {results_path}: not a JSON object")
     return manifest, results
 
 
@@ -575,20 +576,19 @@ def emit_report(directory) -> Path:
     groups: dict[int, list[str]] = {}
     for mpath in manifests:
         manifest, results = _load_run(mpath)
+        where = mpath.parent / RESULTS_NAME
         kind = results.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
-            raise ValidationError(
-                f"unknown experiment kind {kind!r} in {mpath.parent / RESULTS_NAME}"
-            )
+            raise ValidationError(f"unknown experiment kind {kind!r} in {where}")
         _, summarize = _KINDS[kind]
         rel = str(mpath.parent.relative_to(root)) or "."
-        d = int(results.get("d", 0))
         try:
+            d = int(results.get("d", 0))
             lines = summarize(results, rel)
         except KeyError as exc:
-            raise ValidationError(
-                f"incomplete results {mpath.parent / RESULTS_NAME}: missing key {exc.args[0]!r}"
-            ) from exc
+            raise ValidationError(f"incomplete results {where}: missing key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed results {where}: {exc}") from exc
         groups.setdefault(d, []).extend(lines)
     out = ["experiment summary", "==================", ""]
     for d in sorted(groups):

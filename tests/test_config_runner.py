@@ -204,6 +204,31 @@ class TestRunner:
         with pytest.raises(ValidationError, match="results.json: missing key 'fitted_exponent'"):
             fl.emit_report(tmp_path)
 
+    @pytest.mark.parametrize(
+        "results, message",
+        [
+            ([1, 2], "not a JSON object"),
+            (
+                {"kind": "energy", "d": 1, "fitted_exponent": "x", "alpha": 0.6, "excess_over_alpha": 0.1},
+                "Unknown format code",
+            ),
+            ({"kind": "distance", "d": "x"}, "invalid literal"),
+        ],
+        ids=["json-array", "text-exponent", "text-dimension"],
+    )
+    def test_emit_report_rejects_malformed_results(self, tmp_path, capsys, results, message):
+        (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
+        (tmp_path / "results.json").write_text(json.dumps(results))
+        with pytest.raises(ValidationError, match=message) as excinfo:
+            fl.emit_report(tmp_path)
+        assert str(tmp_path / "results.json") in str(excinfo.value)
+        code = cli_main(
+            ["full-report", "--factor", "3:0,2:6", "--factor", "3:0,2:6", "--output", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+
     def test_full_report_over_incomplete_results_exits_two(self, tmp_path, capsys):
         stale = tmp_path / "stale"
         stale.mkdir()
@@ -232,11 +257,21 @@ class TestCli:
         assert "validation error" in capsys.readouterr().err
 
     def test_budget_error_exits_three(self, tmp_path, capsys):
+        # ((3**10 + 1) / 2)**2 ~ 8.7e8 folded gap cells, over the default 4e8
         code = cli_main(
-            ["distance", "--factor", "3:0,2:8", "--factor", "3:0,2:8", "--output", str(tmp_path)]
+            ["distance", "--factor", "3:0,2:10", "--factor", "3:0,2:10", "--output", str(tmp_path)]
         )
         assert code == 3
         assert "budget error" in capsys.readouterr().err
+
+    def test_distance_level_eight_fits_the_budget(self, tmp_path):
+        # ((3**8 + 1) / 2)**2 ~ 1.1e7 gap cells; the 4.3e9 atom pairs are never formed
+        code = cli_main(
+            ["distance", "--factor", "3:0,2:8", "--factor", "3:0,2:8", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert abs(results["total_mass"] - 1.0) <= 1e-12
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -89,6 +89,123 @@ class TestDistanceMeasure:
             fl.distance_measure(mu, 0.0)
 
 
+def brute_force_pairs(mu, h: float, s: float) -> dict:
+    """Every ordered pair of atoms, binned by the library's expression:
+    c_j = |gap index| * delta_j on each axis, sqrt(sum_j c_j**2), / h."""
+    if isinstance(mu, fl.GridMeasure):
+        factors, positions, weights = (mu,), mu.positions[:, None], mu.weights
+    else:
+        factors = mu.factors
+        positions, weights = fl.product_atoms(mu)
+    deltas = np.array([f.delta for f in factors])
+    idx = np.rint(positions / deltas).astype(np.int64)
+    assert np.array_equal(idx * deltas, positions)  # integer indices, same C order
+    coords = [np.abs(idx[:, None, j] - idx[None, :, j]) * deltas[j] for j in range(len(factors))]
+    dist = np.sqrt(sum(c * c for c in coords))
+    wpair = weights[:, None] * weights[None, :]
+    bins = (dist / h).astype(np.int64).ravel()
+    off = dist > 0.0
+    out = {
+        "masses": np.bincount(bins, weights=wpair.ravel()),
+        "diagonal": float(np.sum(wpair[~off])),
+        "energy": float(np.sum(wpair[off] * dist[off] ** (-s))),
+    }
+    if len(factors) == 2:
+        wfac = np.divide(coords[1], dist, out=np.zeros_like(dist), where=off)
+        out["weighted"] = np.bincount(bins, weights=(wpair * wfac).ravel())
+    return out
+
+
+def _random_product(seed: int, d: int, max_atoms: int):
+    from conftest import random_grid_measure
+
+    rng = np.random.default_rng(seed)
+    return fl.build_product([random_grid_measure(rng, max_atoms=max_atoms) for _ in range(d)], [1.0] * d)
+
+
+def _cantor_product(base: int, digits: tuple[int, ...], level: int, d: int = 2):
+    nu = fl.build_cantor(fl.CantorSpec(base, digits, level))
+    return fl.build_product([nu] * d, [nu.dimension_hint] * d)
+
+
+ORACLE_PRODUCTS = {
+    **{f"random d=2 seed {k}": (lambda k=k: _random_product(k, 2, 24)) for k in range(8)},
+    **{f"random d=3 seed {k}": (lambda k=k: _random_product(100 + k, 3, 7)) for k in range(8)},
+    "3:0,2:4 x 5:0,2,4:3": lambda: fl.build_product(
+        [fl.build_cantor(fl.CantorSpec(3, (0, 2), 4)), fl.build_cantor(fl.CantorSpec(5, (0, 2, 4), 3))],
+        [0.6, 0.7],
+    ),
+    "3:0,2:3^3": lambda: _cantor_product(3, (0, 2), 3, d=3),
+    # index span ~1e8 with 16 atoms per axis: the pmf must stay sparse
+    "100:0,99:4^2": lambda: _cantor_product(100, (0, 99), 4),
+    "3:0:16^2 (one atom)": lambda: _cantor_product(3, (0,), 16),
+}
+
+
+def _same_histogram(got: np.ndarray, expected: np.ndarray) -> None:
+    size = max(got.size, expected.size)
+    got, expected = np.pad(got, (0, size - got.size)), np.pad(expected, (0, size - expected.size))
+    assert np.array_equal(np.nonzero(got)[0], np.nonzero(expected)[0])
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestGapRouteOracle:
+    """The gap-pmf route against every ordered pair of product atoms."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PRODUCTS))
+    @pytest.mark.parametrize("h", [0.0173, 1.0 / 64.0])
+    def test_distance_measure(self, name, h):
+        mu = ORACLE_PRODUCTS[name]()
+        oracle = brute_force_pairs(mu, h, 0.0)
+        dm = fl.distance_measure(mu, h)
+        _same_histogram(dm.masses, oracle["masses"])
+        assert abs(dm.diagonal_mass - oracle["diagonal"]) <= 1e-12
+        assert abs(dm.total_mass - 1.0) <= 1e-12
+        if mu.dimension == 2:
+            dw = fl.distance_measure(mu, h, weighted=True)
+            _same_histogram(dw.masses, oracle["weighted"])
+            assert dw.diagonal_mass == 0.0
+            assert abs(fl.weighted_mass(mu) - float(np.sum(oracle["weighted"]))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PRODUCTS))
+    @pytest.mark.parametrize("s", [0.0, 0.7, 1.9])
+    def test_energy_integral(self, name, s):
+        mu = ORACLE_PRODUCTS[name]()
+        expected = brute_force_pairs(mu, 1.0, s)["energy"]
+        assert fl.energy_integral(mu, s) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_energy_integral_one_factor(self, seed):
+        from conftest import random_grid_measure
+
+        nu = random_grid_measure(np.random.default_rng(200 + seed), max_atoms=60)
+        for s in (0.0, 0.5, 1.3):
+            expected = brute_force_pairs(nu, 1.0, s)["energy"]
+            assert fl.energy_integral(nu, s) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_row_blocks_merge(self):
+        # 1500 atoms give two row blocks of the per-axis pmf
+        rng = np.random.default_rng(7)
+        indices = np.sort(rng.choice(3**8, size=1500, replace=False))
+        weights = rng.random(1500) + 0.05
+        nu = fl.GridMeasure(base=3, level=8, indices=indices, weights=weights / weights.sum())
+        mu = fl.build_product([nu, fl.point_mass()], [1.0, 0.0])
+        oracle = brute_force_pairs(mu, 0.01, 0.8)
+        dm = fl.distance_measure(mu, 0.01)
+        _same_histogram(dm.masses, oracle["masses"])
+        assert abs(dm.diagonal_mass - oracle["diagonal"]) <= 1e-12
+        assert fl.energy_integral(nu, 0.8) == pytest.approx(oracle["energy"], rel=1e-12, abs=0.0)
+
+    def test_budget_bounds_axis_pairs_then_cells(self):
+        # 3:0,2:6 has 64 atoms (4096 axis pairs) and 365 folded gaps per axis
+        mu = _cantor_product(3, (0, 2), 6)
+        with pytest.raises(BudgetError, match="4.1e\\+03 pairs on one axis.*coarsen"):
+            fl.distance_measure(mu, 0.01, pair_budget=4095)
+        with pytest.raises(BudgetError, match="1.33e\\+05 cells.*coarsen"):
+            fl.energy_integral(mu, 0.5, pair_budget=365**2 - 1)
+        assert fl.distance_measure(mu, 0.01, pair_budget=365**2).total_mass == pytest.approx(1.0)
+
+
 class TestEnergyIntegral:
     def test_two_atoms_at_half(self):
         nu = fl.GridMeasure(base=2, level=1, indices=np.array([0, 1]), weights=np.array([0.5, 0.5]))
