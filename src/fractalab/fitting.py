@@ -57,10 +57,7 @@ def loglog_fit(x, y=None) -> LoglogFit:
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    if n > 2:
-        stderr = float(np.sqrt(max(ss_res, 0.0) / (n - 2) / sxx))
-    else:
-        stderr = 0.0
+    stderr = float(np.sqrt(max(ss_res, 0.0) / (n - 2) / sxx))
     if ss_tot > 0.0:
         r_squared = 1.0 - ss_res / ss_tot
     else:

@@ -12,16 +12,17 @@ A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
-Every deterministic quadrature here runs through quadrature.converge and
-raises BudgetError when it reaches its node cap before its tolerance. Solid
-averages, the angular sectors and the stationary-phase circle integral use
-Simpson. The angular-average rule follows from the ambient dimension alone
-(_angular_rule); QuadratureSpec sets only its sizes, tolerance and seed. d = 2
-uses the uniform trapezoid rule over [0, 2pi); the integrands of product
-measures are invariant under theta -> -theta and theta -> pi - theta, so it
-is 4 x the trapezoid sum on [0, pi/2]. d >= 3 uses seeded Monte Carlo over
-the sphere (the weighted integrand is not separable over angles) and
-reports the standard error.
+Every deterministic quadrature here is quadrature.simpson_doubling and
+raises BudgetError when it reaches its node cap before its tolerance: solid
+averages, the angular sectors, the stationary-phase circle integral and the
+d = 2 circular average. The angular-average rule follows from the ambient
+dimension alone (_angular_rule); QuadratureSpec sets only its sizes,
+tolerance and seed. The d = 2 integrands of product measures are invariant
+under theta -> -theta and theta -> pi - theta, so the circular average is
+4 x the Simpson integral on [0, pi/2], where the |sin theta| and
+|cos theta| weights are smooth; node counts still count the full circle.
+d >= 3 uses seeded Monte Carlo over the sphere (the weighted integrand is
+not separable over angles) and reports the standard error.
 """
 from __future__ import annotations
 
@@ -37,12 +38,10 @@ from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
 from .quadrature import (
     QuadratureSpec,
-    converge,
     require_converged,
     sample_sphere,
     simpson_doubling,
     sphere_surface_area,
-    trapezoid_refinements,
 )
 
 _WEIGHTS = ("none", "sin_theta", "cos_theta")
@@ -114,19 +113,17 @@ def _angular_rule(d: int) -> str:
 def _sigma_uniform_angle(
     mu: ProductMeasure, t: float, weight: str, spec: QuadratureSpec
 ) -> tuple[float, int]:
-    """Full-circle uniform trapezoid, evaluated as 4 x the trapezoid sum on
-    the first quadrant by symmetry of the product integrand. Returns
-    (value, full-circle node count)."""
-    f = _quadrant_integrand(mu, t, weight)
-    n = max(16, int(spec.node_count))
-    n += (-n) % 4  # multiple of 4 so 0 and pi/2 are nodes
-    # m + 1 quadrant points stand for 4 m circle nodes
-    quadrant, points, converged = converge(
-        trapezoid_refinements(f, 0.0, np.pi / 2.0, n // 4), spec.rel_tol, spec.max_nodes / 4 + 1
+    """The full circle as 4 x the Simpson integral on the first quadrant,
+    by symmetry of the product integrand. Returns (value, full-circle node
+    count)."""
+    quadrant, points, converged = simpson_doubling(
+        _quadrant_integrand(mu, t, weight), 0.0, np.pi / 2.0,
+        spec.node_count // 4, spec.rel_tol, spec.max_nodes // 4,
     )
+    # m + 1 quadrant points stand for 4 m circle nodes
     nodes = 4 * (points - 1)
     result = (4.0 * quadrant, nodes, converged)
-    return require_converged(result, "uniform-angle trapezoid", spec.rel_tol), nodes
+    return require_converged(result, "uniform-angle Simpson", spec.rel_tol), nodes
 
 
 def _sigma_monte_carlo(

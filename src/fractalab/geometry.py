@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import BudgetError, ValidationError, ValidityCapError
 from .fitting import loglog_fit
 from .fourier import spherical_average_detailed, validity_cap
 from .measures import GridMeasure, ProductMeasure
-from .quadrature import QuadratureSpec, converge
+from .quadrature import QuadratureSpec, simpson_cumulative, simpson_doubling
 
 DEFAULT_PAIR_BUDGET = 400_000_000
 
@@ -169,7 +170,8 @@ def energy_integral(
 
 @dataclass(frozen=True)
 class MattilaQuadrature:
-    """t-grid and angular controls for the truncated Mattila integral."""
+    """t-integral and angular controls for the truncated Mattila integral;
+    initial_t_nodes, t_rel_tol and max_t_nodes apply to each log-t panel."""
 
     initial_t_nodes: int = 65
     t_rel_tol: float = 1e-7
@@ -179,11 +181,13 @@ class MattilaQuadrature:
 
 @dataclass(frozen=True, eq=False)
 class MattilaEstimate:
-    """value = int_1^T sigma_w(t)^2 t^(d-1) dt on a geometric t grid.
+    """value = int_1^T sigma_w(t)^2 t^(d-1) dt; t_values are every evaluated
+    node once, increasing, and partial_values the running Simpson integral
+    there. t_grid_converged holds when every panel converged.
 
     Convergence of the full integral is diagnosed, never asserted: the
     integrand slope must drop below -1 and the doubling ratios
-    value(T)/value(T/2), ... must approach 1.
+    value(T/4)/value(T/8), ..., value(T)/value(T/2) must approach 1.
     """
 
     truncation: float
@@ -201,14 +205,6 @@ class MattilaEstimate:
     t_grid_converged: bool
 
 
-def _log_trapezoid_cumulative(ts: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """Cumulative integral of f dt on a positive grid, trapezoid in log t."""
-    tau = np.log(ts)
-    g = integrand * ts  # f(t) dt = f(e^tau) e^tau dtau
-    panels = 0.5 * (g[1:] + g[:-1]) * np.diff(tau)
-    return np.concatenate(([0.0], np.cumsum(panels)))
-
-
 def mattila_truncated(
     mu: ProductMeasure,
     truncation: float,
@@ -217,14 +213,14 @@ def mattila_truncated(
 ) -> MattilaEstimate:
     """Evaluate the truncated Mattila integral with the chosen angular weight.
 
-    sigma_w(t) comes from the circular/spherical average; the t integral is a
-    log-trapezoid on a geometric grid that doubles until stable or until the
-    node cap. Checkpoints at T/8, T/4, T/2 are folded into the grid so the
-    doubling ratios are exact grid quantities.
+    sigma_w(t) comes from the circular/spherical average. In tau = log t the
+    integrand is sigma(e^tau)^2 e^(d tau), one simpson_doubling call per
+    panel [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1 dropped), so
+    the doubling ratios are exact ratios of cumulative panel sums.
     """
     T = float(truncation)
-    if T < 1.0:
-        raise ValidationError(f"truncation must be >= 1, got {T}")
+    if not T > 1.0:
+        raise ValidationError(f"truncation must be > 1, got {T}")
     cap = validity_cap(mu)
     if T > cap:
         raise ValidityCapError(
@@ -232,59 +228,50 @@ def mattila_truncated(
         )
     d = mu.dimension
     weight = "sin_theta" if weighted else "none"
-    sigma_cache: dict[float, float] = {}
+    evaluated: list[tuple[np.ndarray, np.ndarray]] = []  # (tau, sigma) per call
 
-    def sigma(t: float) -> float:
-        val = sigma_cache.get(t)
-        if val is None:
-            val, _, _ = spherical_average_detailed(mu, t, weight, quadrature.angular)
-            sigma_cache[t] = val
-        return val
+    def integrand_in_tau(tau: np.ndarray) -> np.ndarray:
+        sig = np.array([
+            spherical_average_detailed(mu, t, weight, quadrature.angular)[0] for t in np.exp(tau)
+        ])
+        evaluated.append((tau, sig))
+        return sig**2 * np.exp(d * tau)
 
-    checkpoints = [T / 8.0, T / 4.0, T / 2.0]
-    checkpoints = [c for c in checkpoints if c > 1.0]
-
-    def build_grid(n: int) -> np.ndarray:
-        base = np.exp(np.linspace(0.0, math.log(T), n))
-        grid = np.unique(np.concatenate((base, np.asarray(checkpoints), [1.0, T])))
-        return grid
-
-    integrand_of = lambda ts: np.array([sigma(t) for t in ts]) ** 2 * ts ** (d - 1)
-
-    def refinements():
-        n = max(17, int(quadrature.initial_t_nodes))
-        while True:
-            grid = build_grid(n)
-            yield float(_log_trapezoid_cumulative(grid, integrand_of(grid))[-1]), n
-            n = 2 * n - 1
-
-    value, n, converged = converge(refinements(), quadrature.t_rel_tol, quadrature.max_t_nodes)
-    # the final grid's sigma values are all cached: no new quadrature runs
-    grid = build_grid(n)
-    integ = integrand_of(grid)
-    partials = _log_trapezoid_cumulative(grid, integ)
-    sig = np.sqrt(np.maximum(integ / grid ** (d - 1), 0.0))
-    fit = loglog_fit(grid[integ > 0], integ[integ > 0])
-    ratios = []
-    marks = checkpoints + [T]
-    for prev, cur in zip(marks, marks[1:]):
-        pv = float(partials[np.searchsorted(grid, prev)])
-        cv = float(partials[np.searchsorted(grid, cur)])
-        if pv > 0:
-            ratios.append(cv / pv)
+    ends = [math.log(c) for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0]
+    columns, ratios, total, converged = [], [], 0.0, True
+    for a, b in pairwise([0.0, *ends, math.log(T)]):
+        evaluated.clear()
+        panel, nodes, panel_converged = simpson_doubling(
+            integrand_in_tau, a, b, quadrature.initial_t_nodes - 1,
+            quadrature.t_rel_tol, quadrature.max_t_nodes - 1,
+        )
+        tau, sig = (np.concatenate(c) for c in zip(*evaluated))
+        order = np.argsort(tau)
+        tau, sig = tau[order], sig[order]
+        partial = total + simpson_cumulative(sig**2 * np.exp(d * tau), (b - a) / (nodes - 1))
+        keep = slice(1 if columns else 0, None)  # a shared panel end is one node
+        columns.append((tau[keep], sig[keep], partial[keep]))
+        if total > 0.0:
+            ratios.append((total + panel) / total)
+        total += panel
+        converged = converged and panel_converged
+    tau, sig, partials = (np.concatenate(c) for c in zip(*columns))
+    ts = np.exp(tau)
+    integ = sig**2 * ts ** (d - 1)
+    fit = loglog_fit(ts[integ > 0], integ[integ > 0])
     return MattilaEstimate(
         truncation=T,
-        value=value,
+        value=total,
         weighted=bool(weighted),
         dimension=d,
-        t_values=grid,
+        t_values=ts,
         sigma=sig,
         integrand=integ,
         partial_values=partials,
         integrand_slope=fit.slope,
         slope_stderr=fit.stderr,
         doubling_ratios=tuple(ratios),
-        t_nodes=int(grid.size),
+        t_nodes=int(ts.size),
         t_grid_converged=converged,
     )
 

@@ -2,13 +2,15 @@
 
 `converge` is the package's one refinement loop. It consumes a rule's
 (value, nodes) refinements, each reusing the earlier evaluations, until
-|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. The rules are the
-trapezoid sums of `trapezoid_refinements` and, as their Richardson
-extrapolation, composite Simpson (`simpson_doubling`). Non-convergence is
-never silent: a bare-number result goes through `require_converged`, which
-raises BudgetError (CLI exit 3) naming the rule, the tolerance and the cap;
-a report carries the flag instead (Mattila's t_grid_converged). Monte Carlo
-sphere sampling is seeded and used only in ambient dimension >= 3.
+|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every deterministic
+quadrature of the package is composite Simpson (`simpson_doubling`), the
+Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
+only this module drives `converge`. `simpson_cumulative` gives the running
+integral on a converged grid. Non-convergence is never silent: a bare-number
+result goes through `require_converged`, which raises BudgetError (CLI exit
+3) naming the rule, the tolerance and the cap; a report carries the flag
+instead (Mattila's t_grid_converged). Monte Carlo sphere sampling is seeded
+and used only in ambient dimension >= 3.
 """
 from __future__ import annotations
 
@@ -111,6 +113,18 @@ def simpson_doubling(
         for (coarse, _), (fine, nodes) in pairwise(trapezoid_refinements(f, a, b, n // 2))
     )
     return converge(simpsons, rel_tol, max_intervals + 1, abs_tol)
+
+
+def simpson_cumulative(fx: np.ndarray, h: float) -> np.ndarray:
+    """Running composite Simpson integral at every node of a uniform grid
+    with an even number of intervals of width h. It is the Simpson sum at
+    the end of each interval pair; at the odd node between, it adds
+    h/12 (5 f0 + 8 f1 - f2), the pair's quadratic over its first half."""
+    f0, f1, f2 = fx[:-2:2], fx[1:-1:2], fx[2::2]
+    out = np.empty(fx.size)
+    out[0::2] = np.concatenate(([0.0], np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2))))
+    out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    return out
 
 
 def sphere_surface_area(d: int) -> float:

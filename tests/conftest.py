@@ -32,3 +32,15 @@ def two_atom_half():
     return fl.GridMeasure(
         base=2, level=1, indices=np.array([0, 1]), weights=np.array([0.5, 0.5])
     )
+
+
+@pytest.fixture(scope="session")
+def two_atom_line():
+    """Atoms (0, 0) and (1/2, 0), equal mass, on the level-10 grid (validity
+    cap 102.4), with the closed form sigma_w(t) = 2 + sin(pi t) / (pi t / 2)
+    of its |sin theta|-weighted circular average."""
+    two = fl.GridMeasure(
+        base=2, level=10, indices=np.array([0, 512]), weights=np.array([0.5, 0.5])
+    )
+    mu = fl.build_product([two, fl.point_mass()], [0.0, 0.0])
+    return mu, lambda t: 2.0 + np.sin(np.pi * t) / (np.pi * t / 2.0)

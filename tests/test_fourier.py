@@ -94,6 +94,14 @@ class TestSphericalAverage:
         )
         assert abs(v1 - v2) <= 2e-6 * abs(v2)
 
+    @pytest.mark.parametrize("t", [1.0, 3.3, 17.25, 60.0])
+    def test_weighted_two_atom_closed_form(self, two_atom_line, t):
+        mu, sigma_w = two_atom_line
+        value, _, _ = fl.spherical_average_detailed(
+            mu, t, "sin_theta", fl.QuadratureSpec(rel_tol=1e-10)
+        )
+        assert abs(value - sigma_w(t)) <= 1e-9
+
     def test_validity_cap_refusal_names_cap(self):
         nu = fl.build_cantor(fl.middle_thirds(4))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])

@@ -281,6 +281,36 @@ class TestMattila:
         )
         assert np.all(np.diff(est.partial_values) >= -1e-15)
 
+    def test_weighted_two_atom_against_simpson_reference(self, two_atom_line):
+        mu, sigma_w = two_atom_line
+        T = 10.0
+        t, h = np.linspace(1.0, T, 200_001), (T - 1.0) / 200_000
+        f = sigma_w(t) ** 2 * t
+        reference = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+        est = fl.mattila_truncated(mu, T, weighted=True)
+        assert est.t_grid_converged
+        assert abs(est.value - reference) <= 1e-6 * reference
+
+    @pytest.mark.parametrize(
+        "factor, dim, T",
+        [(lambda: fl.build_cantor(fl.middle_thirds(3)), ALPHA_MT, 2.5), (fl.point_mass, 0.0, 100.0)],
+        ids=["3:0,2:3^2 T=2.5", "point mass^2 T=100"],
+    )
+    def test_outputs_are_one_running_integral(self, factor, dim, T):
+        nu = factor()
+        mu = fl.build_product([nu, nu], [dim, dim])
+        est = fl.mattila_truncated(mu, T, weighted=True)
+        assert np.all(np.diff(est.t_values) > 0.0)  # no duplicate panel end
+        assert est.t_nodes == len(est.t_values)
+        assert np.all(np.diff(est.partial_values) >= 0.0)
+        assert est.partial_values[-1] == pytest.approx(est.value, rel=1e-12, abs=0.0)
+        marks = [c for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0] + [T]
+        at = [est.partial_values[np.argmin(np.abs(est.t_values - c))] for c in marks]
+        assert len(est.doubling_ratios) == len(marks) - 1
+        for ratio, prev, cur in zip(est.doubling_ratios, at, at[1:]):
+            assert type(ratio) is float
+            assert ratio == pytest.approx(cur / prev, rel=1e-12, abs=0.0)
+
     def test_truncation_beyond_cap_rejected(self):
         nu = fl.build_cantor(fl.middle_thirds(4))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])

@@ -6,7 +6,13 @@ import pytest
 import fractalab as fl
 from fractalab import fourier
 from fractalab.errors import BudgetError
-from fractalab.quadrature import converge, require_converged, simpson_doubling, trapezoid_refinements
+from fractalab.quadrature import (
+    converge,
+    require_converged,
+    simpson_cumulative,
+    simpson_doubling,
+    trapezoid_refinements,
+)
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
 
@@ -63,6 +69,13 @@ class TestRules:
         sizes = [c.size for c in f.calls]
         assert all(later == sum(sizes[:k + 1]) - 1 for k, later in enumerate(sizes[1:]))
 
+    def test_cumulative_simpson_is_exact_on_quadratics_at_every_node(self):
+        # the pair sums and the half-pair rule both integrate the
+        # interpolating quadratic, so x^2 gives x^3 / 3 at even and odd nodes
+        x = np.linspace(0.0, 2.0, 17)
+        cumulative = simpson_cumulative(x**2, x[1] - x[0])
+        np.testing.assert_allclose(cumulative, x**3 / 3.0, rtol=0.0, atol=1e-14)
+
     def test_cap_reached_reports_not_converged(self):
         f = CountingIntegrand(lambda x: np.cos(200.0 * x))
         value, nodes, converged = simpson_doubling(
@@ -105,7 +118,7 @@ class TestNonConvergenceRaises:
         nu = fl.build_cantor(fl.middle_thirds(6))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         spec = fl.QuadratureSpec(node_count=16, max_nodes=32)
-        with pytest.raises(BudgetError, match=r"uniform-angle trapezoid .*\(32 nodes\)"):
+        with pytest.raises(BudgetError, match=r"uniform-angle Simpson .*\(32 nodes\)"):
             fl.spherical_average_detailed(mu, 27.0, "sin_theta", spec)
 
     def test_spherical_average_converged_under_a_cap(self):
