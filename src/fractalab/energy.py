@@ -12,9 +12,11 @@ Two routes compute it:
   pair-sums. Exact by construction; guarded by an atom-count limit because
   the work is O(N^4).
 * autocorrelation: the quadruple integral factors through the sumset
-  distribution q = nu * nu on the integer index grid. q is accumulated
-  exactly (no transform rounding, fixed pair order), and E(r) is a sliding
-  window sum over q against q with prefix sums, O(M) after the convolution.
+  distribution q = nu * nu on the integer index grid, and E(r) is a sliding
+  window sum of q against one prefix sum of q, O(M) per scale. q is exact
+  up to product rounding (no transform, fixed order): level by level from
+  the digit pmf of D + D for a build_cantor measure, by np.add.at over the
+  atom pairs for any other.
 
 Both routes decide the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
@@ -22,9 +24,11 @@ Both routes decide the strict window on the same float expression
 
 Smoothed fourth moments replace the sharp window by a Fejer cutoff:
 space side  iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, computed through the gap
-autocorrelation of q; Fourier side (1/t) int psi_hat(eta/t) |nu_hat(eta)|^4
-deta by quadrature over the compact transform support. The two agree by
-Parseval and are tested against each other.
+autocorrelation c of q (from D + D - D - D for build_cantor measures, an
+FFT only for other measures with over 4096 sumset entries); Fourier side
+(1/t) int psi_hat(eta/t) |nu_hat(eta)|^4 deta by quadrature over the
+compact transform support. The two agree by Parseval and are tested
+against each other.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import numpy as np
 from .cutoff import CutoffFunction
 from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
-from .measures import GridMeasure
+from .measures import CantorSpec, GridMeasure
 from .quadrature import require_converged, simpson_doubling
 
 BRUTEFORCE_ATOM_LIMIT = 200
@@ -46,7 +50,7 @@ _MAX_GRID = 1 << 24  # dense sumset arrays beyond this are refused
 
 @dataclass(frozen=True, eq=False)
 class SumsetDistribution:
-    """Distribution q = nu * nu over integer sum-indices [0, 2 * base**level)."""
+    """Distribution q = nu * nu over integer sum-indices 0 .. 2 * (base**level - 1)."""
 
     base: int
     level: int
@@ -75,18 +79,44 @@ class SumsetDistribution:
         return float(np.sum(self.values))
 
 
+def _check_grid(nu: GridMeasure) -> None:
+    if nu.grid_size > _MAX_GRID:
+        raise BudgetError(
+            f"sumset grid 2*{nu.grid_size} too large for a dense convolution; coarsen the level"
+        )
+
+
+def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
+    """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid copies of
+    sum_j signs[j] D_j with D_j uniform on the kept digits, shifted to start
+    at index 0. Built level by level: upsample by base, then convolve with
+    the digit pmf (padded over [0, base)); no scatter-add and no FFT."""
+    d = np.zeros(spec.base)
+    d[list(spec.digits)] = 1.0 / len(spec.digits)
+    digit_pmf = np.ones(1)
+    for sign in signs:
+        digit_pmf = np.convolve(digit_pmf, d if sign > 0 else d[::-1])
+    pmf = np.ones(1)
+    for _ in range(spec.level):
+        up = np.zeros(spec.base * (pmf.size - 1) + 1)
+        up[:: spec.base] = pmf
+        pmf = np.convolve(up, digit_pmf)
+    return pmf
+
+
 def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     """Exact discrete self-convolution q(s) = sum_{i+j=s} w_i w_j.
 
-    Accumulation is chunked over ordered atom pairs in index order, with no
-    transform arithmetic, so repeated runs are bitwise identical.
+    A build_cantor measure builds q level by level from the pmf of D + D;
+    any other measure scatter-adds its ordered atom pairs in index order.
+    Neither route uses transform arithmetic, so repeated runs are bitwise
+    identical.
     """
-    grid = nu.grid_size
-    if grid > _MAX_GRID:
-        raise BudgetError(
-            f"sumset grid 2*{grid} too large for a dense convolution; coarsen the level"
-        )
-    q = np.zeros(2 * grid - 1)
+    _check_grid(nu)
+    if nu.spec is not None:
+        q = _digit_expansion_pmf(nu.spec, (1, 1))
+        return SumsetDistribution(base=nu.base, level=nu.level, values=q)
+    q = np.zeros(2 * nu.grid_size - 1)
     idx = nu.indices
     w = nu.weights
     n = idx.size
@@ -107,14 +137,19 @@ def _strict_window_gap(delta: float, r: float, max_gap: int) -> int:
     return k
 
 
-def _energy_from_sumset(q: np.ndarray, delta: float, r: float) -> float:
+def _energy_from_sumset(q: np.ndarray, delta: float, rs) -> list[float]:
+    """E(r) = sum_s q(s) q([s - k, s + k]) for each r, with k its strict
+    window gap; every window is two slices of one prefix sum of q."""
     m = q.size
-    k = _strict_window_gap(delta, r, m - 1)
     cum = np.concatenate(([0.0], np.cumsum(q)))
-    pos = np.arange(m)
-    hi = np.minimum(pos + k, m - 1) + 1
-    lo = np.maximum(pos - k, 0)
-    return min(float(np.sum(q * (cum[hi] - cum[lo]))), 1.0)
+    energies = []
+    for r in rs:
+        k = _strict_window_gap(delta, r, m - 1)
+        window = np.full(m, cum[m])
+        window[: m - k] = cum[k + 1 :]
+        window[k:] -= cum[: m - k]
+        energies.append(min(float(np.sum(q * window)), 1.0))
+    return energies
 
 
 def _energy_bruteforce(nu: GridMeasure, r: float) -> float:
@@ -151,8 +186,7 @@ def additive_energy(nu: GridMeasure, r: float, algorithm: str = "autocorrelation
     if algorithm == "bruteforce":
         return _energy_bruteforce(nu, r)
     if algorithm == "autocorrelation":
-        q = sumset_autocorrelation(nu)
-        return _energy_from_sumset(q.values, q.delta, r)
+        return _energy_from_sumset(sumset_autocorrelation(nu).values, nu.delta, [r])[0]
     raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
@@ -210,8 +244,7 @@ def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
     ratios = [rs[i + 1] / rs[i] for i in range(len(rs) - 1)]
     if max(ratios) - min(ratios) > 1e-6 * max(ratios):
         raise ValidationError("r_values must form a geometric sweep")
-    q = sumset_autocorrelation(nu)
-    energies = [_energy_from_sumset(q.values, q.delta, r) for r in rs]
+    energies = _energy_from_sumset(sumset_autocorrelation(nu).values, delta, rs)
     fit = loglog_fit(rs, energies)
     return EnergyProfile(
         r_values=tuple(rs),
@@ -231,9 +264,16 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
     """Autocorrelation c(g) = sum_a q(a) q(a+g) of the sumset distribution,
     returned as a dense array over g in [-(L-1), L-1] plus the offset L-1.
 
-    Small arrays use the direct convolution; large ones use an FFT (the
-    smoothed moments tolerate 1e-12 rounding; the scale-r energy path never
-    touches this)."""
+    A build_cantor measure builds c level by level from the pmf of
+    D + D - D - D, exactly as its sumset. Any other measure correlates its
+    sumset: small arrays (L <= 4096) by the direct convolution, large ones
+    by an FFT (the smoothed moments tolerate 1e-12 rounding; the scale-r
+    energy path never touches this)."""
+    if nu.spec is not None:
+        _check_grid(nu)
+        c = _digit_expansion_pmf(nu.spec, (1, 1, -1, -1))
+        c.setflags(write=False)
+        return c, c.size // 2
     q = sumset_autocorrelation(nu).values
     m = q.size
     if m <= 4096:
@@ -254,12 +294,13 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
 
 def smoothed_fourth_moment(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
     """Space-side moment iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, evaluated
-    exactly through the sumset gap correlation."""
+    exactly through the sumset gap correlation. c is even and psi(0) = 1,
+    so the sum runs over g >= 0 as c(0) + 2 sum_{g>0} c(g) psi(t g delta)."""
     if not t > 0:
         raise ValidationError(f"t must be positive, got {t}")
     c, offset = _gap_correlation(nu)
-    gaps = (np.arange(c.size) - offset) * nu.delta
-    return float(np.dot(c, cutoff(t * gaps)))
+    gaps = np.arange(1, c.size - offset) * nu.delta
+    return float(c[offset] + 2.0 * np.dot(c[offset + 1 :], cutoff(t * gaps)))
 
 
 def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:

@@ -407,7 +407,8 @@ def angular_decomposition(
 
     fa, fb = mu.factors
     moment_a = smoothed_fourth_moment(fa, t, cutoff)
-    moment_b = smoothed_fourth_moment(fb, t, cutoff)
+    # A x A products (the paper's case) share one factor object
+    moment_b = moment_a if fb is fa else smoothed_fourth_moment(fb, t, cutoff)
     cs_constant = (np.pi / 2.0) / psi_hat_min
     cs_bound = cs_constant * t**gamma0 * math.sqrt(moment_a * moment_b)
     return AngularDecomposition(

@@ -16,6 +16,12 @@ def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3
     return fl.GridMeasure(base=base, level=level, indices=indices, weights=weights)
 
 
+def dense_copy(nu):
+    """The same atoms on a spec-less measure, which takes the dense routes
+    (transform sum, np.add.at sumset, convolution/FFT gap correlation)."""
+    return fl.GridMeasure(base=nu.base, level=nu.level, indices=nu.indices, weights=nu.weights)
+
+
 @pytest.fixture(scope="session")
 def middle_thirds_8():
     return fl.build_cantor(fl.middle_thirds(8))

@@ -3,10 +3,11 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import random_grid_measure
+from conftest import dense_copy, random_grid_measure
+from fractalab.energy import _gap_correlation
 from fractalab.errors import BudgetError, ValidationError
 
 
@@ -53,6 +54,96 @@ class TestSumset:
         q = fl.sumset_autocorrelation(nu)
         assert abs(q.total_mass - 1.0) <= 1e-12
         assert np.all(q.values >= 0.0)
+
+
+# The dense oracle scatter-adds N**2 atom pairs and correlates a sumset of
+# 2 * base**level - 1 entries, so both are capped; levels stay in 0..8.
+L2_MAX_GRID = 3**8
+L2_MAX_ATOMS = 2**11
+
+
+def _l2_level_st(base, digits):
+    top = max(
+        k for k in range(9) if base**k <= L2_MAX_GRID and len(digits) ** k <= L2_MAX_ATOMS
+    )
+    return st.builds(fl.CantorSpec, st.just(base), st.just(digits), st.integers(0, top))
+
+
+# random nonempty digit sets, so some lack 0 or base - 1 and the padded
+# digit pmf has zero ends
+l2_spec_st = (
+    st.integers(2, 7)
+    .flatmap(
+        lambda base: st.sets(st.integers(0, base - 1), min_size=1).map(
+            lambda s: (base, tuple(sorted(s)))
+        )
+    )
+    .flatmap(lambda bd: _l2_level_st(*bd))
+)
+L2_EXAMPLES = (
+    fl.CantorSpec(5, (1, 3), 5),  # neither 0 nor base - 1
+    fl.CantorSpec(4, (0, 2), 6),  # no base - 1
+    fl.CantorSpec(7, (6,), 4),  # one digit, no 0
+    fl.CantorSpec(3, (0, 1, 2), 7),  # full digit set, gap correlation past 4096
+)
+
+
+def _with_l2_examples(test):
+    for spec in L2_EXAMPLES:
+        test = example(spec)(test)
+    return test
+
+
+class TestCantorRoute:
+    """build_cantor measures take the level-by-level sumset and gap
+    correlation; a spec-less copy of the same atoms takes np.add.at and the
+    convolution/FFT and is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(l2_spec_st)
+    @_with_l2_examples
+    def test_sumset_matches_dense_route(self, spec):
+        nu = fl.build_cantor(spec)
+        fast = fl.sumset_autocorrelation(nu)
+        oracle = fl.sumset_autocorrelation(dense_copy(nu))
+        assert (fast.base, fast.level) == (oracle.base, oracle.level)
+        assert fast.values.size == oracle.values.size == 2 * spec.base**spec.level - 1
+        assert np.max(np.abs(fast.values - oracle.values)) <= 1e-15
+        assert abs(fast.total_mass - 1.0) <= 1e-12
+        assert np.all(fast.values >= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(l2_spec_st)
+    @_with_l2_examples
+    def test_gap_correlation_matches_dense_route(self, spec):
+        nu = fl.build_cantor(spec)
+        c, offset = _gap_correlation(nu)
+        c_dense, offset_dense = _gap_correlation(dense_copy(nu))
+        assert c.size == c_dense.size and offset == offset_dense
+        assert offset == 2 * spec.base**spec.level - 2
+        assert np.max(np.abs(c - c_dense)) <= 1e-15
+        assert abs(float(np.sum(c)) - 1.0) <= 1e-12
+        assert np.all(c >= 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(l2_spec_st)
+    @_with_l2_examples
+    def test_energy_profile_equals_additive_energy(self, spec):
+        nu = fl.build_cantor(spec)
+        rs = [nu.delta * 1.9**j for j in range(5)]
+        fast, oracle = (fl.energy_profile(m, rs, 0.5).energies for m in (nu, dense_copy(nu)))
+        assert fast == tuple(fl.additive_energy(nu, r) for r in rs)
+        assert oracle == tuple(fl.additive_energy(dense_copy(nu), r) for r in rs)
+        assert np.max(np.abs(np.subtract(fast, oracle))) <= 1e-10
+
+    def test_budget_guard_before_allocation(self):
+        # one atom, grid 2**25 > the 2**24 dense-sumset limit
+        nu = fl.build_cantor(fl.CantorSpec(2, (0,), 25))
+        cut = fl.CutoffFunction("fejer", 2.0)
+        with pytest.raises(BudgetError, match="sumset grid"):
+            fl.smoothed_fourth_moment(nu, 4.0, cut)
+        with pytest.raises(BudgetError, match="sumset grid"):
+            fl.sumset_autocorrelation(nu)
 
 
 class TestAdditiveEnergy:
@@ -231,6 +322,38 @@ class TestSmoothedEnergy:
             cut = fl.CutoffFunction("fejer", float(rng.uniform(0.8, 2.5)))
             space, fourier = fl.smoothed_energy(nu, t, cut)
             assert abs(space - fourier) <= 1e-6 * max(abs(space), 1e-300)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [fl.CantorSpec(3, (0, 2), 6), fl.CantorSpec(4, (0, 3), 5), fl.CantorSpec(5, (0, 2), 4)],
+    )
+    def test_parseval_on_cantor_factors(self, spec):
+        nu = fl.build_cantor(spec)
+        cut = fl.CutoffFunction("fejer", 2.0)
+        for t in (2.0, 9.0, 40.0):
+            space, fourier = fl.smoothed_energy(nu, t, cut)
+            assert abs(space - fourier) <= 1e-6 * abs(space)
+
+    # sumset lengths 4095 and 8191 sit on either side of the dense route's
+    # 4096-entry direct/FFT switch; the Cantor route has no switch
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            fl.GridMeasure(2, 11, np.arange(0, 2048, 37), np.full(56, 1 / 56)),
+            fl.GridMeasure(2, 12, np.arange(0, 4096, 37), np.full(111, 1 / 111)),
+            fl.build_cantor(fl.CantorSpec(2, (0, 1), 11)),
+            fl.build_cantor(fl.CantorSpec(3, (0, 2), 8)),
+        ],
+        ids=["dense-direct", "dense-fft", "cantor-2^11", "cantor-3^8"],
+    )
+    def test_half_sum_matches_two_sided_sum(self, nu):
+        c, offset = _gap_correlation(nu)
+        gaps = (np.arange(c.size) - offset) * nu.delta
+        cut = fl.CutoffFunction("fejer", 1.5)
+        for t in (1.0, 7.3, 60.0):
+            two_sided = float(np.dot(c, cut(t * gaps)))
+            half = fl.smoothed_fourth_moment(nu, t, cut)
+            assert half == pytest.approx(two_sided, rel=1e-13, abs=0.0)
 
     def test_window_comparison_against_sharp_energy(self):
         # psi >= 1/2 on [-c, c] and psi <= 1/2 beyond, so the smoothed moment

@@ -240,6 +240,19 @@ class TestAngularDecomposition:
         assert dec.middle <= dec.cs_bound * (1.0 + 1e-6)
         assert dec.near_zero > 0.0 and dec.middle > 0.0
 
+    def test_shared_factor_matches_equal_distinct_factor(self, middle_thirds_8):
+        # A x A reuses the first factor's smoothed moment for the second
+        cut = fl.CutoffFunction("fejer", 2.0)
+        twin = fl.build_cantor(fl.middle_thirds(8))
+        shared = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
+        distinct = fl.build_product([middle_thirds_8, twin], [ALPHA_MT, ALPHA_MT])
+        a = fl.angular_decomposition(shared, 81.0, 0.1, cut)
+        b = fl.angular_decomposition(distinct, 81.0, 0.1, cut)
+        assert a.smoothed_moment_a == pytest.approx(b.smoothed_moment_a, rel=1e-12)
+        assert a.smoothed_moment_b == pytest.approx(b.smoothed_moment_b, rel=1e-12)
+        assert a.smoothed_moment_a == a.smoothed_moment_b
+        assert a.cs_bound == pytest.approx(b.cs_bound, rel=1e-12)
+
     def test_gamma_range_enforced(self, middle_thirds_8):
         mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
         cut = fl.CutoffFunction("fejer", 2.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
+from conftest import dense_copy
 from fractalab.errors import ValidationError
 
 
@@ -113,11 +114,6 @@ riesz_spec_st = st.integers(2, 7).flatmap(
 )
 # frequencies as multiples of the validity cap, past it up to 3x
 cap_multiples_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
-
-
-def dense_copy(nu):
-    """The same atoms on a spec-less measure, which takes the dense sum."""
-    return fl.GridMeasure(base=nu.base, level=nu.level, indices=nu.indices, weights=nu.weights)
 
 
 class TestRieszTransform:
