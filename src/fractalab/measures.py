@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .fitting import loglog_fit
 
 _MASS_TOL = 1e-12
+_CHUNK = 1 << 22  # complex entries per phase table or product block
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ class GridMeasure:
             freqs = (np.asarray(spec.digits)[None, :] / scales[:, None]).ravel()
         out = np.empty(flat.shape, dtype=complex)
         # chunked so the phase matrix stays within a few tens of MB
-        chunk = max(1, (1 << 22) // max(1, freqs.size))
+        chunk = max(1, _CHUNK // max(1, freqs.size))
         for start in range(0, flat.size, chunk):
             block = flat[start : start + chunk]
             phases = np.exp((-2j * np.pi) * np.outer(block, freqs))
@@ -186,6 +187,62 @@ class GridMeasure:
         if xi_arr.ndim == 0:
             return complex(out[0])
         return out.reshape(xi_arr.shape)
+
+    def transform_on_grid(self, start: float, step: float, count: int) -> np.ndarray:
+        """nu_hat at the ``count`` frequencies start + k step, k = 0, 1, ...
+
+        A build_cantor measure returns its Riesz product, transform(start +
+        step * arange(count)). Any other measure splits k = m k1 + k0 with
+        0 <= k0 < m ~ sqrt(count) into one complex product of two phase tables,
+        (w_j e(-k1 m step x_j)) @ e(-(start + k0 step) x_j)^T: (count/m + m)
+        * atoms exponentials instead of count * atoms. Tables and product
+        blocks keep to the dense route's 2**22-entry chunks (m <= 2**22 /
+        atoms), in a fixed order, with no FFT. Both tables reduce their phases
+        mod 1 exactly, and the rounding gap between the float node start + k
+        step and coarse + fine enters at first order through a second product
+        with weights w_j x_j, so the route keeps ~1e-15 of the exact sum at the
+        float nodes. Oracle: the dense transform at the same nodes, within
+        1e-11 for |xi| up to 1e4 (the dense route's own phase rounding).
+        """
+        if self.spec is not None:
+            return self.transform(start + step * np.arange(count))
+        x, w = self.positions, self.weights
+        m = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK // x.size))
+        coarse_f = (m * np.arange(-(-count // m))) * step
+        fine_f = start + step * np.arange(m)
+        # each node start + k step, as transform takes it, is coarse + fine +
+        # delta exactly (two-sum); e(-delta x) = 1 - 2 pi i delta x to ~1e-22
+        node = coarse_f[:, None] + fine_f
+        fine_part = node - coarse_f[:, None]
+        lost = (coarse_f[:, None] - (node - fine_part)) + (fine_f - fine_part)
+        delta = ((start + step * np.arange(count)) - node.ravel()[:count]) - lost.ravel()[:count]
+        fine_t = _phase_table(x, fine_f)
+        rows = max(1, _CHUNK // max(x.size, m))
+        out = np.empty((coarse_f.size, m), dtype=complex)
+        slope = np.empty((coarse_f.size, m), dtype=complex)
+        for r in range(0, coarse_f.size, rows):
+            coarse = _phase_table(coarse_f[r : r + rows], x)
+            out[r : r + rows] = (w * coarse) @ fine_t
+            slope[r : r + rows] = (w * x * coarse) @ fine_t
+        return out.ravel()[:count] - (2j * np.pi) * delta * slope.ravel()[:count]
+
+
+def _phase_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """e(-a_r b_j) over the outer product, its phase reduced mod 1 first: a
+    Dekker split makes a_r b_j = p + err exact, so the phase keeps ~1e-16
+    cycles however large a_r b_j, against ~1e-16 |a_r b_j| for np.exp of it."""
+    p = np.multiply.outer(a, b)
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    mul = np.multiply.outer
+    err = ((mul(ah, bh) - p) + mul(ah, bl) + mul(al, bh)) + mul(al, bl)
+    return np.exp((-2j * np.pi) * ((p - np.rint(p)) + err))
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split a = hi + lo into 26-bit halves (exact products)."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def build_cantor(spec: CantorSpec) -> GridMeasure:

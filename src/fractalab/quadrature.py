@@ -76,7 +76,11 @@ def require_converged(
 def trapezoid_refinements(f, a: float, b: float, intervals: int):
     """Endless trapezoid sums on [a, b] over intervals, 2 intervals, ...;
     each refinement evaluates f only at the new midpoints. Yields
-    (value, nodes evaluated so far)."""
+    (value, nodes evaluated so far). Each call to f gets a uniform grid,
+    linspace(a, b) and then the midpoints a + (k + 1/2) h, of at least 2
+    nodes when intervals >= 2: f may read its start x[0] and step
+    (x[-1] - x[0]) / (x.size - 1) off it, as the smoothed-energy Fourier
+    side does."""
     n = int(intervals)
     h = (b - a) / n
     fx = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)
@@ -102,12 +106,17 @@ def simpson_doubling(
 
     Simpson on 2n intervals is (4 T_2n - T_n) / 3 of the trapezoid sums, so
     it rides on trapezoid_refinements; abs_tol is the absolute floor of the
-    stopping test. Returns (value, node_count, converged).
+    stopping test. An initial grid finer than max_intervals is clamped to its
+    even part (at least 4), so at most max_intervals + 1 nodes are evaluated
+    before the result is reported unconverged. Returns (value, node_count,
+    converged).
     """
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
     n = max(4, int(initial_intervals))
     n += n % 2
+    if n > max_intervals:
+        n = max(4, int(max_intervals) - int(max_intervals) % 2)
     simpsons = (
         ((4.0 * fine - coarse) / 3.0, nodes)
         for (coarse, _), (fine, nodes) in pairwise(trapezoid_refinements(f, a, b, n // 2))

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalab as fl
 from conftest import dense_copy, random_grid_measure
-from fractalab.energy import _gap_correlation
+from fractalab import energy
+from fractalab.energy import _fourth_moment_quadrature, _gap_correlation
 from fractalab.errors import BudgetError, ValidationError
 
 
@@ -371,6 +372,33 @@ class TestSmoothedEnergy:
     def test_rejects_t_below_one(self, two_atom_half):
         with pytest.raises(ValidationError):
             fl.smoothed_energy(two_atom_half, 0.5, fl.CutoffFunction("fejer", 1.0))
+
+    @pytest.mark.parametrize("atoms, t", [(512, 4.0), (512, 16.0), (1024, 4.0)])
+    def test_fourier_side_matches_dense_transform_integrand(self, monkeypatch, atoms, t):
+        # the factored grid transform against the dense transform, on the
+        # same interval, start grid and tolerance of the same Simpson rule
+        rng = np.random.default_rng(atoms + int(t))
+        indices = np.sort(rng.choice(3**8, size=atoms, replace=False))
+        weights = rng.random(atoms) + 0.05
+        nu = fl.GridMeasure(3, 8, indices, weights / weights.sum())
+        cut = fl.CutoffFunction("fejer", 2.0)
+        simpson = energy.simpson_doubling
+        runs = []
+
+        def dense(eta):
+            return np.abs(nu.transform(eta)) ** 4 * cut.transform(eta / t)
+
+        def both_routes(f, a, b, **kwargs):
+            runs.append((simpson(f, a, b, **kwargs), simpson(dense, a, b, **kwargs)))
+            return runs[-1][0]
+
+        monkeypatch.setattr(energy, "simpson_doubling", both_routes)
+        value = _fourth_moment_quadrature(nu, t, cut)
+        [((fast, fast_nodes, fast_ok), (oracle, oracle_nodes, oracle_ok))] = runs
+        assert fast_ok and oracle_ok
+        assert fast_nodes == oracle_nodes
+        assert fast == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert value == (2.0 / t) * fast
 
 
 class TestCutoff:

@@ -178,6 +178,59 @@ class TestRieszTransform:
         assert nu.transform(12345.678) == 1.0
 
 
+@st.composite
+def spec_less_measure_st(draw, max_atoms=1500):
+    """A random spec-less measure: base 2-7, level 0-8, up to max_atoms atoms."""
+    base = draw(st.integers(2, 7))
+    level = draw(st.integers(0, 8))
+    atoms = draw(st.integers(1, min(max_atoms, base**level)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = np.sort(rng.choice(base**level, size=atoms, replace=False))
+    weights = rng.random(atoms) + 0.05
+    return fl.GridMeasure(base, level, indices, weights / weights.sum())
+
+
+class TestTransformOnGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec_less_measure_st(),
+        st.integers(1, 20_000),
+        st.floats(-1e4, 1e4),
+        st.floats(-1e4, 1e4),
+    )
+    def test_matches_dense_transform(self, nu, count, first, last):
+        step = (last - first) / max(count - 1, 1)
+        fast = nu.transform_on_grid(first, step, count)
+        assert fast.shape == (count,)
+        oracle = nu.transform(first + step * np.arange(count))
+        assert np.max(np.abs(fast - oracle)) <= 1e-11
+
+    def test_coarse_table_spanning_several_chunks(self):
+        # 2**13 atoms allow m = 2**22 / 2**13 = 512 < sqrt(3e5) fine
+        # frequencies, so the 586 coarse rows take two 512-row chunks
+        rng = np.random.default_rng(3)
+        atoms, count = 2**13, 300_000
+        indices = np.sort(rng.choice(3**12, size=atoms, replace=False))
+        weights = rng.random(atoms) + 0.05
+        nu = fl.GridMeasure(3, 12, indices, weights / weights.sum())
+        first, step = -1500.0, 0.01
+        fast = nu.transform_on_grid(first, step, count)
+        assert fast.shape == (count,)
+        # the dense oracle at every 211th node, around the chunk seam (row
+        # 512) and on the partly used last row
+        seam = 512 * 512 + np.arange(-1024, 1024)
+        k = np.unique(np.concatenate([np.arange(0, count, 211), seam, np.arange(count - 600, count)]))
+        oracle = nu.transform(first + step * k)
+        assert np.max(np.abs(fast[k] - oracle)) <= 1e-11
+
+    def test_cantor_measures_take_the_riesz_product_unchanged(self):
+        for spec in (fl.middle_thirds(8), fl.CantorSpec(5, (0, 2, 4), 6)):
+            nu = fl.build_cantor(spec)
+            for first, step, count in ((0.0, 0.37, 5000), (-800.5, 0.125, 12_801), (3.0, 0.0, 1)):
+                fast = nu.transform_on_grid(first, step, count)
+                assert np.array_equal(fast, nu.transform(first + step * np.arange(count)))
+
+
 class TestGridMeasureValidation:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValidationError, match="strictly increasing"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,33 @@ class TestRules:
         assert f.evaluated.size == nodes
         assert math.isfinite(value)
 
+    def test_initial_grid_past_the_cap_is_clamped(self):
+        f = CountingIntegrand(lambda x: np.cos(200.0 * x))
+        value, nodes, converged = simpson_doubling(
+            f, 0.0, 1.0, initial_intervals=1000, rel_tol=1e-12, max_intervals=64
+        )
+        assert not converged
+        assert f.evaluated.size == nodes <= 65
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize(
+        "a, b, intervals", [(0.0, 1.0, 2), (-3.7, 250.0, 7), (0.0, 6.0e5, 1000), (1e3, 1e3 + 1e-3, 5)]
+    )
+    def test_every_call_gets_a_uniform_grid(self, a, b, intervals):
+        # the contract an integrand may rely on: at least 2 nodes per call,
+        # equal to x[0] + k (x[-1] - x[0]) / (x.size - 1) to a few ulps
+        f = CountingIntegrand(lambda x: np.exp(np.sin(x)))
+        refinements = trapezoid_refinements(f, a, b, intervals)
+        for _ in range(6):
+            next(refinements)
+        simpson_doubling(f, a, b, initial_intervals=intervals, rel_tol=1e-14, max_intervals=1 << 10)
+        assert len(f.calls) >= 8
+        for x in f.calls:
+            assert x.size >= 2
+            step = (x[-1] - x[0]) / (x.size - 1)
+            ulps = np.abs(x - (x[0] + step * np.arange(x.size))) / np.spacing(np.max(np.abs(x)))
+            assert np.max(ulps) <= 4.0
+
     def test_stopping_test_has_relative_and_absolute_parts(self):
         def sequence(values):
             yield from ((v, k + 1) for k, v in enumerate(values))
@@ -113,6 +141,14 @@ class TestNonConvergenceRaises:
         mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
         with pytest.raises(BudgetError, match="angular-sector Simpson"):
             fl.angular_decomposition(mu, 81.0, 0.1, fl.CutoffFunction("fejer", 2.0))
+
+    def test_smoothed_energy_first_grid_past_the_cap(self):
+        # the start grid, 2 * 8 * (2 * 3e5) intervals, is past the 2**22 cap
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
+        with pytest.raises(BudgetError, match="smoothed-energy Simpson") as info:
+            fl.smoothed_energy(nu, 3e5, fl.CutoffFunction("fejer", 2.0))
+        nodes = int(re.search(r"\((\d+) nodes\)", str(info.value)).group(1))
+        assert nodes <= (1 << 22) + 1
 
     def test_spherical_average_with_tiny_node_cap(self):
         nu = fl.build_cantor(fl.middle_thirds(6))
