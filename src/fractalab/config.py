@@ -8,14 +8,17 @@ table.
 A config is a flat record; unknown keys are rejected so typos surface as
 validation errors with the offending field named. Loading checks every JSON
 value against its field's declared type: ints widen to floats, numbers in a
-text field (such as ``dims``) become their text, and ``bool`` is never a
-number; a missing required key or a wrong type raises ValidationError naming
-the field. serialize(parse(text)) is idempotent: parsing normalizes,
-serialization is canonical JSON.
+text field (such as ``dims``) become their text, ``bool`` is never a
+number, and no value may be NaN or infinite (JSON's ``NaN`` and ``Infinity``,
+or a flag like ``--interval nan:1``); a missing required key, a wrong type or
+a non-finite number raises ValidationError naming the field.
+serialize(parse(text)) is idempotent: parsing normalizes, serialization is
+canonical JSON.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -223,6 +226,8 @@ def _load(tp, value, path: str):
     accepted = {float: (int, float), str: (str, int, float)}.get(tp, tp)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
         raise ValidationError(f"{path}: expected {tp.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     return tp(value)
 
 

@@ -297,12 +297,15 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
 def smoothed_fourth_moment(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
     """Space-side moment iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, evaluated
     exactly through the sumset gap correlation. c is even and psi(0) = 1,
-    so the sum runs over g >= 0 as c(0) + 2 sum_{g>0} c(g) psi(t g delta)."""
-    if not t > 0:
-        raise ValidationError(f"t must be positive, got {t}")
+    so the sum runs over g >= 0 as c(0) + 2 sum_{g>0} c(g) psi(t g delta),
+    with psi evaluated only at the gaps where c(g) != 0 (a Cantor measure's
+    c lives on gcd(D - D) Z, so most gaps drop out)."""
+    if not 0 < t < math.inf:
+        raise ValidationError(f"t must be positive and finite, got {t}")
     c, offset = _gap_correlation(nu)
-    gaps = np.arange(1, c.size - offset) * nu.delta
-    return float(c[offset] + 2.0 * np.dot(c[offset + 1 :], cutoff(t * gaps)))
+    tail = c[offset + 1 :]
+    nz = np.flatnonzero(tail)
+    return float(c[offset] + 2.0 * np.dot(tail[nz], cutoff(t * ((nz + 1) * nu.delta))))
 
 
 def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
@@ -324,8 +327,8 @@ def smoothed_energy(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> tuple[
     over the compact support of psi_hat(./t). The two agree within
     quadrature tolerance.
     """
-    if t < 1.0:
-        raise ValidationError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ValidationError(f"t must be >= 1 and finite, got {t}")
     space = smoothed_fourth_moment(nu, t, cutoff)
     fourier = _fourth_moment_quadrature(nu, t, cutoff)
     return space, fourier

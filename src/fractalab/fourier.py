@@ -6,7 +6,9 @@ Conventions
 -----------
 Transform sign is exp(-2 pi i x xi). Every quantity consumed downstream is a
 magnitude, so the sign choice is observationally irrelevant but fixed for
-reproducibility.
+reproducibility; the circular, sector and solid averages read
+GridMeasure.power_spectrum, |nu_hat|^2 itself, which a Cantor factor gives as
+a real Riesz product without forming the complex transform.
 
 A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
@@ -85,17 +87,13 @@ def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
     return min(caps) if caps else math.inf
 
 
-def _factor_sq_ft(factor: GridMeasure, xi: np.ndarray) -> np.ndarray:
-    return np.abs(factor.transform(xi)) ** 2
-
-
 def _quadrant_integrand(mu: ProductMeasure, t: float, weight: str):
     fa, fb = mu.factors
 
     def f(thetas: np.ndarray) -> np.ndarray:
         c = np.cos(thetas)
         s = np.sin(thetas)
-        vals = _factor_sq_ft(fa, t * c) * _factor_sq_ft(fb, t * s)
+        vals = fa.power_spectrum(t * c) * fb.power_spectrum(t * s)
         if weight == "sin_theta":
             vals = vals * np.abs(s)
         elif weight == "cos_theta":
@@ -135,7 +133,7 @@ def _sigma_monte_carlo(
     omega = sample_sphere(d, spec.node_count, spec.seed)
     vals = np.ones(spec.node_count)
     for j, factor in enumerate(mu.factors):
-        vals *= _factor_sq_ft(factor, t * omega[:, j])
+        vals *= factor.power_spectrum(t * omega[:, j])
     if weight == "sin_theta":
         vals *= np.abs(omega[:, -1])
     area = sphere_surface_area(d)
@@ -161,8 +159,8 @@ def spherical_average_detailed(
     """
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
-    if t < 0:
-        raise ValidationError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be nonnegative and finite, got {t}")
     cap = validity_cap(mu)
     if t > cap:
         raise ValidityCapError(
@@ -230,11 +228,11 @@ def spherical_average_series(
 def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1.0, 1.0)) -> float:
     """int_a^b |nu_hat(t u)|^2 du by Simpson doubling on [a, b]."""
     a, b = float(interval[0]), float(interval[1])
-    if t < 1.0:
-        raise ValidationError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ValidationError(f"t must be >= 1 and finite, got {t}")
 
     def integrand(u):
-        return _factor_sq_ft(nu, t * np.asarray(u))
+        return nu.power_spectrum(t * np.asarray(u))
 
     initial = max(32, 2 * int(4.0 * t * (b - a)))
     result = simpson_doubling(integrand, a, b, initial_intervals=initial, rel_tol=1e-7)
@@ -308,8 +306,8 @@ def stationary_phase_check(gap, t_values, fit_window=FIT_WINDOW) -> StationaryPh
     if norm == 0.0:
         raise ValidationError("gap must be nonzero")
     ts = [float(t) for t in t_values]
-    if any(t <= 0 for t in ts):
-        raise ValidationError("t values must be positive")
+    if not all(0 < t < math.inf for t in ts):
+        raise ValidationError("t values must be positive and finite")
     exact = [_circle_phase_integral(g, t) for t in ts]
     main = [float(stationary_phase_main_term(g, t)) for t in ts]
     resid = [e - m for e, m in zip(exact, main)]

@@ -219,8 +219,8 @@ def mattila_truncated(
     the doubling ratios are exact ratios of cumulative panel sums.
     """
     T = float(truncation)
-    if not T > 1.0:
-        raise ValidationError(f"truncation must be > 1, got {T}")
+    if not 1.0 < T < math.inf:
+        raise ValidationError(f"truncation must be > 1 and finite, got {T}")
     cap = validity_cap(mu)
     if T > cap:
         raise ValidityCapError(

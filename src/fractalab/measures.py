@@ -188,6 +188,37 @@ class GridMeasure:
             return complex(out[0])
         return out.reshape(xi_arr.shape)
 
+    def power_spectrum(self, xi) -> np.ndarray | float:
+        """|nu_hat(xi)|^2, vectorized like transform; a scalar gives a float.
+
+        A measure from build_cantor takes the real Riesz product
+        prod_{k=1..level} P(xi base**-k) with P(x) = |mean_d e(-d x)|^2 =
+        1/|D| + (2/|D|^2) sum_{g>0} c_g cos(2 pi g x), c_g the number of digit
+        pairs (d, d') with d - d' = g: one cosine per distinct digit gap and
+        level, levels multiplied in order k = 1..level, no FFT. Each level
+        factor is clamped at 0 against rounding (a no-op for two digits), so
+        the result is never negative. Every other measure returns
+        abs(transform(xi))**2. Oracle: abs(transform)**2 of a spec-less copy,
+        within 2e-11 for |xi| up to 1e4.
+        """
+        xi_arr = np.asarray(xi, dtype=float)
+        spec = self.spec
+        if spec is None:
+            out = np.abs(self.transform(xi_arr)) ** 2
+        else:
+            n = len(spec.digits)
+            diffs = np.subtract.outer(spec.digits, spec.digits)
+            pairs = np.bincount(diffs[diffs > 0])  # c_g at index g
+            gaps = np.flatnonzero(pairs)
+            out = np.ones(xi_arr.shape)
+            for k in range(1, spec.level + 1):
+                level = 1.0 / n
+                for g in gaps:
+                    phase = (2.0 * np.pi) * (xi_arr * (g / spec.base**k))
+                    level = level + (2.0 * pairs[g] / n**2) * np.cos(phase)
+                out *= np.maximum(level, 0.0)
+        return float(out) if xi_arr.ndim == 0 else out
+
     def transform_on_grid(self, start: float, step: float, count: int) -> np.ndarray:
         """nu_hat at the ``count`` frequencies start + k step, k = 0, 1, ...
 
@@ -266,8 +297,9 @@ def build_cantor(spec: CantorSpec) -> GridMeasure:
 
 
 def point_mass() -> GridMeasure:
-    """Unit mass at the origin (level-0 grid)."""
-    return GridMeasure(base=2, level=0, indices=np.array([0]), weights=np.array([1.0]))
+    """Unit mass at the origin: the level-0 Cantor measure on base 2 keeping
+    digit 0, so its power spectrum is the empty Riesz product, exactly 1."""
+    return build_cantor(CantorSpec(base=2, digits=(0,), level=0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -366,6 +366,43 @@ class TestConfigFields:
         assert code == 2
         assert "validation error" in err and field_name in err
 
+    # JSON's NaN and Infinity literals parse as floats; no field takes them
+    @pytest.mark.parametrize(
+        "kind, text, field_name",
+        [
+            ("solid", '"interval": [NaN, 1.0]', "interval[0]"),
+            (
+                "stationary",
+                '"gaps": [[0, 1]], "sweep": {"start": 10, "stop": Infinity, "count": 4}',
+                "sweep.stop",
+            ),
+            ("mattila", '"truncation": -Infinity', "truncation"),
+            ("thresholds", '"dims": [NaN, "2/3"]', "dims[0]"),
+        ],
+        ids=["interval", "sweep", "truncation", "dims"],
+    )
+    def test_non_finite_json_number_exits_two_naming_field(
+        self, tmp_path, capsys, kind, text, field_name
+    ):
+        cfg = tmp_path / "config.json"
+        factors = json.dumps([{"base": 3, "digits": [0, 2], "level": 4}] * 2)
+        cfg.write_text(f'{{"factors": {factors}, "dims": ["2/3"], {text}}}')
+        code = cli_main([kind, "--config", str(cfg), "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"validation error: {field_name}: expected a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, field_name",
+        [(["--interval", "nan:1"], "interval[0]"), (["--sweep", "1:inf:4"], "sweep.stop"),
+         (["--dz-k=-inf"], "dz_k"), (["--truncation", "NaN"], "truncation")],
+    )
+    def test_non_finite_flag_exits_two_naming_field(self, tmp_path, capsys, argv, field_name):
+        code = cli_main(["solid", "--factor", "3:0,2:4", *argv, "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field_name}: expected a finite number" in capsys.readouterr().err
+
     def test_every_field_but_kind_has_exactly_one_flag(self):
         config_fields = [f for f in fields(fl.ExperimentConfig) if f.name != "kind"]
         flags = [f.metadata["flag"] for f in config_fields]

@@ -356,6 +356,33 @@ class TestSmoothedEnergy:
             half = fl.smoothed_fourth_moment(nu, t, cut)
             assert half == pytest.approx(two_sided, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            fl.build_cantor(fl.CantorSpec(3, (0, 2), 8)),
+            fl.build_cantor(fl.CantorSpec(4, (0, 3), 6)),
+            fl.build_cantor(fl.CantorSpec(5, (0, 2), 5)),
+            random_grid_measure(np.random.default_rng(17), max_atoms=60, min_atoms=20),
+        ],
+        ids=["3:0,2:8", "4:0,3:6", "5:0,2:5", "random"],
+    )
+    def test_nonzero_gap_sum_matches_full_sum(self, nu):
+        # the full sum over every gap g > 0, zeros of c included
+        c, offset = _gap_correlation(nu)
+        gaps = np.arange(1, c.size - offset) * nu.delta
+        cut = fl.CutoffFunction("fejer", 2.0)
+        for t in (1.0, 9.0, 81.0, 729.0):
+            full = float(c[offset] + 2.0 * np.dot(c[offset + 1 :], cut(t * gaps)))
+            assert fl.smoothed_fourth_moment(nu, t, cut) == pytest.approx(full, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_t(self, two_atom_half, t):
+        cut = fl.CutoffFunction("fejer", 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            fl.smoothed_energy(two_atom_half, t, cut)
+        with pytest.raises(ValidationError, match="finite"):
+            fl.smoothed_fourth_moment(two_atom_half, t, cut)
+
     def test_window_comparison_against_sharp_energy(self):
         # psi >= 1/2 on [-c, c] and psi <= 1/2 beyond, so the smoothed moment
         # is at most the sharp energy at scale c/t plus the tail supremum

@@ -111,6 +111,15 @@ class TestSphericalAverage:
             fl.spherical_average(mu, cap * 1.5)
         assert err.value.cap == pytest.approx(cap)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_t(self, t):
+        # a point-mass product has no validity cap to stop an infinite t
+        pm = fl.point_mass()
+        for mu in (fl.build_product([pm, pm], [0.0, 0.0]),
+                   fl.build_product([fl.build_cantor(fl.middle_thirds(4))] * 2, [ALPHA_MT] * 2)):
+            with pytest.raises(ValidationError, match="finite"):
+                fl.spherical_average(mu, t)
+
     def test_axis_exchange_symmetry(self):
         a = fl.build_cantor(fl.middle_thirds(6))
         b = fl.build_cantor(fl.CantorSpec(4, (0, 3), 5))
@@ -168,6 +177,11 @@ class TestSolidAverage:
         with pytest.raises(ValidationError, match="empty interval"):
             fl.solid_average(fl.point_mass(), 2.0, (1.0, 1.0))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_t(self, middle_thirds_8, t):
+        with pytest.raises(ValidationError, match="finite"):
+            fl.solid_average(middle_thirds_8, t)
+
 
 class TestStationaryPhase:
     def test_axis_aligned_gap_kills_main_term(self):
@@ -200,6 +214,11 @@ class TestStationaryPhase:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValidationError, match="nonzero"):
             fl.stationary_phase_check((0.0, 0.0), [100.0])
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(ValidationError, match="finite"):
+            fl.stationary_phase_check((0.0, 1.0), [10.0, t, 100.0])
 
     def test_circle_integral_converges_within_budget(self, monkeypatch):
         # a full-circle trapezoid meets the |sin theta| kinks at 0 and pi and

@@ -311,6 +311,26 @@ class TestMattila:
             assert type(ratio) is float
             assert ratio == pytest.approx(cur / prev, rel=1e-12, abs=0.0)
 
+    def test_point_mass_matches_spec_less_point_mass_bit_for_bit(self):
+        # point_mass() is now the level-0 Cantor measure; the spec-less atom
+        # it replaces gives the same Mattila integrals to the last bit
+        old = fl.GridMeasure(base=2, level=0, indices=np.array([0]), weights=np.array([1.0]))
+        pm = fl.point_mass()
+        for weighted in (False, True):
+            new_est, old_est = (
+                fl.mattila_truncated(fl.build_product([m, m], [0.0, 0.0]), 10.0, weighted=weighted)
+                for m in (pm, old)
+            )
+            assert new_est.value == old_est.value
+            assert new_est.t_values.tobytes() == old_est.t_values.tobytes()
+            assert new_est.sigma.tobytes() == old_est.sigma.tobytes()
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_truncation_rejected(self, T):
+        pm = fl.point_mass()
+        with pytest.raises(ValidationError, match="truncation"):
+            fl.mattila_truncated(fl.build_product([pm, pm], [0.0, 0.0]), T)
+
     def test_truncation_beyond_cap_rejected(self):
         nu = fl.build_cantor(fl.middle_thirds(4))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])

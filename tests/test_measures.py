@@ -176,6 +176,85 @@ class TestRieszTransform:
         xi = np.array([0.0, -2.5, 1e-3, 1e9, -1e15])
         assert np.all(nu.transform(xi) == 1.0)
         assert nu.transform(12345.678) == 1.0
+        assert np.all(nu.power_spectrum(xi) == 1.0)
+        assert nu.power_spectrum(12345.678) == 1.0
+
+
+@st.composite
+def power_spectrum_spec_st(draw):
+    """Base 2-7, up to 4 digits, level 0-10 with at most 4**6 atoms so the
+    dense oracle stays cheap."""
+    base = draw(st.integers(2, 7))
+    digits = draw(st.sets(st.integers(0, base - 1), min_size=1, max_size=min(4, base)))
+    top = max(k for k in range(11) if len(digits) ** k <= 4**6)
+    return fl.CantorSpec(base, tuple(sorted(digits)), draw(st.integers(0, top)))
+
+
+class TestPowerSpectrum:
+    @settings(max_examples=80, deadline=None)
+    @given(power_spectrum_spec_st(), st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=24))
+    def test_matches_dense_transform_squared(self, spec, freqs):
+        nu = fl.build_cantor(spec)
+        xi = np.array([0.0, 1e4, -1e4, *freqs])
+        fast = nu.power_spectrum(xi)
+        assert fast.shape == xi.shape
+        assert np.all(fast >= 0.0)
+        oracle = np.abs(dense_copy(nu).transform(xi)) ** 2
+        assert np.max(np.abs(fast - oracle)) <= 2e-11
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            fl.CantorSpec(3, (0, 1, 2), 6),
+            fl.CantorSpec(4, (0, 1, 3), 5),
+            fl.CantorSpec(6, (0, 2, 3, 5), 4),
+        ],
+    )
+    def test_never_negative(self, spec):
+        # with three or more digits a level factor can vanish (3:{0,1,2} at
+        # xi = 3**k / 3), and there rounding alone would decide its sign
+        nu = fl.build_cantor(spec)
+        zeros = spec.base ** np.arange(1, 8) / 3.0
+        xi = np.concatenate([np.linspace(-3000.0, 3000.0, 200_001), zeros])
+        assert np.min(nu.power_spectrum(xi)) >= 0.0
+
+    def test_shapes_and_scalars(self):
+        nu = fl.build_cantor(fl.CantorSpec(5, (0, 2, 4), 5))
+        grid = np.linspace(-300.0, 300.0, 24).reshape(2, 3, 4)
+        out = nu.power_spectrum(grid)
+        assert out.shape == grid.shape
+        assert np.array_equal(out.ravel(), nu.power_spectrum(grid.ravel()))
+        assert nu.power_spectrum(np.zeros((0, 3))).shape == (0, 3)
+        for scalar in (7.25, np.float64(7.25), np.array(7.25)):
+            value = nu.power_spectrum(scalar)
+            assert type(value) is float
+            assert value == nu.power_spectrum(np.array([7.25]))[0]
+        assert type(nu.power_spectrum(7)) is float
+
+    def test_spec_less_measures_square_the_transform(self):
+        rng = np.random.default_rng(5)
+        loaded = fl.grid_measure_from_text(fl.grid_measure_to_text(fl.build_cantor(fl.middle_thirds(6))))
+        randoms = [
+            fl.GridMeasure(3, 7, np.sort(rng.choice(3**7, 50, replace=False)), np.full(50, 0.02))
+            for _ in range(2)
+        ]
+        xi = np.linspace(-2000.0, 2000.0, 4002).reshape(3, -1)
+        for nu in (loaded, *randoms):
+            assert nu.spec is None
+            assert np.array_equal(nu.power_spectrum(xi), np.abs(nu.transform(xi)) ** 2)
+            value = nu.power_spectrum(-17.5)
+            assert type(value) is float and value == np.abs(nu.transform(-17.5)) ** 2
+
+    def test_point_mass_is_the_level_zero_cantor_measure(self):
+        pm = fl.point_mass()
+        old = fl.GridMeasure(base=2, level=0, indices=np.array([0]), weights=np.array([1.0]))
+        assert pm.spec == fl.CantorSpec(2, (0,), 0)
+        assert pm.dimension_hint == 0.0
+        assert pm.indices.tobytes() == old.indices.tobytes()
+        assert pm.weights.tobytes() == old.weights.tobytes()
+        xi = np.array([0.0, -0.0, 1.5, -2.5, 1e9, -1e15])
+        assert pm.transform(xi).tobytes() == old.transform(xi).tobytes()
+        assert np.all(pm.power_spectrum(xi) == 1.0)
 
 
 @st.composite
