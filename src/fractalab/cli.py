@@ -32,15 +32,18 @@ EXIT_BUDGET = 3
 _FLAGGED = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with flags only on ``kind`` (on all when None)."""
     parser = argparse.ArgumentParser(
         prog="fractalab",
         description="Desk-scale experiments on Cantor-type measures: Fourier decay, "
         "additive energy, distance sets.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
+    for name in EXPERIMENT_KINDS:
+        p = sub.add_parser(name, help=f"run the {name} experiment")
+        if kind not in (None, name):
+            continue
         p.add_argument("--config", type=Path, help="JSON config file; flags override it")
         for f in _FLAGGED:
             options = dict(f.metadata)
@@ -88,8 +91,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = _config_from_args(args)
         files = run_experiment(config)

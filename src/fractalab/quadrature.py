@@ -2,10 +2,11 @@
 
 `converge` is the package's one refinement loop. It consumes a rule's
 (value, nodes) refinements, each reusing the earlier evaluations, until
-|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every deterministic
+|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every refining
 quadrature of the package is composite Simpson (`simpson_doubling`), the
 Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
-only this module drives `converge`. `simpson_cumulative` gives the running
+only this module drives `converge` (the stationary-phase circle integral
+is an exact band-limited sum). `simpson_cumulative` gives the running
 integral on a converged grid. Non-convergence is never silent: a bare-number
 result goes through `require_converged`, which raises BudgetError (CLI exit
 3) naming the rule, the tolerance and the cap; a report carries the flag

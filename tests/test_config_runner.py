@@ -264,6 +264,14 @@ class TestCli:
         assert code == 3
         assert "budget error" in capsys.readouterr().err
 
+    def test_stationary_over_the_circle_cap_exits_three(self, tmp_path, capsys):
+        code = cli_main(
+            ["stationary", "--gap", "0:1", "--sweep", "1e8:2e8:3", "--output", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "budget error" in err and "lower t" in err and "Traceback" not in err
+
     def test_distance_level_eight_fits_the_budget(self, tmp_path):
         # ((3**8 + 1) / 2)**2 ~ 1.1e7 gap cells; the 4.3e9 atom pairs are never formed
         code = cli_main(
@@ -414,6 +422,18 @@ class TestConfigFields:
             sub = subparsers.choices[kind]
             options = {s for a in sub._actions for s in a.option_strings}
             assert options - {"-h", "--help"} == set(FLAG_CASES) | {"--config"}
+
+    @pytest.mark.parametrize("argv", [["--help"], *([k, "--help"] for k in fl.EXPERIMENT_KINDS)])
+    def test_help_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        # main builds only the chosen subcommand's flags
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for parse in (cli_main, _build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: fractalab" in texts[0]
 
     @pytest.mark.parametrize("flag", sorted(FLAG_CASES))
     def test_flag_sets_its_field(self, flag):

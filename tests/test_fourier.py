@@ -1,14 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
 from conftest import random_grid_measure
 from fractalab import fourier
 from fractalab.quadrature import simpson_doubling
-from fractalab.errors import ValidationError, ValidityCapError
+from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
 
@@ -220,22 +221,104 @@ class TestStationaryPhase:
         with pytest.raises(ValidationError, match="finite"):
             fl.stationary_phase_check((0.0, 1.0), [10.0, t, 100.0])
 
-    def test_circle_integral_converges_within_budget(self, monkeypatch):
-        # a full-circle trapezoid meets the |sin theta| kinks at 0 and pi and
-        # exhausted its 8 doublings here; Simpson on [0, pi] does not
-        results = []
+    @pytest.mark.parametrize("gap", [(math.nan, 1.0), (0.0, math.inf)])
+    def test_rejects_non_finite_gap(self, gap):
+        with pytest.raises(ValidationError, match="finite"):
+            fl.stationary_phase_check(gap, [10.0])
 
-        def recording(*args, **kwargs):
-            results.append(simpson_doubling(*args, **kwargs))
-            return results[-1]
+    def test_circle_integral_sample_count(self, monkeypatch):
+        # one real FFT per t on the smallest power of two >= R + 10 R^(1/3) + 40
+        sizes = []
+        rfft = np.fft.rfft
 
-        monkeypatch.setattr(fourier, "simpson_doubling", recording)
-        ts = [100.0, 101.37, 148.79081175884915]
-        report = fl.stationary_phase_check((0.0, 1.0), ts)
-        assert len(report.exact) == len(results) == 3
-        for t, (_, nodes, converged) in zip(ts, results):
-            initial = max(512, 8 * math.ceil(t))
-            assert converged and nodes <= (initial << 5) + 1
+        def recording(a, *args, **kwargs):
+            sizes.append(len(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        ts = [0.001, 100.0, 101.37, 148.79081175884915, 10137.0]
+        fl.stationary_phase_check((0.0, 1.0), ts)
+        assert len(sizes) == len(ts)
+        for t, n in zip(ts, sizes):
+            need = 2.0 * math.pi * t + 10.0 * (2.0 * math.pi * t) ** (1.0 / 3.0) + 40.0
+            assert n & (n - 1) == 0 and n >= need and (n == 16 or n // 2 < need)
+
+    def test_circle_budget_guard(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
+            fl.stationary_phase_check((0.0, 1.0), [1e8])
+        assert time.perf_counter() - start < 1.0
+
+
+def simpson_circle_integral(gap, t):
+    """Test oracle: 2 int_0^pi cos(2 pi t gap . omega) sin theta dtheta by
+    Simpson doubling at rel/abs 1e-10, from 8 nodes per phase cycle."""
+    intervals = max(512, 8 * math.ceil(t * math.hypot(*gap)))
+
+    def f(th):
+        return np.cos(2.0 * np.pi * t * (gap[0] * np.cos(th) + gap[1] * np.sin(th))) * np.sin(th)
+
+    value, _, converged = simpson_doubling(
+        f, 0.0, np.pi, initial_intervals=intervals, rel_tol=1e-10,
+        max_intervals=intervals << 8, abs_tol=1e-10,
+    )
+    assert converged
+    return 2.0 * value
+
+
+def circle_integral(gap, t):
+    return fourier._circle_phase_integral(np.asarray(gap, dtype=float), t)
+
+
+class TestCirclePhaseIntegral:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.1, 10.0),
+        st.floats(-2.0, math.log10(2e4)),
+    )
+    @example(1.0, 3.3, math.log10(2e4))
+    def test_matches_simpson_oracle(self, angle, norm, log_x):
+        gap = (norm * math.cos(angle), norm * math.sin(angle))
+        t = 10.0**log_x / norm
+        value = circle_integral(gap, t)
+        assert value.imag == 0.0
+        assert abs(value.real - simpson_circle_integral(gap, t)) <= 3e-10
+
+    @pytest.mark.parametrize("gap", [(1.0, 0.0), (-2.0, 0.0)])
+    def test_horizontal_gaps_match_closed_form(self, gap):
+        # |sin theta_g| = 0: the integral is 4 sin R / R, R = 2 pi t|g|
+        for x in np.geomspace(1e-2, 3e4, 41):
+            r = 2.0 * math.pi * x
+            value = circle_integral(gap, x / math.hypot(*gap))
+            assert abs(value.real - 4.0 * math.sin(r) / r) <= 1e-12
+
+    def test_doubling_the_samples_changes_nothing(self, monkeypatch):
+        # the modes past the sample count are below 1e-17; above t|g| ~ 5e3
+        # the float phases alone differ by ~1e-13 between the two sample sets
+        cases = [
+            ((1.7 * math.cos(math.radians(deg)), 1.7 * math.sin(math.radians(deg))), x / 1.7)
+            for x in (0.01, 0.5, 3.7, 37.3, 150.0, 1024.5)
+            for deg in range(0, 181, 15)
+        ]
+        at_n = [circle_integral(gap, t) for gap, t in cases]
+        samples = fourier._circle_samples
+        monkeypatch.setattr(fourier, "_circle_samples", lambda x: 2 * samples(x))
+        at_2n = [circle_integral(gap, t) for gap, t in cases]
+        assert max(abs(a - b) for a, b in zip(at_n, at_2n)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, math.pi / 2.0),
+        st.floats(0.1, 10.0),
+        st.floats(-2.0, math.log10(2e4)),
+    )
+    def test_reflections_of_the_gap_agree(self, angle, norm, log_x):
+        a, b = norm * math.cos(angle), norm * math.sin(angle)
+        t = 10.0**log_x / norm
+        base = circle_integral((a, b), t)
+        for gap in ((a, -b), (-a, b)):
+            assert abs(circle_integral(gap, t) - base) <= 1e-13
 
 
 class TestAngularDecomposition:
