@@ -24,12 +24,12 @@ Both routes decide the strict window on the same float expression
 
 Smoothed fourth moments replace the sharp window by a Fejer cutoff:
 space side  iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, computed through the gap
-autocorrelation c of q (from D + D - D - D for build_cantor measures, an
-FFT only for other measures with over 4096 sumset entries); Fourier side
-(1/t) int psi_hat(eta/t) |nu_hat(eta)|^4 deta by Simpson over the compact
-transform support, each uniform node grid evaluated by
-GridMeasure.transform_on_grid (one factored phase-table product for measures
-without a spec, the Riesz product otherwise). The two agree by Parseval and
+autocorrelation c of q (from D + D - D - D for build_cantor measures, by an
+FFT for any other); Fourier side (1/t) int psi_hat(eta/t) |nu_hat(eta)|^4
+deta by Simpson over the compact transform support, |nu_hat|^4 taken as
+GridMeasure.power_spectrum squared (the real Riesz product) for build_cantor
+measures and from GridMeasure.transform_on_grid (one factored phase-table
+product per uniform node grid) for any other. The two agree by Parseval and
 are tested against each other.
 """
 from __future__ import annotations
@@ -183,8 +183,8 @@ def additive_energy(nu: GridMeasure, r: float, algorithm: str = "autocorrelation
     excluded. `algorithm` is 'bruteforce' (O(N^4) oracle, atom count capped)
     or 'autocorrelation' (exact convolution + prefix-sum window).
     """
-    if not r > 0:
-        raise ValidationError(f"window r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValidationError(f"window r must be positive and finite, got {r}")
     if algorithm == "bruteforce":
         return _energy_bruteforce(nu, r)
     if algorithm == "autocorrelation":
@@ -239,8 +239,8 @@ def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
         raise ValidationError(f"need at least 3 scales, got {len(rs)}")
     delta = nu.delta
     for r in rs:
-        if not r > 0:
-            raise ValidationError("scales must be positive")
+        if not 0 < r < math.inf:
+            raise ValidationError(f"r_values must be positive and finite, got {r}")
         if r < delta:
             raise ValidationError(f"scale {r} is below the grid resolution {delta}")
     ratios = [rs[i + 1] / rs[i] for i in range(len(rs) - 1)]
@@ -268,9 +268,8 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
 
     A build_cantor measure builds c level by level from the pmf of
     D + D - D - D, exactly as its sumset. Any other measure correlates its
-    sumset: small arrays (L <= 4096) by the direct convolution, large ones
-    by an FFT (the smoothed moments tolerate 1e-12 rounding; the scale-r
-    energy path never touches this)."""
+    sumset by an FFT (the smoothed moments tolerate 1e-12 rounding; the
+    scale-r energy path never touches this)."""
     if nu.spec is not None:
         _check_grid(nu)
         c = _digit_expansion_pmf(nu.spec, (1, 1, -1, -1))
@@ -278,18 +277,15 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
         return c, c.size // 2
     q = sumset_autocorrelation(nu).values
     m = q.size
-    if m <= 4096:
-        c = np.convolve(q, q[::-1])
-    else:
-        size = 1
-        while size < 2 * m - 1:
-            size <<= 1
-        fq = np.fft.rfft(q, size)
-        circ = np.fft.irfft(fq * np.conj(fq), size)
-        c = np.empty(2 * m - 1)
-        c[m - 1 :] = circ[:m]
-        c[: m - 1] = circ[size - (m - 1) :]
-        c = np.maximum((c + c[::-1]) / 2.0, 0.0)
+    size = 1
+    while size < 2 * m - 1:
+        size <<= 1
+    fq = np.fft.rfft(q, size)
+    circ = np.fft.irfft(fq * np.conj(fq), size)
+    c = np.empty(2 * m - 1)
+    c[m - 1 :] = circ[:m]
+    c[: m - 1] = circ[size - (m - 1) :]
+    c = np.maximum((c + c[::-1]) / 2.0, 0.0)
     c.setflags(write=False)
     return c, m - 1
 
@@ -311,6 +307,8 @@ def smoothed_fourth_moment(nu: GridMeasure, t: float, cutoff: CutoffFunction) ->
 def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
     span = cutoff.transform_support * t
     def integrand(eta):
+        if nu.spec is not None:
+            return nu.power_spectrum(eta) ** 2 * cutoff.transform(eta / t)
         step = (eta[-1] - eta[0]) / (eta.size - 1)
         vals = nu.transform_on_grid(eta[0], step, eta.size)
         return (np.abs(vals) ** 4) * cutoff.transform(eta / t)

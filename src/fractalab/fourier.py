@@ -54,8 +54,8 @@ _WEIGHTS = ("none", "sin_theta", "cos_theta")
 def measure_ft(nu: GridMeasure, xi):
     """nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi); |nu_hat| <= 1 = nu_hat(0).
 
-    GridMeasure.transform picks the route: the Riesz product for a measure
-    from build_cantor, the dense sum over atoms for any other.
+    GridMeasure.transform, the dense sum over atoms for every measure; the
+    magnitude consumers read GridMeasure.power_spectrum instead.
     """
     return nu.transform(xi)
 
@@ -232,6 +232,8 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
     a, b = float(interval[0]), float(interval[1])
     if not 1.0 <= t < math.inf:
         raise ValidationError(f"t must be >= 1 and finite, got {t}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"interval must be finite, got {interval}")
 
     def integrand(u):
         return nu.power_spectrum(t * np.asarray(u))
@@ -300,7 +302,7 @@ class StationaryPhaseReport:
     residual_stderr: float | None
 
 
-def stationary_phase_check(gap, t_values, fit_window=FIT_WINDOW) -> StationaryPhaseReport:
+def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     """Compare the oscillatory circle integral with its main term across a
     t sweep and fit the residual decay inside the declared window. The
     circle integral is exact to 1e-12; t|g| past ~2.6e6 raises BudgetError."""
@@ -317,7 +319,7 @@ def stationary_phase_check(gap, t_values, fit_window=FIT_WINDOW) -> StationaryPh
     main = [float(stationary_phase_main_term(g, t)) for t in ts]
     resid = [e - m for e, m in zip(exact, main)]
     xs = [t * norm for t in ts]
-    lo, hi = fit_window
+    lo, hi = FIT_WINDOW
     pts = [(x, abs(r)) for x, r in zip(xs, resid) if lo <= x <= hi and abs(r) > 0]
     slope = stderr = None
     if len(pts) >= 3:
@@ -329,7 +331,7 @@ def stationary_phase_check(gap, t_values, fit_window=FIT_WINDOW) -> StationaryPh
         exact=tuple(exact),
         main=tuple(main),
         residuals=tuple(resid),
-        fit_window=(float(lo), float(hi)),
+        fit_window=FIT_WINDOW,
         residual_slope=slope,
         residual_stderr=stderr,
     )

@@ -154,8 +154,8 @@ def energy_integral(
     """I_s = sum over pairs x != y of w_x w_y |x - y|^(-s); the diagonal is
     excluded by convention (it diverges on atoms otherwise). A grid measure
     is the one-factor case."""
-    if s < 0:
-        raise ValidationError(f"s must be nonnegative, got {s}")
+    if not 0 <= s < math.inf:
+        raise ValidationError(f"s must be nonnegative and finite, got {s}")
     factors = (mu,) if isinstance(mu, GridMeasure) else mu.factors
     total = 0.0
     for _, dist, mass in _gap_cells(factors, pair_budget):
@@ -296,6 +296,8 @@ def coverage_report(dm: DistanceMeasure, widths: Sequence[float]) -> CoverageRep
     if not ws:
         raise ValidationError("need at least one width")
     for w in ws:
+        if not math.isfinite(w):
+            raise ValidationError(f"widths must be finite, got {w}")
         if w < dm.bin_width:
             raise ValidationError(
                 f"width {w} is below the native bin width {dm.bin_width}"

@@ -68,7 +68,8 @@ class GridMeasure:
     """Probability measure on the uniform grid of [0, 1).
 
     ``indices`` are strictly increasing int64 grid indices in
-    [0, base**level); ``weights`` are nonnegative and sum to 1 within 1e-12.
+    [0, base**level); ``weights`` are finite, nonnegative and sum to 1 within
+    1e-12.
     Instances are immutable (arrays are marked read-only) and hash by
     identity, which lets expensive per-measure precomputations be cached.
     ``spec`` is the CantorSpec the atoms were built from; only build_cantor
@@ -100,6 +101,8 @@ class GridMeasure:
             raise ValidationError(
                 f"indices must lie in [0, {grid}) for base {self.base}, level {self.level}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         total = float(np.sum(w))
@@ -152,38 +155,22 @@ class GridMeasure:
     def transform(self, xi) -> np.ndarray | complex:
         """Fourier transform nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi).
 
-        Vectorized over ``xi`` of any shape; a scalar gives a complex. A
-        measure from build_cantor is evaluated as its Riesz product
-        prod_{k=1..level} mean_{d in digits} exp(-2 pi i d base**-k xi), in
-        O(level * |digits|) per frequency; every other measure takes the dense
-        sum over its atoms. Both routes are deterministic (fixed reduction
-        order, no FFT) and agree to 1e-11 while their float phases, rounded
-        to about 1e-15 |xi|, allow it (|xi| up to ~1e4).
+        Vectorized over ``xi`` of any shape; a scalar gives a complex. The
+        exact dense sum over the atoms for every measure, O(atoms) per
+        frequency in a fixed order with no FFT; its float phases round to
+        about 1e-15 |xi|. It is the oracle of power_spectrum and
+        transform_on_grid, not a fast path.
         """
         xi_arr = np.asarray(xi, dtype=float)
         flat = xi_arr.ravel()
-        spec = self.spec
-        if spec is None:
-            freqs = self.positions
-        else:
-            scales = spec.base ** np.arange(1, spec.level + 1)
-            freqs = (np.asarray(spec.digits)[None, :] / scales[:, None]).ravel()
+        x = self.positions
         out = np.empty(flat.shape, dtype=complex)
         # chunked so the phase matrix stays within a few tens of MB
-        chunk = max(1, _CHUNK // max(1, freqs.size))
+        chunk = max(1, _CHUNK // x.size)
         for start in range(0, flat.size, chunk):
             block = flat[start : start + chunk]
-            phases = np.exp((-2j * np.pi) * np.outer(block, freqs))
-            if spec is None:
-                out[start : start + block.size] = phases @ self.weights
-            else:
-                # levels k = 1..level in order, digits summed in spec order;
-                # each level's 1/|digits| is folded into one |digits|**-level
-                sums = phases.reshape(block.size, spec.level, len(spec.digits)).sum(axis=2)
-                value = np.full(block.size, float(len(spec.digits)) ** -spec.level, dtype=complex)
-                for k in range(spec.level):
-                    value *= sums[:, k]
-                out[start : start + block.size] = value
+            phases = np.exp((-2j * np.pi) * np.outer(block, x))
+            out[start : start + block.size] = phases @ self.weights
         if xi_arr.ndim == 0:
             return complex(out[0])
         return out.reshape(xi_arr.shape)
@@ -198,8 +185,8 @@ class GridMeasure:
         level, levels multiplied in order k = 1..level, no FFT. Each level
         factor is clamped at 0 against rounding (a no-op for two digits), so
         the result is never negative. Every other measure returns
-        abs(transform(xi))**2. Oracle: abs(transform)**2 of a spec-less copy,
-        within 2e-11 for |xi| up to 1e4.
+        abs(transform(xi))**2. Oracle: abs(transform)**2, the dense sum over
+        the same atoms, within 2e-11 for |xi| up to 1e4.
         """
         xi_arr = np.asarray(xi, dtype=float)
         spec = self.spec
@@ -222,11 +209,10 @@ class GridMeasure:
     def transform_on_grid(self, start: float, step: float, count: int) -> np.ndarray:
         """nu_hat at the ``count`` frequencies start + k step, k = 0, 1, ...
 
-        A build_cantor measure returns its Riesz product, transform(start +
-        step * arange(count)). Any other measure splits k = m k1 + k0 with
-        0 <= k0 < m ~ sqrt(count) into one complex product of two phase tables,
-        (w_j e(-k1 m step x_j)) @ e(-(start + k0 step) x_j)^T: (count/m + m)
-        * atoms exponentials instead of count * atoms. Tables and product
+        Splits k = m k1 + k0 with 0 <= k0 < m ~ sqrt(count) into one complex
+        product of two phase tables, (w_j e(-k1 m step x_j)) @ e(-(start + k0
+        step) x_j)^T: (count/m + m) * atoms exponentials instead of count *
+        atoms, for every measure. Tables and product
         blocks keep to the dense route's 2**22-entry chunks (m <= 2**22 /
         atoms), in a fixed order, with no FFT. Both tables reduce their phases
         mod 1 exactly, and the rounding gap between the float node start + k
@@ -235,8 +221,6 @@ class GridMeasure:
         float nodes. Oracle: the dense transform at the same nodes, within
         1e-11 for |xi| up to 1e4 (the dense route's own phase rounding).
         """
-        if self.spec is not None:
-            return self.transform(start + step * np.arange(count))
         x, w = self.positions, self.weights
         m = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK // x.size))
         coarse_f = (m * np.arange(-(-count // m))) * step

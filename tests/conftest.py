@@ -18,7 +18,8 @@ def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3
 
 def dense_copy(nu):
     """The same atoms on a spec-less measure, which takes the dense routes
-    (transform sum, np.add.at sumset, convolution/FFT gap correlation)."""
+    (np.add.at sumset, FFT gap correlation, |transform|^2 power spectrum,
+    factored transform_on_grid)."""
     return fl.GridMeasure(base=nu.base, level=nu.level, indices=nu.indices, weights=nu.weights)
 
 

@@ -335,8 +335,8 @@ class TestSmoothedEnergy:
             space, fourier = fl.smoothed_energy(nu, t, cut)
             assert abs(space - fourier) <= 1e-6 * abs(space)
 
-    # sumset lengths 4095 and 8191 sit on either side of the dense route's
-    # 4096-entry direct/FFT switch; the Cantor route has no switch
+    # spec-less measures correlate their sumsets (lengths 4095 and 8191) by
+    # an FFT, build_cantor measures level by level
     @pytest.mark.parametrize(
         "nu",
         [
@@ -345,7 +345,7 @@ class TestSmoothedEnergy:
             fl.build_cantor(fl.CantorSpec(2, (0, 1), 11)),
             fl.build_cantor(fl.CantorSpec(3, (0, 2), 8)),
         ],
-        ids=["dense-direct", "dense-fft", "cantor-2^11", "cantor-3^8"],
+        ids=["fft-2^11", "fft-2^12", "cantor-2^11", "cantor-3^8"],
     )
     def test_half_sum_matches_two_sided_sum(self, nu):
         c, offset = _gap_correlation(nu)
@@ -400,14 +400,29 @@ class TestSmoothedEnergy:
         with pytest.raises(ValidationError):
             fl.smoothed_energy(two_atom_half, 0.5, fl.CutoffFunction("fejer", 1.0))
 
-    @pytest.mark.parametrize("atoms, t", [(512, 4.0), (512, 16.0), (1024, 4.0)])
-    def test_fourier_side_matches_dense_transform_integrand(self, monkeypatch, atoms, t):
-        # the factored grid transform against the dense transform, on the
-        # same interval, start grid and tolerance of the same Simpson rule
-        rng = np.random.default_rng(atoms + int(t))
-        indices = np.sort(rng.choice(3**8, size=atoms, replace=False))
-        weights = rng.random(atoms) + 0.05
-        nu = fl.GridMeasure(3, 8, indices, weights / weights.sum())
+    @pytest.mark.parametrize(
+        "source, t",
+        [
+            (512, 4.0),
+            (512, 16.0),
+            (1024, 4.0),
+            pytest.param(fl.CantorSpec(3, (0, 2), 8), 9.0, id="3:0,2:8-9.0"),
+            pytest.param(fl.CantorSpec(4, (0, 3), 5), 40.0, id="4:0,3:5-40.0"),
+            pytest.param(fl.CantorSpec(5, (0, 1, 4), 6), 2.0, id="5:0,1,4:6-2.0"),
+        ],
+    )
+    def test_fourier_side_matches_dense_transform_integrand(self, monkeypatch, source, t):
+        # the fast integrand (the factored grid transform of a random
+        # measure with `source` atoms, the Riesz power spectrum of a Cantor
+        # measure) against the dense transform, on the same interval, start
+        # grid and tolerance of the same Simpson rule
+        if isinstance(source, fl.CantorSpec):
+            nu = fl.build_cantor(source)
+        else:
+            rng = np.random.default_rng(source + int(t))
+            indices = np.sort(rng.choice(3**8, size=source, replace=False))
+            weights = rng.random(source) + 0.05
+            nu = fl.GridMeasure(3, 8, indices, weights / weights.sum())
         cut = fl.CutoffFunction("fejer", 2.0)
         simpson = energy.simpson_doubling
         runs = []
@@ -482,3 +497,33 @@ class TestDzBeta:
     def test_rejects_alpha_outside_open_interval(self, alpha):
         with pytest.raises(ValidationError):
             fl.dz_beta(alpha, 2.0, 1.0)
+
+
+_MT4 = fl.build_cantor(fl.middle_thirds(4))
+_MT4_SQUARED = fl.build_product([_MT4, _MT4], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: fl.additive_energy(_MT4, math.inf), "window r"),
+        (lambda: fl.additive_energy(_MT4, math.nan), "window r"),
+        (lambda: fl.energy_profile(_MT4, [0.1, 0.2, math.inf], 0.5), "r_values"),
+        (lambda: fl.energy_profile(_MT4, [0.1, math.nan, 0.4], 0.5), "r_values"),
+        (lambda: fl.solid_average(_MT4, 3.0, (math.nan, 1.0)), "interval"),
+        (lambda: fl.solid_average(_MT4, 3.0, (-math.inf, 1.0)), "interval"),
+        (lambda: fl.coverage_report(fl.distance_measure(_MT4_SQUARED, 0.05), [math.nan]), "widths"),
+        (lambda: fl.coverage_report(fl.distance_measure(_MT4_SQUARED, 0.05), [math.inf]), "widths"),
+        (lambda: fl.energy_integral(_MT4_SQUARED, math.nan), "s"),
+        (lambda: fl.energy_integral(_MT4, math.inf), "s"),
+    ],
+    ids=[
+        "additive_energy-inf", "additive_energy-nan", "energy_profile-inf", "energy_profile-nan",
+        "solid_average-nan", "solid_average--inf", "coverage_report-nan", "coverage_report-inf",
+        "energy_integral-nan", "energy_integral-inf",
+    ],
+)
+def test_non_finite_arguments_raise_validation_error(call, name):
+    # each names the offending argument
+    with pytest.raises(ValidationError, match=f"{name} must be .*finite"):
+        call()
