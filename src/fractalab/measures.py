@@ -218,8 +218,9 @@ class GridMeasure:
         mod 1 exactly, and the rounding gap between the float node start + k
         step and coarse + fine enters at first order through a second product
         with weights w_j x_j, so the route keeps ~1e-15 of the exact sum at the
-        float nodes. Oracle: the dense transform at the same nodes, within
-        1e-11 for |xi| up to 1e4 (the dense route's own phase rounding).
+        float nodes. Oracle: the dense sum at the same nodes with its phases
+        reduced mod 1 exactly, within 1e-11 for |xi| up to 1e4; transform,
+        whose phases round to ~1e-15 |xi|, can miss it by more near 1e4.
         """
         x, w = self.positions, self.weights
         m = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK // x.size))

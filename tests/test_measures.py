@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import dense_copy
+from conftest import dense_copy, exact_phase_transform
 from fractalab.errors import ValidationError
 
 
@@ -117,14 +117,13 @@ cap_multiples_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12)
 
 
 class TestRieszTransform:
-    @settings(max_examples=30, deadline=None)
-    @given(small_grid_spec_st, small_grid_spec_st, cap_multiples_st)
-    def test_matches_dense_sum(self, spec_a, spec_b, multiples):
+    @settings(max_examples=60, deadline=None)
+    @given(small_grid_spec_st, cap_multiples_st)
+    def test_matches_dense_sum(self, spec, multiples):
         # transform is the dense sum for every measure: a build_cantor
-        # measure and its spec-less copy give the same bytes, and so do
-        # their products
-        a, b = fl.build_cantor(spec_a), fl.build_cantor(spec_b)
-        cap = 0.1 * spec_a.base**spec_a.level
+        # measure and its spec-less copy give the same bytes
+        a = fl.build_cantor(spec)
+        cap = 0.1 * spec.base**spec.level
         xi = cap * np.array([0.0, -1.0, 1.5, 3.0, *multiples])
         fast = a.transform(xi)
         assert fast.shape == xi.shape
@@ -138,6 +137,12 @@ class TestRieszTransform:
         assert scalar == dense_copy(a).transform(float(xi[-1]))
         assert isinstance(a.transform(np.float64(xi[-1])), complex)
 
+    @settings(max_examples=30, deadline=None)
+    @given(small_grid_spec_st, small_grid_spec_st, cap_multiples_st)
+    def test_product_matches_dense_factors(self, spec_a, spec_b, multiples):
+        # the product of build_cantor factors and of their spec-less copies
+        # give the same bytes
+        a, b = fl.build_cantor(spec_a), fl.build_cantor(spec_b)
         mu = fl.build_product([a, b], [0.5, 0.5])
         oracle = fl.build_product([dense_copy(a), dense_copy(b)], [0.5, 0.5])
         caps = np.array([0.1 * s.base**s.level for s in (spec_a, spec_b)])
@@ -278,7 +283,7 @@ class TestTransformOnGrid:
         step = (last - first) / max(count - 1, 1)
         fast = nu.transform_on_grid(first, step, count)
         assert fast.shape == (count,)
-        oracle = nu.transform(first + step * np.arange(count))
+        oracle = exact_phase_transform(nu, first + step * np.arange(count))
         assert np.max(np.abs(fast - oracle)) <= 1e-11
 
     def test_coarse_table_spanning_several_chunks(self):
@@ -298,6 +303,19 @@ class TestTransformOnGrid:
         k = np.unique(np.concatenate([np.arange(0, count, 211), seam, np.arange(count - 600, count)]))
         oracle = nu.transform(first + step * k)
         assert np.max(np.abs(fast[k] - oracle)) <= 1e-11
+
+    def test_cantor_measures_take_the_riesz_product_unchanged(self):
+        # build_cantor measures take the factored route like any other
+        # measure; on its grid it still gives the dense sum, and its squared
+        # modulus is the real Riesz product power_spectrum
+        for spec in (fl.middle_thirds(8), fl.CantorSpec(5, (0, 2, 4), 6)):
+            nu = fl.build_cantor(spec)
+            for first, step, count in ((0.0, 0.37, 5000), (-800.5, 0.125, 12_801), (3.0, 0.0, 1)):
+                xi = first + step * np.arange(count)
+                fast = nu.transform_on_grid(first, step, count)
+                assert fast.shape == (count,)
+                assert np.max(np.abs(fast - nu.transform(xi))) <= 1e-11
+                assert np.max(np.abs(np.abs(fast) ** 2 - nu.power_spectrum(xi))) <= 2e-11
 
 
 class TestGridMeasureValidation:
