@@ -14,19 +14,15 @@ A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
-Every deterministic quadrature here but one is quadrature.simpson_doubling
-and raises BudgetError when it reaches its node cap before its tolerance:
-solid averages, the angular sectors and the d = 2 circular average. The
-stationary-phase circle integral is one band-limited Fourier sum (one real
-FFT), exact to a declared 1e-12 absolute rounding tolerance, capped at 2**24
-samples; it never refines. The angular-average rule follows from the ambient
-dimension alone (_angular_rule); QuadratureSpec sets only its sizes,
-tolerance and seed. The d = 2 integrands of product measures are invariant
-under theta -> -theta and theta -> pi - theta, so the circular average is
-4 x the Simpson integral on [0, pi/2], where the |sin theta| and
-|cos theta| weights are smooth; node counts still count the full circle.
-d >= 3 uses seeded Monte Carlo over the sphere (the weighted integrand is
-not separable over angles) and reports the standard error.
+Every d = 2 circle integral is one band-limited Fourier sum (_circle_sum:
+one real FFT of equispaced samples of [0, pi), exact to rounding, capped at
+2**24 samples; it never refines): the circular average sigma(t) under each
+weight and the stationary-phase circle integral. The solid averages and the
+angular sectors are quadrature.simpson_doubling, which raises BudgetError
+when it reaches its node cap before its tolerance. The angular-average rule
+follows from the ambient dimension alone (_angular_rule). d >= 3 uses seeded
+Monte Carlo over the sphere (the weighted integrand is not separable over
+angles), sized and seeded by QuadratureSpec, and reports the standard error.
 """
 from __future__ import annotations
 
@@ -89,20 +85,34 @@ def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
     return min(caps) if caps else math.inf
 
 
-def _quadrant_integrand(mu: ProductMeasure, t: float, weight: str):
-    fa, fb = mu.factors
+# ---------------------------------------------------------------------------
+# Circle integrals (d = 2) and spherical averages
+# ---------------------------------------------------------------------------
 
-    def f(thetas: np.ndarray) -> np.ndarray:
-        c = np.cos(thetas)
-        s = np.sin(thetas)
-        vals = fa.power_spectrum(t * c) * fb.power_spectrum(t * s)
-        if weight == "sin_theta":
-            vals = vals * np.abs(s)
-        elif weight == "cos_theta":
-            vals = vals * np.abs(c)
-        return vals
+def _circle_samples(x: float) -> int:
+    """The smallest power of two, at least 16, >= x + 10 x^(1/3) + 40: past
+    that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that shows."""
+    need = x + 10.0 * x ** (1.0 / 3.0) + 40.0
+    if not need <= 1 << 24:  # t|g| above about 2.6e6
+        raise BudgetError(f"circle integral at 2 pi t|gap| = {x:.6g} needs over 2**24 samples; lower t")
+    return max(16, 1 << (math.ceil(need) - 1).bit_length())
 
-    return f
+
+def _circle_sum(f: np.ndarray, weight: str) -> float:
+    """int_0^{2pi} F(theta) w(theta) dtheta from f = F(pi m / n), m = 0..n-1,
+    for F pi-periodic and even with no mode past n/2 that shows: the
+    trapezoid rule gives its modes c_k exactly up to rounding
+    (Trefethen-Weideman 2014), from one real FFT. Weight 'none' gives 2 pi c_0;
+    |sin theta| = 2/pi - (4/pi) sum_k cos(2k theta)/(4k^2 - 1) gives
+    4 c_0 - 8 sum_k c_k/(4k^2 - 1), and |cos theta| the same with (-1)^k."""
+    c = np.fft.rfft(f).real / f.size
+    if weight == "none":
+        return float(2.0 * np.pi * c[0])
+    k = np.arange(1, c.size, dtype=float)
+    coef = 1.0 / (4.0 * k * k - 1.0)
+    if weight == "cos_theta":
+        coef[::2] = -coef[::2]  # odd k
+    return float(4.0 * c[0] - 8.0 * np.dot(c[1:], coef))
 
 
 def _angular_rule(d: int) -> str:
@@ -110,20 +120,18 @@ def _angular_rule(d: int) -> str:
     return "uniform_angle" if d == 2 else "monte_carlo_sphere"
 
 
-def _sigma_uniform_angle(
-    mu: ProductMeasure, t: float, weight: str, spec: QuadratureSpec
-) -> tuple[float, int]:
-    """The full circle as 4 x the Simpson integral on the first quadrant,
-    by symmetry of the product integrand. Returns (value, full-circle node
-    count)."""
-    quadrant, points, converged = simpson_doubling(
-        _quadrant_integrand(mu, t, weight), 0.0, np.pi / 2.0,
-        spec.node_count // 4, spec.rel_tol, spec.max_nodes // 4,
-    )
-    # m + 1 quadrant points stand for 4 m circle nodes
-    nodes = 4 * (points - 1)
-    result = (4.0 * quadrant, nodes, converged)
-    return require_converged(result, "uniform-angle Simpson", spec.rel_tol), nodes
+def _sigma_circle(mu: ProductMeasure, t: float, weight: str) -> tuple[float, int]:
+    """The d = 2 circular average as one band-limited sum. F(theta) =
+    |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 is a sum of
+    cos(2 pi t g . omega) over gap vectors g of the product, so it is
+    pi-periodic, even, symmetric about pi/2 and band-limited at
+    2 pi t hypot(diam_a, diam_b). Returns (value, full-circle node count)."""
+    fa, fb = mu.factors
+    n = _circle_samples(2.0 * np.pi * t * math.hypot(fa.diameter, fb.diameter))
+    half = np.pi * np.arange(n // 2 + 1) / n
+    f = fa.power_spectrum(t * np.cos(half)) * fb.power_spectrum(t * np.sin(half))
+    # F(pi - theta) = F(theta): [0, pi/2] mirrored gives the n samples of [0, pi)
+    return _circle_sum(np.concatenate((f, f[-2:0:-1])), weight), 2 * n
 
 
 def _sigma_monte_carlo(
@@ -155,9 +163,11 @@ def spherical_average_detailed(
     Weight 'sin_theta' multiplies by |sin theta| (d = 2) or by the distance
     of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3);
     'cos_theta' (d = 2 only) is the complementary weight used by the
-    axis-exchange symmetry checks. Returns (value, node_count, stderr);
-    stderr is 0 for deterministic rules, which raise BudgetError when they
-    reach quadrature.max_nodes before quadrature.rel_tol.
+    axis-exchange symmetry checks. Returns (value, node_count, stderr).
+    d = 2 is the exact band-limited sum of _sigma_circle: node_count is 2n
+    for its n samples of [0, pi), stderr is 0, quadrature is unused, and a
+    t that would need over 2**24 samples raises BudgetError. d >= 3 draws
+    quadrature.node_count seeded Monte Carlo samples.
     """
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
@@ -170,7 +180,7 @@ def spherical_average_detailed(
             "(0.1/delta over the coarsest factor); deepen the level", cap
         )
     if _angular_rule(mu.dimension) == "uniform_angle":
-        value, nodes = _sigma_uniform_angle(mu, t, weight, quadrature)
+        value, nodes = _sigma_circle(mu, t, weight)
         return value, nodes, 0.0
     if weight == "cos_theta":
         raise ValidationError("cos_theta weight is defined for d = 2 only")
@@ -247,23 +257,11 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
 # Stationary phase on the circle
 # ---------------------------------------------------------------------------
 
-def _circle_samples(x: float) -> int:
-    """The smallest power of two, at least 16, >= x + 10 x^(1/3) + 40: past
-    that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that shows."""
-    need = x + 10.0 * x ** (1.0 / 3.0) + 40.0
-    if not need <= 1 << 24:  # t|g| above about 2.6e6
-        raise BudgetError(f"circle integral at 2 pi t|gap| = {x:.6g} needs over 2**24 samples; lower t")
-    return max(16, 1 << (math.ceil(need) - 1).bit_length())
-
-
 def _circle_phase_integral(gap: np.ndarray, t: float) -> complex:
     """int_0^{2pi} exp(2 pi i t (gap . omega)) |sin theta| dtheta, within
-    1e-12 absolute (the imaginary part is 0). F = cos(2 pi t gap . omega) is
-    pi-periodic and band-limited at x = 2 pi t|gap|, so the trapezoid rule on
-    _circle_samples(x) points of [0, pi) gives its modes c_k exactly up to
-    rounding (Trefethen-Weideman 2014), and |sin theta| = 2/pi - (4/pi)
-    sum_k cos(2k theta)/(4k^2 - 1) makes the integral 4 c_0 - 8 sum_k
-    c_k/(4k^2 - 1)."""
+    1e-12 absolute (the imaginary part is 0): _circle_sum of
+    F = cos(2 pi t gap . omega), which is pi-periodic and band-limited at
+    x = 2 pi t|gap|, on _circle_samples(x) points of [0, pi)."""
     x = 2.0 * np.pi * t * float(np.hypot(gap[0], gap[1]))
     n = _circle_samples(x)
     # [0, pi/2] mirrored: half the trigonometry, and reflected gaps permute the samples
@@ -271,9 +269,8 @@ def _circle_phase_integral(gap: np.ndarray, t: float) -> complex:
     cos_h, sin_h = np.cos(half), np.sin(half)
     cos_t = np.concatenate((cos_h, -cos_h[-2:0:-1]))
     sin_t = np.concatenate((sin_h, sin_h[-2:0:-1]))
-    c = np.fft.rfft(np.cos(2.0 * np.pi * t * (gap[0] * cos_t + gap[1] * sin_t))).real / n
-    k = np.arange(1, c.size, dtype=float)
-    return complex(4.0 * c[0] - 8.0 * np.dot(c[1:], 1.0 / (4.0 * k * k - 1.0)))
+    f = np.cos(2.0 * np.pi * t * (gap[0] * cos_t + gap[1] * sin_t))
+    return complex(_circle_sum(f, "sin_theta"))
 
 
 def stationary_phase_main_term(gap, t):
@@ -399,7 +396,10 @@ def angular_decomposition(
         raise ValidationError(
             "cutoff transform must be positive on [-1, 1]: use a scale > 1"
         )
-    f = _quadrant_integrand(mu, t, "none")
+    fa, fb = mu.factors
+
+    def f(thetas: np.ndarray) -> np.ndarray:
+        return fa.power_spectrum(t * np.cos(thetas)) * fb.power_spectrum(t * np.sin(thetas))
 
     def sector(a: float, b: float) -> float:
         initial = max(32, 2 * int(4.0 * t * (b - a)))
@@ -410,7 +410,6 @@ def angular_decomposition(
     near_half_pi = sector(np.pi / 2.0 - eps, np.pi / 2.0)
     middle = sector(eps, np.pi / 2.0 - eps)
 
-    fa, fb = mu.factors
     moment_a = smoothed_fourth_moment(fa, t, cutoff)
     # A x A products (the paper's case) share one factor object
     moment_b = moment_a if fb is fa else smoothed_fourth_moment(fb, t, cutoff)

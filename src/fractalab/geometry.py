@@ -119,8 +119,8 @@ def distance_measure(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> DistanceMeasure:
     """Exhaustive pairwise distance histogram with bin width h."""
-    if not h > 0:
-        raise ValidationError(f"bin width must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValidationError(f"bin width must be positive and finite, got {h}")
     if weighted and mu.dimension != 2:
         raise ValidationError("the weighted distance measure is defined for d = 2")
     # a factor's diameter is its largest gap, by the cells' own expression
@@ -171,12 +171,14 @@ def energy_integral(
 @dataclass(frozen=True)
 class MattilaQuadrature:
     """t-integral and angular controls for the truncated Mattila integral;
-    initial_t_nodes, t_rel_tol and max_t_nodes apply to each log-t panel."""
+    initial_t_nodes, t_rel_tol and max_t_nodes apply to each log-t panel,
+    and angular sizes the Monte Carlo sigma of d >= 3 (d = 2 takes the exact
+    circle sum)."""
 
     initial_t_nodes: int = 65
     t_rel_tol: float = 1e-7
     max_t_nodes: int = 1 << 15
-    angular: QuadratureSpec = QuadratureSpec(node_count=64, rel_tol=3e-7)
+    angular: QuadratureSpec = QuadratureSpec()
 
 
 @dataclass(frozen=True, eq=False)

@@ -364,11 +364,15 @@ def check_regularity(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+    if not math.isfinite(cap):
+        raise ValidationError(f"cap must be finite, got {cap}")
     scales = tuple(float(r) for r in scales)
     if len(scales) == 0:
         raise ValidationError("need at least one scale")
     delta = nu.delta
     for r in scales:
+        if not math.isfinite(r):
+            raise ValidationError(f"scales must be finite, got {r}")
         if r < delta:
             raise ValidationError(
                 f"scale {r} is below the grid resolution {delta}; regularity is "
@@ -405,6 +409,8 @@ def frostman_fit(nu: GridMeasure, scales: Iterable[float]) -> tuple[float, float
     scales = [float(r) for r in scales]
     if len(scales) < 3:
         raise ValidationError(f"need at least 3 scales, got {len(scales)}")
+    if not all(0.0 < r < math.inf for r in scales):
+        raise ValidationError(f"scales must be positive and finite, got {scales}")
     centers = nu.positions
     masses = [float(nu.ball_mass(centers, r).max()) for r in scales]
     fit = loglog_fit(scales, masses)

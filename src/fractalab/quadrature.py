@@ -5,8 +5,9 @@
 |new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every refining
 quadrature of the package is composite Simpson (`simpson_doubling`), the
 Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
-only this module drives `converge` (the stationary-phase circle integral
-is an exact band-limited sum). `simpson_cumulative` gives the running
+only this module drives `converge` (every d = 2 circle integral, the
+circular average and the stationary-phase integral, is an exact
+band-limited sum and never refines). `simpson_cumulative` gives the running
 integral on a converged grid. Non-convergence is never silent: a bare-number
 result goes through `require_converged`, which raises BudgetError (CLI exit
 3) naming the rule, the tolerance and the cap; a report carries the flag
@@ -26,24 +27,17 @@ from .errors import BudgetError, ValidationError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to evaluate an angular average; the rule itself follows from the
-    ambient dimension (uniform angle for d = 2, Monte Carlo for d >= 3).
-
-    node_count is the initial grid size (uniform angle) or the sample count
-    (Monte Carlo). The seed is mandatory whenever Monte Carlo is used.
-    rel_tol and max_nodes bound the uniform-angle refinement.
+    """The Monte Carlo sphere average of ambient dimension d >= 3: node_count
+    samples from a generator seeded by seed, which is mandatory there. The
+    d = 2 circular average is an exact band-limited sum and reads neither.
     """
 
     node_count: int = 64
     seed: int | None = None
-    rel_tol: float = 1e-6
-    max_nodes: int = 1 << 21
 
     def __post_init__(self):
         if self.node_count < 4:
             raise ValidationError("node_count must be at least 4")
-        if not self.rel_tol > 0:
-            raise ValidationError("rel_tol must be positive")
 
 
 def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):

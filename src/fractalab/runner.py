@@ -258,8 +258,7 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
     ts = _default_t_sweep(config, cap, mu.factors[0].base)
-    quad = QuadratureSpec(node_count=64 if mu.dimension == 2 else config.mc_nodes,
-                          seed=config.seed)
+    quad = QuadratureSpec(node_count=config.mc_nodes, seed=config.seed)
     series = spherical_average_series(mu, ts, config.weight, quad)
     rows = [
         (t, v, series.weight, n, se)
@@ -370,13 +369,7 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
     T = config.truncation if config.truncation is not None else min(100.0, cap)
-    quad = MattilaQuadrature(
-        angular=QuadratureSpec(
-            node_count=64 if mu.dimension == 2 else config.mc_nodes,
-            seed=config.seed,
-            rel_tol=3e-7,
-        )
-    )
+    quad = MattilaQuadrature(angular=QuadratureSpec(node_count=config.mc_nodes, seed=config.seed))
     est = mattila_truncated(mu, T, config.mattila_weighted, quad)
     rows = list(zip(est.t_values, est.sigma, est.integrand, est.partial_values))
     _write_csv(

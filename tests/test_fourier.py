@@ -64,6 +64,54 @@ class TestProductFt:
             fl.product_ft(mu, (1.0, 2.0, 3.0))
 
 
+def simpson_sigma(mu, t, weight):
+    """Test oracle: the d = 2 circular average as 4 x the Simpson integral
+    of the weighted product integrand on the first quadrant, where the
+    |sin theta| and |cos theta| weights are smooth, doubling to rel_tol
+    1e-10 from 8 intervals per phase cycle."""
+    fa, fb = mu.factors
+
+    def f(th):
+        c, s = np.cos(th), np.sin(th)
+        vals = fa.power_spectrum(t * c) * fb.power_spectrum(t * s)
+        if weight == "sin_theta":
+            vals = vals * np.abs(s)
+        elif weight == "cos_theta":
+            vals = vals * np.abs(c)
+        return vals
+
+    intervals = max(64, 8 * math.ceil(t * math.hypot(fa.diameter, fb.diameter)))
+    value, _, converged = simpson_doubling(
+        f, 0.0, np.pi / 2.0, initial_intervals=intervals, rel_tol=1e-10,
+        max_intervals=intervals << 10,
+    )
+    assert converged
+    return 4.0 * value
+
+
+# d = 2 factors: Cantor measures on grids of at most 5**5 points, and
+# spec-less measures of at most 12 atoms, whose power spectrum is the dense sum
+circle_factor_st = st.one_of(
+    st.integers(2, 5).flatmap(
+        lambda base: st.builds(
+            fl.CantorSpec,
+            st.just(base),
+            st.sets(st.integers(0, base - 1), min_size=1).map(lambda s: tuple(sorted(s))),
+            st.integers(0, 5),
+        )
+    ).map(fl.build_cantor),
+    st.integers(0, 2**31 - 1).map(
+        lambda seed: random_grid_measure(np.random.default_rng(seed), max_atoms=12, max_level=6)
+    ),
+)
+CIRCLE_CASES = [
+    (fl.CantorSpec(3, (0, 2), 8), 81.0),
+    (fl.CantorSpec(4, (0, 3), 6), 300.0),
+    (fl.CantorSpec(5, (0, 1, 4), 4), 40.0),
+    (fl.CantorSpec(2, (0,), 0), 7.0),
+]
+
+
 class TestSphericalAverage:
     def test_point_product_unweighted_is_circumference(self):
         pm = fl.point_mass()
@@ -80,27 +128,30 @@ class TestSphericalAverage:
         nu = fl.build_cantor(fl.middle_thirds(6))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         value = fl.spherical_average(mu, 27.0)
-        dense = fl.spherical_average(
-            mu, 27.0, "none",
-            fl.QuadratureSpec(node_count=1 << 16, rel_tol=1e-14, max_nodes=1 << 17),
-        )
+        dense = simpson_sigma(mu, 27.0, "none")
         assert abs(value - dense) <= 1e-6 * dense
 
-    def test_doubling_node_count_is_stable(self):
-        nu = fl.build_cantor(fl.middle_thirds(6))
-        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        v1, n1, _ = fl.spherical_average_detailed(mu, 27.0, "sin_theta")
-        v2, _, _ = fl.spherical_average_detailed(
-            mu, 27.0, "sin_theta", fl.QuadratureSpec(node_count=2 * n1)
-        )
-        assert abs(v1 - v2) <= 2e-6 * abs(v2)
+    def test_doubling_node_count_is_stable(self, monkeypatch):
+        # the circle sum's modes past n/2 are below 1e-17: 2n samples give
+        # the same value to rounding, on twice the nodes
+        cases = [(fl.middle_thirds(6), 27.0, "sin_theta")] + [
+            (spec, t, weight)
+            for spec, t in CIRCLE_CASES
+            for weight in ("none", "sin_theta", "cos_theta")
+        ]
+        mus = [fl.build_product([fl.build_cantor(spec)] * 2, [0.5, 0.5]) for spec, _, _ in cases]
+        at_n = [fl.spherical_average_detailed(mu, t, w) for mu, (_, t, w) in zip(mus, cases)]
+        samples = fourier._circle_samples
+        monkeypatch.setattr(fourier, "_circle_samples", lambda x: 2 * samples(x))
+        at_2n = [fl.spherical_average_detailed(mu, t, w) for mu, (_, t, w) in zip(mus, cases)]
+        for (v1, n1, _), (v2, n2, _) in zip(at_n, at_2n):
+            assert n2 == 2 * n1
+            assert abs(v1 - v2) <= 1e-13 * abs(v2)
 
     @pytest.mark.parametrize("t", [1.0, 3.3, 17.25, 60.0])
     def test_weighted_two_atom_closed_form(self, two_atom_line, t):
         mu, sigma_w = two_atom_line
-        value, _, _ = fl.spherical_average_detailed(
-            mu, t, "sin_theta", fl.QuadratureSpec(rel_tol=1e-10)
-        )
+        value, _, _ = fl.spherical_average_detailed(mu, t, "sin_theta")
         assert abs(value - sigma_w(t)) <= 1e-9
 
     def test_validity_cap_refusal_names_cap(self):
@@ -155,6 +206,58 @@ class TestSphericalAverage:
         assert series.fitted_decay < 0.0
         assert len(series.values) == 4
         assert series.quadrature_kind == "uniform_angle"
+
+
+class TestCircularAverageRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(circle_factor_st, circle_factor_st, st.floats(0.0, 1.0),
+           st.sampled_from(["none", "sin_theta", "cos_theta"]))
+    def test_matches_simpson_oracle(self, a, b, fraction, weight):
+        mu = fl.build_product([a, b], [0.5, 0.5])
+        t = fraction * min(fl.validity_cap(mu), 300.0)
+        value = fl.spherical_average(mu, t, weight)
+        oracle = simpson_sigma(mu, t, weight)
+        assert abs(value - oracle) <= 1e-9 * oracle
+
+    def test_one_rfft_of_the_band_limit_sample_count(self, monkeypatch):
+        sizes = []
+        rfft = np.fft.rfft
+
+        def recording(a, *args, **kwargs):
+            sizes.append(len(a))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        # a second factor of another diameter, with validity cap 409.6
+        b = fl.GridMeasure(base=2, level=12, indices=np.array([0, 1000]), weights=np.array([0.5, 0.5]))
+        for spec, t in CIRCLE_CASES:
+            a = fl.build_cantor(spec)
+            mu = fl.build_product([a, b], [0.5, 0.5])
+            for weight in ("none", "sin_theta", "cos_theta"):
+                sizes.clear()
+                _, nodes, _ = fl.spherical_average_detailed(mu, t, weight)
+                n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
+                assert sizes == [n]
+                assert nodes == 2 * n
+
+    def test_no_simpson_on_the_circle(self, monkeypatch):
+        # sigma on d = 2 products takes the band-limited sum, alone or inside
+        # the Mattila integral (whose t integral is Simpson in geometry)
+        calls = []
+        simpson = fourier.simpson_doubling
+
+        def recording(*args, **kwargs):
+            calls.append(args[1:3])
+            return simpson(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, "simpson_doubling", recording)
+        nu = fl.build_cantor(fl.middle_thirds(5))
+        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
+        for weight in ("none", "sin_theta", "cos_theta"):
+            fl.spherical_average_series(mu, [2.0, 6.0, 18.0], weight)
+        for weighted in (False, True):
+            fl.mattila_truncated(mu, 20.0, weighted)
+        assert calls == []
 
 
 class TestSolidAverage:

@@ -88,6 +88,13 @@ class TestDistanceMeasure:
         with pytest.raises(ValidationError, match="bin width"):
             fl.distance_measure(mu, 0.0)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_rejects_non_finite_bin_width(self, h):
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
+        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
+        with pytest.raises(ValidationError, match="bin width must be positive and finite"):
+            fl.distance_measure(mu, h)
+
 
 def brute_force_pairs(mu, h: float, s: float) -> dict:
     """Every ordered pair of atoms, binned by the library's expression:
@@ -255,10 +262,7 @@ class TestMattila:
     def test_value_nondecreasing_in_truncation(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        quad = fl.MattilaQuadrature(
-            t_rel_tol=1e-4, max_t_nodes=300,
-            angular=fl.QuadratureSpec(node_count=64, rel_tol=1e-5),
-        )
+        quad = fl.MattilaQuadrature(t_rel_tol=1e-4, max_t_nodes=300)
         v = [
             fl.mattila_truncated(mu, T, weighted=True, quadrature=quad).value
             for T in (4.0, 8.0, 16.0)
@@ -268,10 +272,7 @@ class TestMattila:
     def test_middle_thirds_diagnostics(self):
         nu = fl.build_cantor(fl.middle_thirds(6))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        quad = fl.MattilaQuadrature(
-            initial_t_nodes=33, max_t_nodes=300,
-            angular=fl.QuadratureSpec(node_count=64, rel_tol=1e-5),
-        )
+        quad = fl.MattilaQuadrature(initial_t_nodes=33, max_t_nodes=300)
         est = fl.mattila_truncated(mu, 3.0**3, weighted=True, quadrature=quad)
         # s = 2 alpha < 4/3: no convergence asserted, diagnostics only
         assert est.value > 0.0

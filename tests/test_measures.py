@@ -422,6 +422,14 @@ class TestRegularity:
         with pytest.raises(ValidationError, match="below the grid resolution"):
             fl.check_regularity(middle_thirds_8, 0.6, [3.0**-9], cap=4.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_or_cap_rejected(self, bad):
+        nu = fl.build_cantor(fl.middle_thirds(4))
+        with pytest.raises(ValidationError, match="scales must be finite"):
+            fl.check_regularity(nu, 0.5, [0.1, bad], 10.0)
+        with pytest.raises(ValidationError, match="cap must be finite"):
+            fl.check_regularity(nu, 0.5, [0.1, 0.3], bad)
+
     def test_c_nu_at_least_one(self):
         rng = np.random.default_rng(7)
         from conftest import random_grid_measure
@@ -470,6 +478,12 @@ class TestFrostmanFit:
     def test_needs_three_scales(self, middle_thirds_8):
         with pytest.raises(ValidationError, match="3 scales"):
             fl.frostman_fit(middle_thirds_8, [1.0 / 3.0, 1.0 / 9.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scales_rejected(self, bad):
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
+        with pytest.raises(ValidationError, match="scales must be positive and finite"):
+            fl.frostman_fit(nu, [0.1, 0.2, bad])
 
     def test_degenerate_scales_rejected(self, middle_thirds_8):
         with pytest.raises(ValidationError):

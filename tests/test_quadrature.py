@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -150,16 +151,21 @@ class TestNonConvergenceRaises:
         nodes = int(re.search(r"\((\d+) nodes\)", str(info.value)).group(1))
         assert nodes <= (1 << 22) + 1
 
-    def test_spherical_average_with_tiny_node_cap(self):
-        nu = fl.build_cantor(fl.middle_thirds(6))
-        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        spec = fl.QuadratureSpec(node_count=16, max_nodes=32)
-        with pytest.raises(BudgetError, match=r"uniform-angle Simpson .*\(32 nodes\)"):
-            fl.spherical_average_detailed(mu, 27.0, "sin_theta", spec)
+    def test_spherical_average_past_the_sample_cap(self):
+        # atoms 0 and 1/2 on the 2**30 grid (validity cap ~1.07e8): at t = 1e7
+        # the circle sum needs 2 pi t hypot(1/2, 0) ~ 3.1e7 > 2**24 samples
+        two = fl.GridMeasure(base=2, level=30, indices=np.array([0, 1 << 29]),
+                             weights=np.array([0.5, 0.5]))
+        mu = fl.build_product([two, fl.point_mass()], [0.0, 0.0])
+        assert fl.validity_cap(mu) > 1e8
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
+            fl.spherical_average_detailed(mu, 1e7, "sin_theta")
+        assert time.perf_counter() - start < 1.0
 
     def test_spherical_average_converged_under_a_cap(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        value, nodes, _ = fl.spherical_average_detailed(mu, 5.0, "none", fl.QuadratureSpec(max_nodes=128))
+        value, nodes, _ = fl.spherical_average_detailed(mu, 5.0, "none")
         assert value == pytest.approx(2.0 * np.pi, rel=1e-12)
-        assert nodes == 128
+        assert nodes == 128 == 2 * fourier._circle_samples(0.0)
