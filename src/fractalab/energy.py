@@ -13,10 +13,10 @@ Two routes compute it:
   the work is O(N^4).
 * autocorrelation: the quadruple integral factors through the sumset
   distribution q = nu * nu on the integer index grid, and E(r) is a sliding
-  window sum of q against one prefix sum of q, O(M) per scale. q is exact
-  up to product rounding (no transform, fixed order): level by level from
-  the digit pmf of D + D for a build_cantor measure, by np.add.at over the
-  atom pairs for any other.
+  window sum of q against one prefix sum of q, O(M) per scale, in blocks of
+  _BLOCK entries. q is exact up to product rounding (no transform, fixed
+  order): level by level from the digit pmf of D + D for a build_cantor
+  measure, by np.add.at over atom pairs in _BLOCK-pair row chunks otherwise.
 
 Both routes decide the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
@@ -48,6 +48,7 @@ from .quadrature import require_converged, simpson_doubling
 
 BRUTEFORCE_ATOM_LIMIT = 200
 _MAX_GRID = 1 << 24  # dense sumset arrays beyond this are refused
+_BLOCK = 1 << 15  # entries per streamed block: 256 KiB of floats, well inside L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +111,9 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     """Exact discrete self-convolution q(s) = sum_{i+j=s} w_i w_j.
 
     A build_cantor measure builds q level by level from the pmf of D + D;
-    any other measure scatter-adds its ordered atom pairs in index order.
-    Neither route uses transform arithmetic, so repeated runs are bitwise
-    identical.
+    any other measure scatter-adds its ordered atom pairs in index order,
+    max(1, _BLOCK // n) rows at a time so every temporary stays in cache.
+    Neither route uses transform arithmetic: repeated runs are bitwise equal.
     """
     _check_grid(nu)
     if nu.spec is not None:
@@ -122,7 +123,7 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     idx = nu.indices
     w = nu.weights
     n = idx.size
-    chunk = max(1, (1 << 22) // n)
+    chunk = max(1, _BLOCK // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         sums = (idx[start:stop, None] + idx[None, :]).ravel()
@@ -141,16 +142,26 @@ def _strict_window_gap(delta: float, r: float, max_gap: int) -> int:
 
 def _energy_from_sumset(q: np.ndarray, delta: float, rs) -> list[float]:
     """E(r) = sum_s q(s) q([s - k, s + k]) for each r, with k its strict
-    window gap; every window is two slices of one prefix sum of q."""
+    window gap. Blocks of the window cum[min(s + k + 1, m)] - cum[max(s - k, 0)]
+    of one prefix sum fill one reused buffer; block sums (np.sum, not BLAS,
+    so no thread count changes the order) are added in order."""
     m = q.size
     cum = np.concatenate(([0.0], np.cumsum(q)))
+    buf = np.empty(min(m, _BLOCK))
     energies = []
     for r in rs:
         k = _strict_window_gap(delta, r, m - 1)
-        window = np.full(m, cum[m])
-        window[: m - k] = cum[k + 1 :]
-        window[k:] -= cum[: m - k]
-        energies.append(min(float(np.sum(q * window)), 1.0))
+        total = 0.0
+        for start in range(0, m, _BLOCK):
+            stop = min(start + _BLOCK, m)
+            window = buf[: stop - start]
+            top = min(max(m - k, start), stop)  # s < top: s + k + 1 <= m
+            window[: top - start] = cum[start + k + 1 : top + k + 1]
+            window[top - start :] = cum[m]
+            low = min(max(k, start), stop)  # s >= low: s - k >= 0
+            window[low - start :] -= cum[low - k : stop - k]
+            total += float(np.sum(np.multiply(q[start:stop], window, out=window)))
+        energies.append(min(total, 1.0))
     return energies
 
 

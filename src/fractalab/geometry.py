@@ -10,8 +10,9 @@ rationals whenever the inputs are rational.
 Pair functionals sum over the product of the factors' folded gap pmfs, never
 over pairs of product atoms. Every route and oracle bins a pair the same way:
 c_j = |gap index| * delta_j on each axis, then sqrt(sum_j c_j**2), then / h,
-floored (left-closed bins). pair_budget bounds two counts, each checked before
-the work it bounds: every factor's atom pairs N_j**2, then the gap cells.
+floored (left-closed bins), in chunks of >= _BLOCK cells. pair_budget bounds three
+counts, each checked before the work or memory it bounds: distance_measure's
+bins int(max distance / h) + 2, every factor's atom pairs N_j**2, the gap cells.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import dz_beta
+from .energy import _BLOCK, dz_beta
 from .errors import BudgetError, ValidationError, ValidityCapError
 from .fitting import loglog_fit
 from .fourier import spherical_average_detailed, validity_cap
@@ -46,9 +47,10 @@ def product_atoms(mu: ProductMeasure) -> tuple[np.ndarray, np.ndarray]:
     return positions, weights.ravel()
 
 
-def _check_budget(what: str, count: int, pair_budget: int) -> None:
+def _check_budget(what: str, count: int, pair_budget: int,
+                  remedy: str = "coarsen the factor levels") -> None:
     if count > pair_budget:
-        raise BudgetError(f"{what}, over the budget {pair_budget:.3g}; coarsen the factor levels")
+        raise BudgetError(f"{what}, over the budget {pair_budget:.3g}; {remedy}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,16 +99,15 @@ def _gap_pmf(nu: GridMeasure, pair_budget: int) -> tuple[np.ndarray, np.ndarray]
     return gaps * nu.delta, masses
 
 
-def _gap_cells(factors: Sequence[GridMeasure], pair_budget: int):
-    """Chunks of about 2**21 cells of the product of the factors' gap pmfs:
+def _gap_cells(factors: Sequence[GridMeasure], pair_budget: int, block: int = _BLOCK):
+    """Chunks of `block` cells of the product of the factors' gap pmfs:
     per-axis coordinates, distances sqrt(sum_j c_j**2) and cell masses."""
     pmfs = [_gap_pmf(f, pair_budget) for f in factors]
     shape = tuple(gaps.size for gaps, _ in pmfs)
     cells = math.prod(shape)
     _check_budget(f"the per-axis gap pmfs give {cells:.3g} cells", cells, pair_budget)
-    chunk = 1 << 21
-    for start in range(0, cells, chunk):
-        ids = np.unravel_index(np.arange(start, min(start + chunk, cells)), shape)
+    for start in range(0, cells, block):
+        ids = np.unravel_index(np.arange(start, min(start + block, cells)), shape)
         coords = [gaps[i] for (gaps, _), i in zip(pmfs, ids)]
         mass = math.prod(masses[i] for (_, masses), i in zip(pmfs, ids))
         yield coords, np.sqrt(sum(c * c for c in coords)), mass
@@ -125,9 +126,13 @@ def distance_measure(
         raise ValidationError("the weighted distance measure is defined for d = 2")
     # a factor's diameter is its largest gap, by the cells' own expression
     max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
-    acc = np.zeros(int(max_dist / h) + 2)
+    bins = int(min(max_dist / h, pair_budget)) + 2  # min first: a subnormal h gives inf
+    _check_budget(f"bin width {h:g} gives {max_dist / h + 2:.3g} bins", bins, pair_budget,
+                  "widen the bin width")
+    acc = np.zeros(bins)
     diagonal = 0.0
-    for coords, dist, mass in _gap_cells(mu.factors, pair_budget):
+    # chunks of at least the bin count keep each bincount's cost within its cells
+    for coords, dist, mass in _gap_cells(mu.factors, pair_budget, max(_BLOCK, acc.size)):
         if weighted:
             mass = mass * np.divide(coords[1], dist, out=np.zeros_like(dist), where=dist > 0.0)
         diagonal += float(np.sum(mass[dist == 0.0]))  # zero once weighted

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import time
 from dataclasses import fields
 
 import pytest
@@ -263,6 +264,18 @@ class TestCli:
         )
         assert code == 3
         assert "budget error" in capsys.readouterr().err
+
+    def test_distance_bins_over_budget_exit_three(self, tmp_path, capsys):
+        # 1.36e9 bins at h = 1e-9 (a 10.1 GiB histogram), over the default 4e8
+        start = time.perf_counter()
+        code = cli_main(
+            ["distance", "--factor", "3:0,2:3", "--factor", "3:0,2:3", "--bin-width", "1e-9",
+             "--output", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "budget error" in err and "widen the bin width" in err and "Traceback" not in err
 
     def test_stationary_over_the_circle_cap_exits_three(self, tmp_path, capsys):
         code = cli_main(

@@ -30,6 +30,29 @@ def sumset_oracle(nu):
     return out
 
 
+def sumset_scatter_oracle(nu):
+    """One np.add.at over every ordered atom pair, in row-major order."""
+    q = np.zeros(2 * nu.grid_size - 1)
+    idx, w = nu.indices, nu.weights
+    np.add.at(q, (idx[:, None] + idx[None, :]).ravel(), (w[:, None] * w[None, :]).ravel())
+    return q
+
+
+def explicit_window_energy(q, delta, rs):
+    """E(r) from one full-length window per radius and one np.sum over all
+    of q: the unblocked form of the streamed window sum."""
+    m = q.size
+    cum = np.concatenate(([0.0], np.cumsum(q)))
+    energies = []
+    for r in rs:
+        k = energy._strict_window_gap(delta, r, m - 1)
+        window = np.full(m, cum[m])
+        window[: m - k] = cum[k + 1 :]
+        window[k:] -= cum[: m - k]
+        energies.append(min(float(np.sum(q * window)), 1.0))
+    return energies
+
+
 class TestSumset:
     def test_binomial(self, two_atom_half):
         q = fl.sumset_autocorrelation(two_atom_half)
@@ -55,6 +78,25 @@ class TestSumset:
         q = fl.sumset_autocorrelation(nu)
         assert abs(q.total_mass - 1.0) <= 1e-12
         assert np.all(q.values >= 0.0)
+
+    @pytest.mark.parametrize(
+        "block, atoms",
+        [
+            (None, 1000),  # 32 rows a chunk, the last chunk 8 rows
+            (None, 4096),  # 8 rows a chunk, n divides the block
+            (64, 5),  # 12 rows a chunk, n does not divide the block
+            (64, 100),  # n above the block: one row a chunk
+        ],
+    )
+    def test_blocked_scatter_is_one_scatter(self, monkeypatch, block, atoms):
+        if block is not None:
+            monkeypatch.setattr(energy, "_BLOCK", block)
+        rng = np.random.default_rng(atoms)
+        indices = np.sort(rng.choice(3**9, size=atoms, replace=False))
+        weights = rng.random(atoms) + 0.05
+        nu = fl.GridMeasure(base=3, level=9, indices=indices, weights=weights / weights.sum())
+        q = fl.sumset_autocorrelation(nu).values
+        assert q.tobytes() == sumset_scatter_oracle(nu).tobytes()
 
 
 # The dense oracle scatter-adds N**2 atom pairs and correlates a sumset of
@@ -145,6 +187,36 @@ class TestCantorRoute:
             fl.smoothed_fourth_moment(nu, 4.0, cut)
         with pytest.raises(BudgetError, match="sumset grid"):
             fl.sumset_autocorrelation(nu)
+
+
+class TestWindowBlocks:
+    """The streamed window sum against the explicit-window oracle, on q
+    shorter than a block, a whole number of blocks, and one entry more."""
+
+    @staticmethod
+    def _q(source, m):
+        if source == "random":
+            q = np.random.default_rng(m).random(m)
+        else:
+            q = energy._digit_expansion_pmf(fl.CantorSpec(3, (0, 2), 9), (1, 1))[:m]
+            q = np.pad(q, (0, m - q.size))
+        return q / q.sum()
+
+    @pytest.mark.parametrize("source", ["random", "cantor"])
+    @pytest.mark.parametrize(
+        "m", [1, 1001, energy._BLOCK - 1, 2 * energy._BLOCK, 2 * energy._BLOCK + 1]
+    )
+    def test_matches_explicit_windows(self, source, m):
+        q = self._q(source, m)
+        delta = 3.0**-9
+        # k = 0, a few interior gaps, and k = m - 1 (r past the sumset diameter)
+        rs = [delta / 2.0, 2.5 * delta, 777.0 * delta, m * delta / 3.0, 2.0 * m * delta]
+        got = energy._energy_from_sumset(q, delta, rs)
+        expected = explicit_window_energy(q, delta, rs)
+        ks = [energy._strict_window_gap(delta, r, m - 1) for r in rs]
+        assert ks[0] == 0 and ks[-1] == m - 1
+        for g, e in zip(got, expected):
+            assert abs(g - e) <= 1e-14 * e
 
 
 class TestAdditiveEnergy:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
+from fractalab import geometry
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
@@ -135,7 +137,27 @@ def _cantor_product(base: int, digits: tuple[int, ...], level: int, d: int = 2):
     return fl.build_product([nu] * d, [nu.dimension_hint] * d)
 
 
+def _fixed_atoms_product(seed: int, d: int, atoms: int, level: int):
+    """d random factors of `atoms` atoms each on the 3**level grid."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(d):
+        indices = np.sort(rng.choice(3**level, size=atoms, replace=False))
+        weights = rng.random(atoms) + 0.05
+        weights /= weights.sum()
+        factors.append(fl.GridMeasure(base=3, level=level, indices=indices, weights=weights))
+    return fl.build_product(factors, [1.0] * d)
+
+
+# gap-cell counts 388 * 385 = 149,380 and 56 * 55 * 52 = 160,160: several
+# cell blocks, the last one partial (checked in test_block_products_span_several_blocks)
+BLOCK_PRODUCTS = {
+    "random d=2 30 atoms on 3^7 (cell blocks)": lambda: _fixed_atoms_product(0, 2, 30, 7),
+    "random d=3 11 atoms on 3^6 (cell blocks)": lambda: _fixed_atoms_product(0, 3, 11, 6),
+}
+
 ORACLE_PRODUCTS = {
+    **BLOCK_PRODUCTS,
     **{f"random d=2 seed {k}": (lambda k=k: _random_product(k, 2, 24)) for k in range(8)},
     **{f"random d=3 seed {k}": (lambda k=k: _random_product(100 + k, 3, 7)) for k in range(8)},
     "3:0,2:4 x 5:0,2,4:3": lambda: fl.build_product(
@@ -203,6 +225,13 @@ class TestGapRouteOracle:
         assert abs(dm.diagonal_mass - oracle["diagonal"]) <= 1e-12
         assert fl.energy_integral(nu, 0.8) == pytest.approx(oracle["energy"], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("name", sorted(BLOCK_PRODUCTS))
+    def test_block_products_span_several_blocks(self, name):
+        mu = BLOCK_PRODUCTS[name]()
+        budget = geometry.DEFAULT_PAIR_BUDGET
+        cells = math.prod(geometry._gap_pmf(f, budget)[0].size for f in mu.factors)
+        assert cells > 4 * geometry._BLOCK and cells % geometry._BLOCK != 0
+
     def test_budget_bounds_axis_pairs_then_cells(self):
         # 3:0,2:6 has 64 atoms (4096 axis pairs) and 365 folded gaps per axis
         mu = _cantor_product(3, (0, 2), 6)
@@ -211,6 +240,20 @@ class TestGapRouteOracle:
         with pytest.raises(BudgetError, match="1.33e\\+05 cells.*coarsen"):
             fl.energy_integral(mu, 0.5, pair_budget=365**2 - 1)
         assert fl.distance_measure(mu, 0.01, pair_budget=365**2).total_mass == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("h", [1e-9, 5e-324])
+    def test_budget_bounds_bins_before_allocation(self, h):
+        # 3:0,2:3^2 at h = 1e-9 would be a 10.1 GiB histogram; a subnormal h gives inf bins
+        mu = _cantor_product(3, (0, 2), 3)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="bins, over the budget 4e\\+08; widen the bin width"):
+            fl.distance_measure(mu, h)
+        assert time.perf_counter() - start < 1.0
+        max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
+        bins = int(max_dist / 1e-3) + 2
+        assert fl.distance_measure(mu, 1e-3, pair_budget=bins).masses.size == bins
+        with pytest.raises(BudgetError, match="widen the bin width"):
+            fl.distance_measure(mu, 1e-3, pair_budget=bins - 1)
 
 
 class TestEnergyIntegral:
