@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ValidationError(f"interval: empty interval {self.interval}")
         if self.mc_nodes < 4:
             raise ValidationError(f"mc_nodes: must be >= 4, got {self.mc_nodes}")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed: must be >= 0, got {self.seed}")
         for x in self.dims:
             try:
                 Fraction(str(x))

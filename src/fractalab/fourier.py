@@ -23,6 +23,9 @@ when it reaches its node cap before its tolerance. The angular-average rule
 follows from the ambient dimension alone (_angular_rule). d >= 3 uses seeded
 Monte Carlo over the sphere (the weighted integrand is not separable over
 angles), sized and seeded by QuadratureSpec, and reports the standard error.
+sigma is evaluated on arrays of t (_sigma_many: one t, a sweep, or a Mattila
+refinement's nodes) in row blocks of at most energy._BLOCK samples, one real
+FFT per block on d = 2; the d >= 3 sphere sample is drawn once per call.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import CutoffFunction
-from .energy import smoothed_fourth_moment
+from .energy import _BLOCK, smoothed_fourth_moment
 from .errors import BudgetError, ValidationError, ValidityCapError
 from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
@@ -85,6 +88,14 @@ def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
     return min(caps) if caps else math.inf
 
 
+def require_under_cap(mu: ProductMeasure | GridMeasure, x: float, what: str) -> None:
+    """ValidityCapError naming `what` when frequency x passes validity_cap."""
+    cap = validity_cap(mu)
+    if x > cap:
+        raise ValidityCapError(f"{what} exceeds the discretization validity cap {cap:.6g} "
+                               "(0.1/delta over the coarsest factor); deepen the level", cap)
+
+
 # ---------------------------------------------------------------------------
 # Circle integrals (d = 2) and spherical averages
 # ---------------------------------------------------------------------------
@@ -98,21 +109,22 @@ def _circle_samples(x: float) -> int:
     return max(16, 1 << (math.ceil(need) - 1).bit_length())
 
 
-def _circle_sum(f: np.ndarray, weight: str) -> float:
+def _circle_sum(f: np.ndarray, weight: str) -> np.ndarray:
     """int_0^{2pi} F(theta) w(theta) dtheta from f = F(pi m / n), m = 0..n-1,
-    for F pi-periodic and even with no mode past n/2 that shows: the
-    trapezoid rule gives its modes c_k exactly up to rounding
-    (Trefethen-Weideman 2014), from one real FFT. Weight 'none' gives 2 pi c_0;
-    |sin theta| = 2/pi - (4/pi) sum_k cos(2k theta)/(4k^2 - 1) gives
-    4 c_0 - 8 sum_k c_k/(4k^2 - 1), and |cos theta| the same with (-1)^k."""
-    c = np.fft.rfft(f).real / f.size
+    along the last axis, for F pi-periodic and even with no mode past n/2
+    that shows: the trapezoid rule gives its modes c_k exactly up to rounding
+    (Trefethen-Weideman 2014), from one real FFT. Weight 'none' gives
+    2 pi c_0; |sin theta| = 2/pi - (4/pi) sum_k cos(2k theta)/(4k^2 - 1)
+    gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1), and |cos theta| the same with
+    (-1)^k: one dot per row (a stack of 1 x k by k x 1 products)."""
+    c = np.fft.rfft(f).real / f.shape[-1]
     if weight == "none":
-        return float(2.0 * np.pi * c[0])
-    k = np.arange(1, c.size, dtype=float)
+        return 2.0 * np.pi * c[..., 0]
+    k = np.arange(1, c.shape[-1], dtype=float)
     coef = 1.0 / (4.0 * k * k - 1.0)
     if weight == "cos_theta":
         coef[::2] = -coef[::2]  # odd k
-    return float(4.0 * c[0] - 8.0 * np.dot(c[1:], coef))
+    return 4.0 * c[..., 0] - 8.0 * (c[..., None, 1:] @ coef[:, None])[..., 0, 0]
 
 
 def _angular_rule(d: int) -> str:
@@ -120,36 +132,66 @@ def _angular_rule(d: int) -> str:
     return "uniform_angle" if d == 2 else "monte_carlo_sphere"
 
 
-def _sigma_circle(mu: ProductMeasure, t: float, weight: str) -> tuple[float, int]:
-    """The d = 2 circular average as one band-limited sum. F(theta) =
-    |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 is a sum of
-    cos(2 pi t g . omega) over gap vectors g of the product, so it is
-    pi-periodic, even, symmetric about pi/2 and band-limited at
-    2 pi t hypot(diam_a, diam_b). Returns (value, full-circle node count)."""
-    fa, fb = mu.factors
-    n = _circle_samples(2.0 * np.pi * t * math.hypot(fa.diameter, fb.diameter))
-    half = np.pi * np.arange(n // 2 + 1) / n
-    f = fa.power_spectrum(t * np.cos(half)) * fb.power_spectrum(t * np.sin(half))
-    # F(pi - theta) = F(theta): [0, pi/2] mirrored gives the n samples of [0, pi)
-    return _circle_sum(np.concatenate((f, f[-2:0:-1])), weight), 2 * n
+def _spectrum_rows(nu: GridMeasure, xi: np.ndarray) -> np.ndarray:
+    """nu.power_spectrum of each row of the 2-D xi. A spec-less factor's
+    BLAS chunks round a one-frequency chunk differently, so their ends must
+    not move with the block: its rows go one call each."""
+    if nu.spec is not None:
+        return nu.power_spectrum(xi)
+    return np.array([nu.power_spectrum(row) for row in xi])
 
 
-def _sigma_monte_carlo(
-    mu: ProductMeasure, t: float, weight: str, spec: QuadratureSpec
-) -> tuple[float, int, float]:
-    if spec.seed is None:
+def _sigma_many(
+    mu: ProductMeasure, ts, weight: str, quadrature: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_w at every t of ts, checked before any is evaluated: (values,
+    node counts, stderrs), each t's value the same to the bit in any batch.
+    d = 2: F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 is
+    a sum of cos(2 pi t g . omega) over gap vectors g, so it is pi-periodic,
+    even, symmetric about pi/2 and band-limited at 2 pi t hypot(diam_a,
+    diam_b); the t sharing a sample count n go in blocks, one _circle_sum per
+    block, on 2n nodes with stderr 0. d >= 3: one seeded sphere sample
+    serves every t; the value is its mean, with the standard error."""
+    if weight not in _WEIGHTS:
+        raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
+    t = np.array(ts, dtype=float, ndmin=1)
+    finite = (t >= 0.0) & (t < math.inf)
+    if not finite.all():
+        raise ValidationError(f"t must be nonnegative and finite, got {t[~finite][0]}")
+    if t.size:
+        require_under_cap(mu, t.max(), f"t={t.max()}")
+    values, stderrs = np.empty(t.size), np.zeros(t.size)
+    if _angular_rule(mu.dimension) == "uniform_angle":
+        fa, fb = mu.factors
+        diam = math.hypot(fa.diameter, fb.diameter)
+        counts = np.array([_circle_samples(2.0 * np.pi * x * diam) for x in t.tolist()], dtype=int)
+        for n in np.unique(counts).tolist():
+            half = np.pi * np.arange(n // 2 + 1) / n
+            group, rows = np.flatnonzero(counts == n), max(1, _BLOCK // (n // 2 + 1))
+            for idx in np.split(group, range(rows, group.size, rows)):
+                tr = t[idx, None]
+                f = _spectrum_rows(fa, tr * np.cos(half)) * _spectrum_rows(fb, tr * np.sin(half))
+                # F(pi - theta) = F(theta): [0, pi/2] mirrored gives the n samples of [0, pi)
+                values[idx] = _circle_sum(np.concatenate((f, f[:, -2:0:-1]), axis=1), weight)
+        return values, 2 * counts, stderrs
+    if weight == "cos_theta":
+        raise ValidationError("cos_theta weight is defined for d = 2 only")
+    if quadrature.seed is None:
         raise ValidationError("Monte Carlo sphere quadrature requires a seed")
-    d = mu.dimension
-    omega = sample_sphere(d, spec.node_count, spec.seed)
-    vals = np.ones(spec.node_count)
-    for j, factor in enumerate(mu.factors):
-        vals *= factor.power_spectrum(t * omega[:, j])
-    if weight == "sin_theta":
-        vals *= np.abs(omega[:, -1])
-    area = sphere_surface_area(d)
-    value = area * float(np.mean(vals))
-    stderr = area * float(np.std(vals, ddof=1)) / math.sqrt(spec.node_count)
-    return value, spec.node_count, stderr
+    count = quadrature.node_count
+    omega = sample_sphere(mu.dimension, count, quadrature.seed)
+    area = sphere_surface_area(mu.dimension)
+    rows = max(1, _BLOCK // count)
+    for idx in np.split(np.arange(t.size), range(rows, t.size, rows)):
+        tr = t[idx, None]
+        vals = np.ones((idx.size, count))
+        for j, factor in enumerate(mu.factors):
+            vals *= _spectrum_rows(factor, tr * omega[:, j])
+        if weight == "sin_theta":
+            vals *= np.abs(omega[:, -1])
+        values[idx] = area * np.mean(vals, axis=1)
+        stderrs[idx] = area * np.std(vals, axis=1, ddof=1) / math.sqrt(count)
+    return values, np.full(t.size, count), stderrs
 
 
 def spherical_average_detailed(
@@ -163,28 +205,14 @@ def spherical_average_detailed(
     Weight 'sin_theta' multiplies by |sin theta| (d = 2) or by the distance
     of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3);
     'cos_theta' (d = 2 only) is the complementary weight used by the
-    axis-exchange symmetry checks. Returns (value, node_count, stderr).
-    d = 2 is the exact band-limited sum of _sigma_circle: node_count is 2n
-    for its n samples of [0, pi), stderr is 0, quadrature is unused, and a
-    t that would need over 2**24 samples raises BudgetError. d >= 3 draws
-    quadrature.node_count seeded Monte Carlo samples.
+    axis-exchange symmetry checks. Returns (value, node_count, stderr) of
+    _sigma_many on the one t. d = 2 is the exact band-limited sum: 2n nodes
+    for n samples of [0, pi), stderr 0, quadrature unused; past 2**24
+    samples it raises BudgetError. d >= 3 draws quadrature.node_count seeded
+    Monte Carlo samples.
     """
-    if weight not in _WEIGHTS:
-        raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"t must be nonnegative and finite, got {t}")
-    cap = validity_cap(mu)
-    if t > cap:
-        raise ValidityCapError(
-            f"t={t} exceeds the discretization validity cap {cap:.6g} "
-            "(0.1/delta over the coarsest factor); deepen the level", cap
-        )
-    if _angular_rule(mu.dimension) == "uniform_angle":
-        value, nodes = _sigma_circle(mu, t, weight)
-        return value, nodes, 0.0
-    if weight == "cos_theta":
-        raise ValidationError("cos_theta weight is defined for d = 2 only")
-    return _sigma_monte_carlo(mu, t, weight, quadrature)
+    values, nodes, stderrs = _sigma_many(mu, [t], weight, quadrature)
+    return float(values[0]), int(nodes[0]), float(stderrs[0])
 
 
 def spherical_average(
@@ -221,16 +249,15 @@ def spherical_average_series(
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValidationError("need at least 3 t values for a decay fit")
-    rows = [spherical_average_detailed(mu, t, weight, quadrature) for t in ts]
-    values = [r[0] for r in rows]
+    values, nodes, stderrs = (a.tolist() for a in _sigma_many(mu, ts, weight, quadrature))
     fit = loglog_fit(ts, values)
     return SphericalAverageSeries(
         t_values=tuple(ts),
         values=tuple(values),
         weight=weight,
         quadrature_kind=_angular_rule(mu.dimension),
-        node_counts=tuple(r[1] for r in rows),
-        stderrs=tuple(r[2] for r in rows),
+        node_counts=tuple(nodes),
+        stderrs=tuple(stderrs),
         seed=quadrature.seed,
         fitted_decay=fit.slope,
         fit_stderr=fit.stderr,
@@ -379,11 +406,7 @@ def angular_decomposition(
         raise ValidationError(f"gamma0 must lie in (0, 1/2), got {gamma0}")
     if t < 1.0:
         raise ValidationError(f"t must be >= 1, got {t}")
-    cap = validity_cap(mu)
-    if t > cap:
-        raise ValidityCapError(
-            f"t={t} exceeds the discretization validity cap {cap:.6g}", cap
-        )
+    require_under_cap(mu, t, f"t={t}")
     eps = t ** (-gamma0)
     if not eps < np.pi / 4:
         t_min = (4.0 / np.pi) ** (1.0 / gamma0)

@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .energy import _BLOCK, dz_beta
-from .errors import BudgetError, ValidationError, ValidityCapError
+from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
-from .fourier import spherical_average_detailed, validity_cap
+from .fourier import _sigma_many, require_under_cap
 from .measures import GridMeasure, ProductMeasure
 from .quadrature import QuadratureSpec, simpson_cumulative, simpson_doubling
 
@@ -176,14 +176,22 @@ def energy_integral(
 @dataclass(frozen=True)
 class MattilaQuadrature:
     """t-integral and angular controls for the truncated Mattila integral;
-    initial_t_nodes, t_rel_tol and max_t_nodes apply to each log-t panel,
-    and angular sizes the Monte Carlo sigma of d >= 3 (d = 2 takes the exact
-    circle sum)."""
+    initial_t_nodes (>= 3), t_rel_tol (positive, finite) and max_t_nodes
+    (>= initial_t_nodes) apply to each log-t panel, and angular sizes the
+    Monte Carlo sigma of d >= 3 (d = 2 takes the exact circle sum), whose
+    sphere sample is drawn once per refinement."""
 
     initial_t_nodes: int = 65
     t_rel_tol: float = 1e-7
     max_t_nodes: int = 1 << 15
     angular: QuadratureSpec = QuadratureSpec()
+
+    def __post_init__(self):
+        if not 0.0 < self.t_rel_tol < math.inf:
+            raise ValidationError(f"t_rel_tol must be positive and finite, got {self.t_rel_tol}")
+        if not 3 <= self.initial_t_nodes <= self.max_t_nodes:
+            raise ValidationError("need 3 <= initial_t_nodes <= max_t_nodes, got "
+                                  f"{self.initial_t_nodes} and {self.max_t_nodes}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,24 +231,20 @@ def mattila_truncated(
     sigma_w(t) comes from the circular/spherical average. In tau = log t the
     integrand is sigma(e^tau)^2 e^(d tau), one simpson_doubling call per
     panel [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1 dropped), so
-    the doubling ratios are exact ratios of cumulative panel sums.
+    the doubling ratios are exact ratios of cumulative panel sums. Each
+    refinement's new nodes are one array of t for fourier._sigma_many (row
+    blocks, one real FFT each on d = 2), which gives each t its value alone.
     """
     T = float(truncation)
     if not 1.0 < T < math.inf:
         raise ValidationError(f"truncation must be > 1 and finite, got {T}")
-    cap = validity_cap(mu)
-    if T > cap:
-        raise ValidityCapError(
-            f"truncation {T} exceeds the discretization validity cap {cap:.6g}", cap
-        )
+    require_under_cap(mu, T, f"truncation {T}")
     d = mu.dimension
     weight = "sin_theta" if weighted else "none"
     evaluated: list[tuple[np.ndarray, np.ndarray]] = []  # (tau, sigma) per call
 
     def integrand_in_tau(tau: np.ndarray) -> np.ndarray:
-        sig = np.array([
-            spherical_average_detailed(mu, t, weight, quadrature.angular)[0] for t in np.exp(tau)
-        ])
+        sig = _sigma_many(mu, np.exp(tau), weight, quadrature.angular)[0]
         evaluated.append((tau, sig))
         return sig**2 * np.exp(d * tau)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import pairwise
+from numbers import Integral
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .errors import BudgetError, ValidationError
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The Monte Carlo sphere average of ambient dimension d >= 3: node_count
-    samples from a generator seeded by seed, which is mandatory there. The
+    (an integer >= 4) samples, drawn once per array of t, from a generator
+    seeded by seed (a nonnegative integer), which is mandatory there. The
     d = 2 circular average is an exact band-limited sum and reads neither.
     """
 
@@ -36,8 +38,10 @@ class QuadratureSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.node_count < 4:
-            raise ValidationError("node_count must be at least 4")
+        if not (isinstance(self.node_count, Integral) and self.node_count >= 4):
+            raise ValidationError(f"node_count must be an integer >= 4, got {self.node_count!r}")
+        if self.seed is not None and not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
 
 
 def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):

@@ -257,6 +257,15 @@ class TestCli:
         assert code == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["spherical", "mattila"])
+    def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys, kind):
+        code = cli_main([kind, *["--factor", "3:0,2:3"] * 3, "--sweep", "1:2.5:3",
+                         "--mc-nodes", "100", "--seed", "-1", "--output", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "validation error: seed: must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_budget_error_exits_three(self, tmp_path, capsys):
         # ((3**10 + 1) / 2)**2 ~ 8.7e8 folded gap cells, over the default 4e8
         code = cli_main(

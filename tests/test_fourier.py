@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
 from conftest import random_grid_measure
-from fractalab import fourier
-from fractalab.quadrature import simpson_doubling
+from fractalab import fourier, measures
+from fractalab.quadrature import sample_sphere, simpson_doubling, sphere_surface_area
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
@@ -224,7 +224,7 @@ class TestCircularAverageRoute:
         rfft = np.fft.rfft
 
         def recording(a, *args, **kwargs):
-            sizes.append(len(a))
+            sizes.append(a.shape[-1])  # the sample count of each row
             return rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", recording)
@@ -258,6 +258,168 @@ class TestCircularAverageRoute:
         for weighted in (False, True):
             fl.mattila_truncated(mu, 20.0, weighted)
         assert calls == []
+
+
+def spec_less_measure(seed, atoms, base, level):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(atoms) + 0.05
+    return fl.GridMeasure(base=base, level=level, weights=weights / weights.sum(),
+                          indices=np.sort(rng.choice(base**level, size=atoms, replace=False)))
+
+
+# a Cantor factor and a spec-less one of 40 atoms, whose power spectrum is a
+# dense sum through BLAS; each is paired with itself
+BATCH_FACTORS = {
+    "cantor 3:0,2:6": lambda: fl.build_cantor(fl.CantorSpec(3, (0, 2), 6)),
+    "spec-less 40 atoms": lambda: spec_less_measure(77, 40, 3, 6),
+}
+
+
+def batch_ts(mu, per_count=17):
+    """per_count values of t for each of mu's three smallest circle sample
+    counts (64, 128 and 256), shuffled."""
+    a, b = mu.factors
+    diam = math.hypot(a.diameter, b.diameter)
+    by_count = {}
+    for t in np.linspace(0.0, 200.0, 2001) / (2.0 * math.pi * diam):
+        by_count.setdefault(fourier._circle_samples(2.0 * math.pi * t * diam), []).append(t)
+    ts = [t for n in (64, 128, 256) for t in by_count[n][:: len(by_count[n]) // per_count][:per_count]]
+    return np.random.default_rng(5).permutation(ts)
+
+
+class TestSigmaBatch:
+    @pytest.mark.parametrize("weight", ["none", "sin_theta", "cos_theta"])
+    @pytest.mark.parametrize("factor", BATCH_FACTORS.values(), ids=BATCH_FACTORS.keys())
+    def test_a_t_is_bitwise_the_same_alone_and_in_blocks(self, monkeypatch, factor, weight):
+        nu = factor()
+        mu = fl.build_product([nu, nu], [0.5, 0.5])
+        ts = batch_ts(mu)
+        a, b = mu.factors
+        counts = [fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
+                  for t in ts]
+        assert len(set(counts)) == 3
+        spec = fl.QuadratureSpec()
+        alone = [fourier._sigma_many(mu, [t], weight, spec)[0][0] for t in ts]
+        rows = []
+        rfft = np.fft.rfft
+
+        def recording(x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        for size in (2, 3, 4, 5, 17):
+            rows.clear()
+            for n in set(counts):  # consecutive t of one count: one block of `size` rows
+                group = [t for t, c in zip(ts, counts) if c == n]
+                for start in range(0, len(group), size):
+                    chunk = group[start : start + size]
+                    values, nodes, stderrs = fourier._sigma_many(mu, chunk, weight, spec)
+                    want = [alone[list(ts).index(t)] for t in chunk]
+                    assert values.tobytes() == np.array(want).tobytes()
+                    assert list(nodes) == [2 * n] * len(chunk) and not stderrs.any()
+            assert max(rows) == size
+        values, _, _ = fourier._sigma_many(mu, ts, weight, spec)  # all 51 at once
+        assert values.tobytes() == np.array(alone).tobytes()
+        assert sorted(rows[-3:]) == [17, 17, 17]
+
+    def test_spec_less_chunk_ends_do_not_move_with_the_block(self):
+        # transform takes _CHUNK // atoms = 32 frequencies per BLAS product:
+        # alone, a t's 33 samples end in a one-frequency chunk, which numpy
+        # rounds as a dot; in a block of two that sample is inside a product
+        rng = np.random.default_rng(1)
+        atoms = measures._CHUNK // 32
+        weights = rng.random(atoms) + 0.05
+        wide = fl.GridMeasure(base=2, level=18, weights=weights / weights.sum(),
+                              indices=np.sort(rng.choice(2**18, atoms, replace=False)))
+        mu = fl.build_product([wide, fl.point_mass()], [0.5, 0.0])
+        ts, spec = [0.11, 0.23], fl.QuadratureSpec()
+        alone = [fourier._sigma_many(mu, [t], "sin_theta", spec) for t in ts]
+        assert [nodes[0] for _, nodes, _ in alone] == [128, 128]  # 64 samples, 33 in [0, pi/2]
+        values, _, _ = fourier._sigma_many(mu, ts, "sin_theta", spec)
+        assert values.tolist() == [v[0] for v, _, _ in alone]
+
+    def test_blocks_keep_to_the_row_bound(self, monkeypatch):
+        shapes = []
+        rfft = np.fft.rfft
+
+        def recording(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 6))
+        mu = fl.build_product([nu, nu], [0.5, 0.5])
+        # 2500 t of 64 samples span three blocks of 32768 // 33 = 992 rows
+        ts = np.concatenate((np.linspace(0.0, 0.6, 2500), batch_ts(mu)))
+        values, nodes, _ = fourier._sigma_many(mu, ts, "sin_theta", fl.QuadratureSpec())
+        for rows, n in shapes:
+            assert rows <= max(1, fourier._BLOCK // (n // 2 + 1))
+        per_count = {n: sum(r for r, m in shapes if m == n) for _, n in shapes}
+        assert per_count == {n: int(np.sum(nodes == 2 * n)) for n in per_count}
+        assert [n for _, n in shapes].count(64) == 3
+        alone = [fl.spherical_average(mu, t, "sin_theta") for t in ts[::97]]
+        assert values[::97].tolist() == alone
+
+    def test_over_budget_t_raises_before_any_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append("rfft"))
+        spectrum = fl.GridMeasure.power_spectrum
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum",
+                            lambda self, xi: calls.append("spectrum") or spectrum(self, xi))
+        # diameter ~ 1, validity cap 0.1 * 2**30 ~ 1.07e8: t = 1e7 is under
+        # the cap but needs ~8.9e7 > 2**24 circle samples
+        wide = fl.GridMeasure(base=2, level=30, indices=np.array([0, 2**30 - 1]),
+                              weights=np.array([0.5, 0.5]))
+        mu = fl.build_product([wide, wide], [0.0, 0.0])
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
+            fourier._sigma_many(mu, [1.0, 2.0, 1e7, 3.0], "none", fl.QuadratureSpec())
+        assert calls == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_bad_t_is_named(self):
+        nu = fl.build_cantor(fl.middle_thirds(4))
+        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
+        spec = fl.QuadratureSpec()
+        with pytest.raises(ValidationError, match="nonnegative and finite, got -1.0"):
+            fourier._sigma_many(mu, [1.0, 1e9, -1.0, math.nan], "none", spec)
+        with pytest.raises(ValidityCapError, match="t=2000000000.0 exceeds") as err:
+            fourier._sigma_many(mu, [1.0, 1e9, 2e9, 3.0], "none", spec)
+        assert err.value.cap == pytest.approx(8.1)
+
+    @pytest.mark.parametrize("weight", ["none", "sin_theta"])
+    def test_d3_matches_the_per_t_loop_with_one_sphere_sample(self, monkeypatch, weight):
+        a = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
+        b = spec_less_measure(8, 9, 3, 4)
+        mu = fl.build_product([a, b, a], [0.5] * 3)
+        spec = fl.QuadratureSpec(node_count=500, seed=21)
+        ts = np.linspace(0.0, 5.0, 150)
+        # the per-t loop: one seeded draw per t, its mean and standard error
+        area = sphere_surface_area(3)
+        want_v, want_se = [], []
+        for t in ts:
+            omega = sample_sphere(3, 500, 21)
+            vals = np.ones(500)
+            for j, factor in enumerate(mu.factors):
+                vals *= factor.power_spectrum(t * omega[:, j])
+            if weight == "sin_theta":
+                vals *= np.abs(omega[:, -1])
+            want_v.append(area * float(np.mean(vals)))
+            want_se.append(area * float(np.std(vals, ddof=1)) / math.sqrt(500))
+        draws, sizes = [], []
+        sample = fourier.sample_sphere
+        monkeypatch.setattr(fourier, "sample_sphere", lambda *args: draws.append(args) or sample(*args))
+        spectrum = fl.GridMeasure.power_spectrum
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum",
+                            lambda self, xi: sizes.append(np.size(xi)) or spectrum(self, xi))
+        values, nodes, stderrs = fourier._sigma_many(mu, ts, weight, spec)
+        assert draws == [(3, 500, 21)]
+        assert values.tolist() == want_v and stderrs.tolist() == want_se
+        assert nodes.tolist() == [500] * ts.size
+        # 32768 // 500 = 65 rows per block, 150 t in three: each Cantor factor
+        # takes the two full blocks whole, the spec-less one row by row
+        assert max(sizes) == 65 * 500 and sizes.count(65 * 500) == 4
 
 
 class TestSolidAverage:

@@ -393,6 +393,60 @@ class TestMattila:
         assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-4)
 
 
+class TestMattilaBatches:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "factors, T",
+        [
+            (lambda: [fl.build_cantor(fl.middle_thirds(4))] * 2, 8.0),
+            (lambda: [fl.GridMeasure(base=3, level=4, indices=np.array([0, 5, 17, 40, 80]),
+                                     weights=np.full(5, 0.2))] * 2, 8.0),
+            (lambda: [fl.build_cantor(fl.middle_thirds(3))] * 3, 2.5),
+        ],
+        ids=["3:0,2:4^2", "spec-less^2", "3:0,2:3^3"],
+    )
+    def test_each_refinement_is_one_batch_of_the_per_t_values(self, monkeypatch, factors, T, weighted):
+        mu = fl.build_product(factors(), [0.5] * len(factors()))
+        quad = fl.MattilaQuadrature(
+            t_rel_tol=1e-6, max_t_nodes=600, angular=fl.QuadratureSpec(node_count=300, seed=5)
+        )
+        batches = []
+        many = geometry._sigma_many
+
+        def recording(mu, ts, weight, spec):
+            batches.append(len(ts))
+            return many(mu, ts, weight, spec)
+
+        monkeypatch.setattr(geometry, "_sigma_many", recording)
+        est = fl.mattila_truncated(mu, T, weighted, quad)
+        panels = 1 + sum(c > 1.0 for c in (T / 8.0, T / 4.0, T / 2.0))
+        # per panel, Simpson's coarse trapezoid grid, then one batch of
+        # midpoints per doubling
+        assert batches[0] == quad.initial_t_nodes // 2 + 1
+        assert sum(batches) == est.t_nodes + panels - 1  # shared panel ends twice
+        assert len(batches) < est.t_nodes / 8
+        weight = "sin_theta" if weighted else "none"
+        alone = [fl.spherical_average_detailed(mu, t, weight, quad.angular)[0] for t in est.t_values]
+        assert est.sigma.tolist() == alone
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"t_rel_tol": math.nan}, "t_rel_tol"),
+            ({"t_rel_tol": -1e-7}, "t_rel_tol"),
+            ({"t_rel_tol": 0.0}, "t_rel_tol"),
+            ({"t_rel_tol": math.inf}, "t_rel_tol"),
+            ({"initial_t_nodes": 2}, "3 <= initial_t_nodes"),
+            ({"initial_t_nodes": 65, "max_t_nodes": 64}, "<= max_t_nodes, got 65 and 64"),
+        ],
+        ids=["nan", "negative", "zero", "inf", "two-nodes", "cap-below-start"],
+    )
+    def test_quadrature_controls_are_validated(self, options, message):
+        with pytest.raises(ValidationError, match=message):
+            fl.MattilaQuadrature(**options)
+        fl.MattilaQuadrature(initial_t_nodes=3, max_t_nodes=3, t_rel_tol=1e-3)
+
+
 class TestCoverage:
     def test_point_mass_single_bin(self):
         pm = fl.point_mass()

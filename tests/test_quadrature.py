@@ -7,7 +7,7 @@ import pytest
 
 import fractalab as fl
 from fractalab import fourier
-from fractalab.errors import BudgetError
+from fractalab.errors import BudgetError, ValidationError
 from fractalab.quadrature import (
     converge,
     require_converged,
@@ -129,6 +129,26 @@ class TestRules:
         assert require_converged((1.25, 33, True), "some rule", 1e-7) == 1.25
         with pytest.raises(BudgetError, match=r"some rule .*rel_tol 1e-07.*\(33 nodes\)"):
             require_converged((1.25, 33, False), "some rule", 1e-7)
+
+
+class TestQuadratureSpec:
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"node_count": 64.5}, "node_count must be an integer >= 4, got 64.5"),
+            ({"node_count": 3}, "node_count must be an integer >= 4, got 3"),
+            ({"seed": -1}, "seed must be a nonnegative integer"),
+            ({"seed": 1.5}, "seed must be a nonnegative integer"),
+        ],
+        ids=["fractional-nodes", "three-nodes", "negative-seed", "fractional-seed"],
+    )
+    def test_rejects(self, options, message):
+        with pytest.raises(ValidationError, match=message):
+            fl.QuadratureSpec(**options)
+
+    def test_accepts_numpy_integers(self):
+        spec = fl.QuadratureSpec(node_count=np.int64(100), seed=np.uint32(7))
+        assert (spec.node_count, spec.seed) == (100, 7)
 
 
 class TestNonConvergenceRaises:
