@@ -23,8 +23,6 @@ from .fourier import (
     SphericalAverageSeries,
     StationaryPhaseReport,
     angular_decomposition,
-    measure_ft,
-    product_ft,
     solid_average,
     spherical_average,
     spherical_average_detailed,
@@ -41,7 +39,6 @@ from .geometry import (
     ThresholdReport,
     coverage_report,
     derive_delta,
-    derive_delta_grid,
     distance_measure,
     energy_integral,
     mattila_truncated,
@@ -66,5 +63,4 @@ from .measures import (
     point_mass,
     save_grid_measure,
 )
-from .quadrature import QuadratureSpec
 from .runner import emit_report, run_experiment

@@ -77,7 +77,7 @@ def _flagged(default, flag: str, help: str | None = None, **options):
 class ExperimentConfig:
     kind: str
     output_dir: str = _flagged("out", "--output", "output directory")
-    seed: int = _flagged(0, "--seed", "root seed for all randomness")
+    seed: int = _flagged(0, "--seed", "seed recorded in the manifest; every route is deterministic")
     factors: list[CantorSpec] = _flagged(
         [], "--factor", "factor spec like 3:0,2:8 (repeatable)",
         action="append", metavar="BASE:DIGITS:LEVEL")
@@ -104,7 +104,8 @@ class ExperimentConfig:
         [], "--gap", "gap vector (repeatable)", action="append", metavar="GX:GY")
     dims: list[str] = _flagged(
         [], "--dims", "comma-separated factor dimensions (floats or p/q)")
-    mc_nodes: int = _flagged(20000, "--mc-nodes", "Monte Carlo sample count (d >= 3)")
+    mc_nodes: int = _flagged(
+        20000, "--mc-nodes", "accepted and validated, read by nothing: d >= 3 takes an exact rule")
 
     def __post_init__(self):
         self.validate()

@@ -374,10 +374,10 @@ def dz_beta(alpha: float, c_nu: float, k: float = 1.0) -> DZParams:
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    if c_nu < 1.0:
-        raise ValidationError(f"C_nu must be >= 1, got {c_nu}")
-    if not k > 0:
-        raise ValidationError(f"K must be positive, got {k}")
+    if not 1.0 <= c_nu < math.inf:
+        raise ValidationError(f"C_nu must be >= 1 and finite, got {c_nu}")
+    if not 0 < k < math.inf:
+        raise ValidationError(f"K must be positive and finite, got {k}")
     inner = k * math.sqrt(1.0 + math.log(c_nu)) / math.sqrt(1.0 - alpha)
     beta = alpha * math.exp(-math.exp(inner))
     return DZParams(alpha=float(alpha), c_nu=float(c_nu), k=float(k), beta=beta)

@@ -17,18 +17,18 @@ over the coarsest factor); past it, discretization artifacts dominate.
 Every d = 2 circle integral is one band-limited Fourier sum (_circle_sum:
 one real FFT of equispaced samples of [0, pi), exact to rounding, capped at
 2**24 samples; it never refines): the circular average sigma(t) under each
-weight and the stationary-phase circle integral. The solid averages and the
-angular sectors are quadrature.simpson_doubling, which raises BudgetError
-when it reaches its node cap before its tolerance. The angular-average rule
-follows from the ambient dimension alone (_angular_rule). d >= 3 uses seeded
-Monte Carlo over the sphere (the weighted integrand is not separable over
-angles), sized and seeded by QuadratureSpec, and reports the standard error.
-sigma is evaluated on arrays of t (_sigma_many: one t, a sweep, or a Mattila
-refinement's nodes) in row blocks of at most energy._BLOCK samples, one real
-FFT per block on d = 2; the d >= 3 sphere sample is drawn once per call.
+weight and the stationary-phase circle integral. sigma for d >= 3 is one
+product rule: Gauss-Legendre in the polar angle of the last axis over
+sigma of the first d - 1 factors, which ends in the d = 2 circle sum; it
+is exact to rounding too and never refines. sigma is evaluated on arrays of
+t (_sigma_many: one t, a sweep, or a Mattila refinement's nodes) in row
+blocks of at most energy._BLOCK samples or polar nodes. The solid averages
+and the angular sectors are quadrature.simpson_doubling, which raises
+BudgetError when it reaches its node cap before its tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,42 +39,9 @@ from .energy import _BLOCK, smoothed_fourth_moment
 from .errors import BudgetError, ValidationError, ValidityCapError
 from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
-from .quadrature import (
-    QuadratureSpec,
-    require_converged,
-    sample_sphere,
-    simpson_doubling,
-    sphere_surface_area,
-)
+from .quadrature import require_converged, simpson_doubling
 
 _WEIGHTS = ("none", "sin_theta", "cos_theta")
-
-
-def measure_ft(nu: GridMeasure, xi):
-    """nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi); |nu_hat| <= 1 = nu_hat(0).
-
-    GridMeasure.transform, the dense sum over atoms for every measure; the
-    magnitude consumers read GridMeasure.power_spectrum instead.
-    """
-    return nu.transform(xi)
-
-
-def product_ft(mu: ProductMeasure, xi):
-    """mu_hat(xi) = prod_j nu_j_hat(xi_j) for a frequency vector xi (or an
-    array of vectors in the last axis)."""
-    xi_arr = np.asarray(xi, dtype=float)
-    d = mu.dimension
-    if xi_arr.shape[-1:] != (d,):
-        raise ValidationError(
-            f"frequency vector has {xi_arr.shape[-1] if xi_arr.ndim else 0} "
-            f"components, product has {d} factors"
-        )
-    out = np.ones(xi_arr.shape[:-1], dtype=complex)
-    for j, factor in enumerate(mu.factors):
-        out = out * factor.transform(xi_arr[..., j])
-    if xi_arr.ndim == 1:
-        return complex(out)
-    return out
 
 
 def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
@@ -127,101 +94,104 @@ def _circle_sum(f: np.ndarray, weight: str) -> np.ndarray:
     return 4.0 * c[..., 0] - 8.0 * (c[..., None, 1:] @ coef[:, None])[..., 0, 0]
 
 
-def _angular_rule(d: int) -> str:
-    """The angular-average rule in ambient dimension d."""
-    return "uniform_angle" if d == 2 else "monte_carlo_sphere"
+@functools.lru_cache(maxsize=None)
+def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes of [0, pi/2]: (cos theta, sin theta, weights),
+    read-only. n is 2**k + 1 under the sample cap, so the cache stays small."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = np.pi / 4.0 * (x + 1.0)
+    rule = np.cos(theta), np.sin(theta), np.pi / 4.0 * w
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
-def _spectrum_rows(nu: GridMeasure, xi: np.ndarray) -> np.ndarray:
-    """nu.power_spectrum of each row of the 2-D xi. A spec-less factor's
-    BLAS chunks round a one-frequency chunk differently, so their ends must
-    not move with the block: its rows go one call each."""
-    if nu.spec is not None:
-        return nu.power_spectrum(xi)
-    return np.array([nu.power_spectrum(row) for row in xi])
-
-
-def _sigma_many(
-    mu: ProductMeasure, ts, weight: str, quadrature: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.ndarray]:
     """sigma_w at every t of ts, checked before any is evaluated: (values,
-    node counts, stderrs), each t's value the same to the bit in any batch.
+    node counts), each t's value the same to the bit in any batch. Every t
+    has a band limit R = 2 pi t |diam|, |diam| the hypot of the factor
+    diameters, and n = _circle_samples(R).
     d = 2: F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 is
     a sum of cos(2 pi t g . omega) over gap vectors g, so it is pi-periodic,
-    even, symmetric about pi/2 and band-limited at 2 pi t hypot(diam_a,
-    diam_b); the t sharing a sample count n go in blocks, one _circle_sum per
-    block, on 2n nodes with stderr 0. d >= 3: one seeded sphere sample
-    serves every t; the value is its mean, with the standard error."""
+    even, symmetric about pi/2 and band-limited at R; the t sharing n go in
+    blocks, one _circle_sum per block, on 2n nodes.
+    d >= 3: omega = (cos theta omega', sin theta) and evenness in omega_d give
+    sigma_d(t) = 2 int_0^{pi/2} cos^(d-2) theta |nu_d_hat(t sin theta)|^2
+    sigma_{d-1}(t cos theta) dtheta, times sin theta = |omega_d| under
+    'sin_theta', with sigma_{d-1} the unweighted sigma of the first d - 1
+    factors (Atkinson-Han 2012, a product rule on the sphere). The t sharing
+    n take n // 2 + 1 Gauss-Legendre nodes in theta, in blocks, each block's
+    inner sigma one call on all its t cos theta; the node count is the sum of
+    the inner ones. A t past n_theta^(d-2) n = 2**24 raises BudgetError."""
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
+    d = mu.dimension
+    if weight == "cos_theta" and d != 2:
+        raise ValidationError("cos_theta weight is defined for d = 2 only")
     t = np.array(ts, dtype=float, ndmin=1)
     finite = (t >= 0.0) & (t < math.inf)
     if not finite.all():
         raise ValidationError(f"t must be nonnegative and finite, got {t[~finite][0]}")
     if t.size:
         require_under_cap(mu, t.max(), f"t={t.max()}")
-    values, stderrs = np.empty(t.size), np.zeros(t.size)
-    if _angular_rule(mu.dimension) == "uniform_angle":
+    diam = math.hypot(*(f.diameter for f in mu.factors))
+    counts = np.array([_circle_samples(2.0 * np.pi * x * diam) for x in t.tolist()], dtype=int)
+    values, nodes = np.empty(t.size), np.empty(t.size, dtype=int)
+    if d == 2:
         fa, fb = mu.factors
-        diam = math.hypot(fa.diameter, fb.diameter)
-        counts = np.array([_circle_samples(2.0 * np.pi * x * diam) for x in t.tolist()], dtype=int)
         for n in np.unique(counts).tolist():
             half = np.pi * np.arange(n // 2 + 1) / n
             group, rows = np.flatnonzero(counts == n), max(1, _BLOCK // (n // 2 + 1))
             for idx in np.split(group, range(rows, group.size, rows)):
                 tr = t[idx, None]
-                f = _spectrum_rows(fa, tr * np.cos(half)) * _spectrum_rows(fb, tr * np.sin(half))
+                f = fa.power_spectrum(tr * np.cos(half)) * fb.power_spectrum(tr * np.sin(half))
                 # F(pi - theta) = F(theta): [0, pi/2] mirrored gives the n samples of [0, pi)
                 values[idx] = _circle_sum(np.concatenate((f, f[:, -2:0:-1]), axis=1), weight)
-        return values, 2 * counts, stderrs
-    if weight == "cos_theta":
-        raise ValidationError("cos_theta weight is defined for d = 2 only")
-    if quadrature.seed is None:
-        raise ValidationError("Monte Carlo sphere quadrature requires a seed")
-    count = quadrature.node_count
-    omega = sample_sphere(mu.dimension, count, quadrature.seed)
-    area = sphere_surface_area(mu.dimension)
-    rows = max(1, _BLOCK // count)
-    for idx in np.split(np.arange(t.size), range(rows, t.size, rows)):
-        tr = t[idx, None]
-        vals = np.ones((idx.size, count))
-        for j, factor in enumerate(mu.factors):
-            vals *= _spectrum_rows(factor, tr * omega[:, j])
-        if weight == "sin_theta":
-            vals *= np.abs(omega[:, -1])
-        values[idx] = area * np.mean(vals, axis=1)
-        stderrs[idx] = area * np.std(vals, axis=1, ddof=1) / math.sqrt(count)
-    return values, np.full(t.size, count), stderrs
+        return values, 2 * counts
+    polar = counts // 2 + 1
+    over = polar.astype(float) ** (d - 2) * counts > 1 << 24
+    if over.any():
+        raise BudgetError(
+            f"sphere rule at t={t[over][0]} needs over 2**24 nodes in d = {d}; lower t")
+    head, last = ProductMeasure(mu.factors[:-1], mu.dims[:-1]), mu.factors[-1]
+    for n in np.unique(polar).tolist():
+        cos_t, sin_t, w = _theta_rule(n)
+        kernel = 2.0 * w * cos_t ** (d - 2) * (sin_t if weight == "sin_theta" else 1.0)
+        group, rows = np.flatnonzero(polar == n), max(1, _BLOCK // n)
+        for idx in np.split(group, range(rows, group.size, rows)):
+            tr = t[idx, None]
+            inner, inner_nodes = _sigma_many(head, (tr * cos_t).ravel(), "none")
+            f = inner.reshape(idx.size, n) * last.power_spectrum(tr * sin_t)
+            values[idx] = np.einsum("ij,j->i", f, kernel)  # a fixed order per row
+            nodes[idx] = inner_nodes.reshape(idx.size, n).sum(axis=1)
+    return values, nodes
 
 
 def spherical_average_detailed(
     mu: ProductMeasure,
     t: float,
     weight: str = "none",
-    quadrature: QuadratureSpec = QuadratureSpec(),
-) -> tuple[float, int, float]:
+) -> tuple[float, int]:
     """sigma(t) = int_{S^(d-1)} |mu_hat(t omega)|^2 w(omega) domega.
 
     Weight 'sin_theta' multiplies by |sin theta| (d = 2) or by the distance
     of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3);
     'cos_theta' (d = 2 only) is the complementary weight used by the
-    axis-exchange symmetry checks. Returns (value, node_count, stderr) of
-    _sigma_many on the one t. d = 2 is the exact band-limited sum: 2n nodes
-    for n samples of [0, pi), stderr 0, quadrature unused; past 2**24
-    samples it raises BudgetError. d >= 3 draws quadrature.node_count seeded
-    Monte Carlo samples.
+    axis-exchange symmetry checks. Returns (value, node_count) of _sigma_many
+    on the one t: d = 2 is the exact band-limited sum, 2n nodes for n samples
+    of [0, pi); d >= 3 the product rule over it, whose node count is the
+    points it evaluates. Past its node cap either raises BudgetError.
     """
-    values, nodes, stderrs = _sigma_many(mu, [t], weight, quadrature)
-    return float(values[0]), int(nodes[0]), float(stderrs[0])
+    values, nodes = _sigma_many(mu, [t], weight)
+    return float(values[0]), int(nodes[0])
 
 
 def spherical_average(
     mu: ProductMeasure,
     t: float,
     weight: str = "none",
-    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> float:
-    value, _, _ = spherical_average_detailed(mu, t, weight, quadrature)
+    value, _ = spherical_average_detailed(mu, t, weight)
     return value
 
 
@@ -232,10 +202,7 @@ class SphericalAverageSeries:
     t_values: tuple[float, ...]
     values: tuple[float, ...]
     weight: str
-    quadrature_kind: str
     node_counts: tuple[int, ...]
-    stderrs: tuple[float, ...]
-    seed: int | None
     fitted_decay: float
     fit_stderr: float
 
@@ -244,21 +211,17 @@ def spherical_average_series(
     mu: ProductMeasure,
     t_values,
     weight: str = "none",
-    quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> SphericalAverageSeries:
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValidationError("need at least 3 t values for a decay fit")
-    values, nodes, stderrs = (a.tolist() for a in _sigma_many(mu, ts, weight, quadrature))
+    values, nodes = (a.tolist() for a in _sigma_many(mu, ts, weight))
     fit = loglog_fit(ts, values)
     return SphericalAverageSeries(
         t_values=tuple(ts),
         values=tuple(values),
         weight=weight,
-        quadrature_kind=_angular_rule(mu.dimension),
         node_counts=tuple(nodes),
-        stderrs=tuple(stderrs),
-        seed=quadrature.seed,
         fitted_decay=fit.slope,
         fit_stderr=fit.stderr,
     )
@@ -404,8 +367,8 @@ def angular_decomposition(
         raise ValidationError("angular decomposition is defined for d = 2 products")
     if not 0.0 < gamma0 < 0.5:
         raise ValidationError(f"gamma0 must lie in (0, 1/2), got {gamma0}")
-    if t < 1.0:
-        raise ValidationError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ValidationError(f"t must be >= 1 and finite, got {t}")
     require_under_cap(mu, t, f"t={t}")
     eps = t ** (-gamma0)
     if not eps < np.pi / 4:

@@ -13,6 +13,10 @@ c_j = |gap index| * delta_j on each axis, then sqrt(sum_j c_j**2), then / h,
 floored (left-closed bins), in chunks of >= _BLOCK cells. pair_budget bounds three
 counts, each checked before the work or memory it bounds: distance_measure's
 bins int(max distance / h) + 2, every factor's atom pairs N_j**2, the gap cells.
+
+The truncated Mattila integral takes sigma from fourier._sigma_many, an exact
+rule in every dimension (the circle sum for d = 2, a product rule over it for
+d >= 3); only its t integral refines.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
 from .fourier import _sigma_many, require_under_cap
 from .measures import GridMeasure, ProductMeasure
-from .quadrature import QuadratureSpec, simpson_cumulative, simpson_doubling
+from .quadrature import simpson_cumulative, simpson_doubling
 
 DEFAULT_PAIR_BUDGET = 400_000_000
 
@@ -175,16 +179,14 @@ def energy_integral(
 
 @dataclass(frozen=True)
 class MattilaQuadrature:
-    """t-integral and angular controls for the truncated Mattila integral;
+    """t-integral controls for the truncated Mattila integral:
     initial_t_nodes (>= 3), t_rel_tol (positive, finite) and max_t_nodes
-    (>= initial_t_nodes) apply to each log-t panel, and angular sizes the
-    Monte Carlo sigma of d >= 3 (d = 2 takes the exact circle sum), whose
-    sphere sample is drawn once per refinement."""
+    (>= initial_t_nodes) apply to each log-t panel. sigma itself takes no
+    controls: it is the exact rule of fourier._sigma_many in every d."""
 
     initial_t_nodes: int = 65
     t_rel_tol: float = 1e-7
     max_t_nodes: int = 1 << 15
-    angular: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self):
         if not 0.0 < self.t_rel_tol < math.inf:
@@ -233,7 +235,8 @@ def mattila_truncated(
     panel [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1 dropped), so
     the doubling ratios are exact ratios of cumulative panel sums. Each
     refinement's new nodes are one array of t for fourier._sigma_many (row
-    blocks, one real FFT each on d = 2), which gives each t its value alone.
+    blocks, one real FFT each on d = 2, and on d >= 3 the product rule over
+    them), which gives each t its value alone.
     """
     T = float(truncation)
     if not 1.0 < T < math.inf:
@@ -244,7 +247,7 @@ def mattila_truncated(
     evaluated: list[tuple[np.ndarray, np.ndarray]] = []  # (tau, sigma) per call
 
     def integrand_in_tau(tau: np.ndarray) -> np.ndarray:
-        sig = _sigma_many(mu, np.exp(tau), weight, quadrature.angular)[0]
+        sig = _sigma_many(mu, np.exp(tau), weight)[0]
         evaluated.append((tau, sig))
         return sig**2 * np.exp(d * tau)
 
@@ -369,20 +372,6 @@ def derive_delta(alpha: float, beta: float) -> tuple[float, float]:
     return gamma0, gamma0 * (1.0 - alpha)
 
 
-def derive_delta_grid(alpha: float, beta: float, points: int = 2_000_001) -> tuple[float, float]:
-    """Grid-search oracle for derive_delta: maximize
-    min(gamma0*(1-alpha), gamma - gamma0/2) over gamma0 in (0, 2*gamma)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    if not beta > 0.0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    gamma = beta / 2.0
-    g0 = np.linspace(0.0, 2.0 * gamma, points)[1:-1]
-    objective = np.minimum(g0 * (1.0 - alpha), gamma - g0 / 2.0)
-    i = int(np.argmax(objective))
-    return float(g0[i]), float(objective[i])
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Margins of the dimension thresholds for distance sets of products.
@@ -419,7 +408,13 @@ def threshold_report(
     inputs produce exact margins. alpha/c_nu/k feed the equal-dimension
     regular route via the energy-improvement exponent.
     """
-    vals = [_as_number(x) for x in dims]
+    vals = []
+    for j, x in enumerate(dims):
+        try:
+            vals.append(_as_number(x))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                f"dims[{j}] must be a number or a fraction p/q, got {x!r}") from exc
     d = len(vals)
     if d < 2:
         raise ValidationError(f"need at least 2 factor dimensions, got {d}")

@@ -157,9 +157,10 @@ class GridMeasure:
 
         Vectorized over ``xi`` of any shape; a scalar gives a complex. The
         exact dense sum over the atoms for every measure, O(atoms) per
-        frequency in a fixed order with no FFT; its float phases round to
-        about 1e-15 |xi|. It is the oracle of power_spectrum and
-        transform_on_grid, not a fast path.
+        frequency in a fixed order with no FFT, so a frequency gets the same
+        bits alone and in any batch; its float phases round to about 1e-15
+        |xi|. It is the oracle of power_spectrum and transform_on_grid, not a
+        fast path.
         """
         xi_arr = np.asarray(xi, dtype=float)
         flat = xi_arr.ravel()
@@ -170,7 +171,8 @@ class GridMeasure:
         for start in range(0, flat.size, chunk):
             block = flat[start : start + chunk]
             phases = np.exp((-2j * np.pi) * np.outer(block, x))
-            out[start : start + block.size] = phases @ self.weights
+            # per row in a fixed order: a BLAS product rounds a row by its position
+            out[start : start + block.size] = np.einsum("ij,j->i", phases, self.weights)
         if xi_arr.ndim == 0:
             return complex(out[0])
         return out.reshape(xi_arr.shape)
@@ -191,7 +193,7 @@ class GridMeasure:
         xi_arr = np.asarray(xi, dtype=float)
         spec = self.spec
         if spec is None:
-            out = np.abs(self.transform(xi_arr)) ** 2
+            out = np.square(np.abs(self.transform(xi_arr)))  # x * x: a scalar's ** 2 is pow
         else:
             n = len(spec.digits)
             diffs = np.subtract.outer(spec.digits, spec.digits)

@@ -1,47 +1,25 @@
-"""Self-converging quadrature rules and sphere sampling.
+"""Self-converging quadrature rules.
 
 `converge` is the package's one refinement loop. It consumes a rule's
 (value, nodes) refinements, each reusing the earlier evaluations, until
 |new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every refining
 quadrature of the package is composite Simpson (`simpson_doubling`), the
 Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
-only this module drives `converge` (every d = 2 circle integral, the
-circular average and the stationary-phase integral, is an exact
-band-limited sum and never refines). `simpson_cumulative` gives the running
-integral on a converged grid. Non-convergence is never silent: a bare-number
-result goes through `require_converged`, which raises BudgetError (CLI exit
-3) naming the rule, the tolerance and the cap; a report carries the flag
-instead (Mattila's t_grid_converged). Monte Carlo sphere sampling is seeded
-and used only in ambient dimension >= 3.
+only this module drives `converge`. The sphere averages never refine: the
+d = 2 circle integrals are exact band-limited sums and d >= 3 is a fixed
+product rule over them (fourier._sigma_many). `simpson_cumulative` gives
+the running integral on a converged grid. Non-convergence is never silent:
+a bare-number result goes through `require_converged`, which raises
+BudgetError (CLI exit 3) naming the rule, the tolerance and the cap; a
+report carries the flag instead (Mattila's t_grid_converged).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from itertools import pairwise
-from numbers import Integral
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The Monte Carlo sphere average of ambient dimension d >= 3: node_count
-    (an integer >= 4) samples, drawn once per array of t, from a generator
-    seeded by seed (a nonnegative integer), which is mandatory there. The
-    d = 2 circular average is an exact band-limited sum and reads neither.
-    """
-
-    node_count: int = 64
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not (isinstance(self.node_count, Integral) and self.node_count >= 4):
-            raise ValidationError(f"node_count must be an integer >= 4, got {self.node_count!r}")
-        if self.seed is not None and not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ValidationError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
 
 
 def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):
@@ -133,23 +111,3 @@ def simpson_cumulative(fx: np.ndarray, h: float) -> np.ndarray:
     out[0::2] = np.concatenate(([0.0], np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2))))
     out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
     return out
-
-
-def sphere_surface_area(d: int) -> float:
-    """Surface measure of the unit sphere S^(d-1) in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def sample_sphere(d: int, count: int, seed: int) -> np.ndarray:
-    """Uniform points on S^(d-1), shape (count, d), from a seeded generator."""
-    if d < 2:
-        raise ValidationError("sphere sampling needs ambient dimension >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    v = rng.standard_normal((count, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    # resample the (measure-zero) degenerate rows deterministically
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return v / norms

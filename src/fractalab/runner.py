@@ -37,7 +37,6 @@ from .geometry import (
     distance_measure,
     mattila_truncated,
     threshold_report,
-    MattilaQuadrature,
 )
 from .measures import (
     build_cantor,
@@ -46,7 +45,6 @@ from .measures import (
     frostman_fit,
     grid_measure_to_text,
 )
-from .quadrature import QuadratureSpec
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.json"
@@ -258,15 +256,14 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
     ts = _default_t_sweep(config, cap, mu.factors[0].base)
-    quad = QuadratureSpec(node_count=config.mc_nodes, seed=config.seed)
-    series = spherical_average_series(mu, ts, config.weight, quad)
+    series = spherical_average_series(mu, ts, config.weight)
     rows = [
-        (t, v, series.weight, n, se)
-        for t, v, n, se in zip(series.t_values, series.values, series.node_counts, series.stderrs)
+        (t, v, series.weight, n)
+        for t, v, n in zip(series.t_values, series.values, series.node_counts)
     ]
     _write_csv(
         run.add_file("spherical.csv"),
-        ["t", "sigma", "weight", "quadrature_nodes", "stderr"],
+        ["t", "sigma", "weight", "quadrature_nodes"],
         rows,
         {"fitted_decay": series.fitted_decay, "fit_stderr": series.fit_stderr},
     )
@@ -277,7 +274,6 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
         "weight": series.weight,
         "fitted_decay": series.fitted_decay,
         "fit_stderr": series.fit_stderr,
-        "quadrature": series.quadrature_kind,
     }
 
 
@@ -369,8 +365,7 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
     T = config.truncation if config.truncation is not None else min(100.0, cap)
-    quad = MattilaQuadrature(angular=QuadratureSpec(node_count=config.mc_nodes, seed=config.seed))
-    est = mattila_truncated(mu, T, config.mattila_weighted, quad)
+    est = mattila_truncated(mu, T, config.mattila_weighted)
     rows = list(zip(est.t_values, est.sigma, est.integrand, est.partial_values))
     _write_csv(
         run.add_file("mattila.csv"),

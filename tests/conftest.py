@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fractalab as fl
+from fractalab.errors import ValidationError
 
 
 def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3, 4, 5)):
@@ -46,6 +47,64 @@ def exact_phase_transform(nu, xi):
         err = ((np.outer(fh, xh) - p) + np.outer(fh, xl) + np.outer(fl_, xh)) + np.outer(fl_, xl)
         out[start : start + f.size] = np.exp((-2j * np.pi) * ((p - np.rint(p)) + err)) @ w
     return out.reshape(np.shape(xi))
+
+
+def measure_ft(nu, xi):
+    """nu_hat(xi) = sum_j w_j exp(-2 pi i x_j xi); |nu_hat| <= 1 = nu_hat(0):
+    GridMeasure.transform, the dense sum over atoms for every measure."""
+    return nu.transform(xi)
+
+
+def product_ft(mu, xi):
+    """mu_hat(xi) = prod_j nu_j_hat(xi_j) for a frequency vector xi (or an
+    array of vectors in the last axis)."""
+    xi_arr = np.asarray(xi, dtype=float)
+    d = mu.dimension
+    if xi_arr.shape[-1:] != (d,):
+        raise ValidationError(
+            f"frequency vector has {xi_arr.shape[-1] if xi_arr.ndim else 0} "
+            f"components, product has {d} factors"
+        )
+    out = np.ones(xi_arr.shape[:-1], dtype=complex)
+    for j, factor in enumerate(mu.factors):
+        out = out * factor.transform(xi_arr[..., j])
+    if xi_arr.ndim == 1:
+        return complex(out)
+    return out
+
+
+def derive_delta_grid(alpha, beta, points=2_000_001):
+    """Grid-search oracle for derive_delta: maximize
+    min(gamma0*(1-alpha), gamma - gamma0/2) over gamma0 in (0, 2*gamma)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not beta > 0.0:
+        raise ValidationError(f"beta must be positive, got {beta}")
+    gamma = beta / 2.0
+    g0 = np.linspace(0.0, 2.0 * gamma, points)[1:-1]
+    objective = np.minimum(g0 * (1.0 - alpha), gamma - g0 / 2.0)
+    i = int(np.argmax(objective))
+    return float(g0[i]), float(objective[i])
+
+
+def space_side_sigma(mu, ts, kernel):
+    """Oracle of sigma(t) on the space side: the sum over atom pairs x, y of
+    w_x w_y K(2 pi t |x - y|), K(|xi|) the transform of the unit sphere's
+    surface measure at xi (4 pi sin(u)/u on S^2); the pairs are collapsed
+    to their distinct squared distances one axis at a time."""
+    d2, mass = np.zeros(1), np.ones(1)
+    for f in mu.factors:
+        gaps = np.subtract.outer(f.positions, f.positions).ravel()
+        d2, inverse = np.unique(np.add.outer(d2, gaps * gaps).ravel(), return_inverse=True)
+        pair_mass = np.multiply.outer(mass, np.outer(f.weights, f.weights).ravel()).ravel()
+        mass = np.bincount(inverse, pair_mass)
+    dist = np.sqrt(d2)
+    return np.array([np.sum(mass * kernel(2.0 * np.pi * t * dist)) for t in np.ravel(ts)])
+
+
+def sphere_kernel_3(u):
+    """|S^2| sin(u)/u, the transform of the surface measure of S^2."""
+    return 4.0 * np.pi * np.sinc(u / np.pi)
 
 
 @pytest.fixture(scope="session")

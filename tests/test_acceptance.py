@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import fractalab as fl
-from conftest import random_grid_measure
+from conftest import derive_delta_grid, random_grid_measure
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
 
@@ -198,7 +198,7 @@ def test_criterion_09_thresholds_exact():
     agreements = []
     for alpha, beta in ((0.5, 0.02), (0.7, 1e-3), (0.3, 0.1)):
         g0, delta = fl.derive_delta(alpha, beta)
-        gg, dd = fl.derive_delta_grid(alpha, beta)
+        gg, dd = derive_delta_grid(alpha, beta)
         agreements.append(abs(g0 - gg) <= 1e-6 and abs(delta - dd) <= 1e-6)
     ok = four_thirds and nine_fifths and margin_exact and all(agreements)
     report(

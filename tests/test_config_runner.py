@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import time
 from dataclasses import fields
 
@@ -133,21 +134,34 @@ class TestRunner:
             assert any(line.startswith(f"{kind} [{kind}]") for line in summary.splitlines()), kind
         assert "[d = 2]" in summary
 
-    def test_monte_carlo_run_without_seed_rejected(self, tmp_path):
-        spec = fl.CantorSpec(3, (0, 2), 6)  # default sweep 3, 9, 27 under the cap 72.9
+    def test_d3_spherical_run_needs_no_seed(self, tmp_path):
+        # d >= 3 takes the exact sphere rule: no route reads the seed
+        spec = fl.CantorSpec(3, (0, 2), 4)  # validity cap 8.1
         config = fl.ExperimentConfig(
-            kind="spherical", output_dir=str(tmp_path), seed=None, factors=[spec] * 3
+            kind="spherical", output_dir=str(tmp_path), seed=None, factors=[spec] * 3,
+            sweep=fl.GeometricSweep(1.0, 8.0, 3),
         )
-        with pytest.raises(ValidationError, match="seed"):
-            fl.run_experiment(config)
+        fl.run_experiment(config)
+        lines = (tmp_path / "spherical.csv").read_text().splitlines()
+        assert lines[0] == "t,sigma,weight,quadrature_nodes"
+        mu = fl.build_product([fl.build_cantor(spec)] * 3, [0.5] * 3)
+        for line, want_t in zip(lines[1:4], (1.0, math.sqrt(8.0), 8.0)):
+            t = float(line.split(",")[0])
+            assert t == pytest.approx(want_t, rel=1e-15)
+            value, nodes = fl.spherical_average_detailed(mu, t, "sin_theta")
+            assert line == f"{t!r},{value!r},sin_theta,{nodes}"
+        assert "quadrature" not in json.loads((tmp_path / "results.json").read_text())
 
     def test_each_kind_has_one_runner_and_summary(self):
         assert set(runner._KINDS) | {"full-report"} == set(fl.EXPERIMENT_KINDS)
 
     def test_every_config_field_is_read_by_the_runner(self):
+        # mc_nodes sized the Monte Carlo sphere average that the exact rule
+        # replaced; it stays an accepted, validated field because saved
+        # configs pass it, and nothing reads it
         source = inspect.getsource(runner)
         unread = [f.name for f in fields(fl.ExperimentConfig) if f"config.{f.name}" not in source]
-        assert unread == []
+        assert unread == ["mc_nodes"]
 
     def test_emit_report_requires_manifest(self, tmp_path):
         with pytest.raises(ValidationError, match="manifest"):

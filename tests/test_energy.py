@@ -570,6 +570,14 @@ class TestDzBeta:
         with pytest.raises(ValidationError):
             fl.dz_beta(alpha, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "c_nu, k, name",
+        [(math.nan, 1.0, "C_nu"), (math.inf, 1.0, "C_nu"), (2.0, math.inf, "K")],
+    )
+    def test_rejects_bad_c_nu_and_k_naming_them(self, c_nu, k, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            fl.dz_beta(0.5, c_nu, k)
+
 
 _MT4 = fl.build_cantor(fl.middle_thirds(4))
 _MT4_SQUARED = fl.build_product([_MT4, _MT4], [0.5, 0.5])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import random_grid_measure
+from conftest import measure_ft, product_ft, random_grid_measure, space_side_sigma, sphere_kernel_3
 from fractalab import fourier, measures
-from fractalab.quadrature import sample_sphere, simpson_doubling, sphere_surface_area
+from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
@@ -18,31 +18,31 @@ class TestMeasureFt:
     def test_point_mass_is_constant_one(self):
         nu = fl.point_mass()
         xs = np.linspace(-40.0, 40.0, 101)
-        assert np.allclose(fl.measure_ft(nu, xs), 1.0, atol=1e-14)
+        assert np.allclose(measure_ft(nu, xs), 1.0, atol=1e-14)
 
     def test_two_atoms_cancel_at_frequency_one(self, two_atom_half):
         # atoms at 0 and 1/2: (1 + e^{-pi i}) / 2 = 0
-        assert abs(fl.measure_ft(two_atom_half, 1.0)) < 1e-12
+        assert abs(measure_ft(two_atom_half, 1.0)) < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(-200.0, 200.0))
     def test_bounded_by_total_mass(self, seed, xi):
         nu = random_grid_measure(np.random.default_rng(seed), max_atoms=30)
-        val = fl.measure_ft(nu, xi)
+        val = measure_ft(nu, xi)
         assert abs(val) <= 1.0 + 1e-12
-        assert fl.measure_ft(nu, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert fl.measure_ft(nu, -xi) == pytest.approx(np.conj(val), abs=1e-12)
+        assert measure_ft(nu, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert measure_ft(nu, -xi) == pytest.approx(np.conj(val), abs=1e-12)
 
 
 class TestProductFt:
     def test_point_product_is_one(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        assert fl.product_ft(mu, (3.7, -1.2)) == pytest.approx(1.0 + 0.0j)
+        assert product_ft(mu, (3.7, -1.2)) == pytest.approx(1.0 + 0.0j)
 
     def test_vanishing_factor_kills_product(self, two_atom_half):
         mu = fl.build_product([two_atom_half, fl.point_mass()], [0.5, 0.0])
-        assert abs(fl.product_ft(mu, (1.0, 0.0))) < 1e-12
+        assert abs(product_ft(mu, (1.0, 0.0))) < 1e-12
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(2024)
@@ -56,12 +56,12 @@ class TestProductFt:
                 for j, wj in b.atoms:
                     phase = a.delta * i * xi[0] + b.delta * j * xi[1]
                     oracle += wi * wj * np.exp(-2j * np.pi * phase)
-            assert fl.product_ft(mu, xi) == pytest.approx(oracle, abs=1e-12)
+            assert product_ft(mu, xi) == pytest.approx(oracle, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, two_atom_half):
         mu = fl.build_product([two_atom_half, two_atom_half], [0.5, 0.5])
         with pytest.raises(ValidationError, match="components"):
-            fl.product_ft(mu, (1.0, 2.0, 3.0))
+            product_ft(mu, (1.0, 2.0, 3.0))
 
 
 def simpson_sigma(mu, t, weight):
@@ -144,14 +144,14 @@ class TestSphericalAverage:
         samples = fourier._circle_samples
         monkeypatch.setattr(fourier, "_circle_samples", lambda x: 2 * samples(x))
         at_2n = [fl.spherical_average_detailed(mu, t, w) for mu, (_, t, w) in zip(mus, cases)]
-        for (v1, n1, _), (v2, n2, _) in zip(at_n, at_2n):
+        for (v1, n1), (v2, n2) in zip(at_n, at_2n):
             assert n2 == 2 * n1
             assert abs(v1 - v2) <= 1e-13 * abs(v2)
 
     @pytest.mark.parametrize("t", [1.0, 3.3, 17.25, 60.0])
     def test_weighted_two_atom_closed_form(self, two_atom_line, t):
         mu, sigma_w = two_atom_line
-        value, _, _ = fl.spherical_average_detailed(mu, t, "sin_theta")
+        value, _ = fl.spherical_average_detailed(mu, t, "sin_theta")
         assert abs(value - sigma_w(t)) <= 1e-9
 
     def test_validity_cap_refusal_names_cap(self):
@@ -182,30 +182,12 @@ class TestSphericalAverage:
             rhs = fl.spherical_average(mba, t, "cos_theta")
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_monte_carlo_d3_point_product(self):
-        pm = fl.point_mass()
-        mu = fl.build_product([pm, pm, pm], [0.0] * 3)
-        spec = fl.QuadratureSpec(node_count=20000, seed=11)
-        value, nodes, stderr = fl.spherical_average_detailed(mu, 5.0, "none", spec)
-        assert value == pytest.approx(4.0 * np.pi, rel=1e-12)  # constant integrand
-        weighted, _, stderr_w = fl.spherical_average_detailed(mu, 5.0, "sin_theta", spec)
-        assert abs(weighted - 2.0 * np.pi) <= 4.0 * stderr_w
-        again, _, _ = fl.spherical_average_detailed(mu, 5.0, "sin_theta", spec)
-        assert weighted == again  # same seed, same value
-
-    def test_monte_carlo_requires_seed(self):
-        pm = fl.point_mass()
-        mu = fl.build_product([pm, pm, pm], [0.0] * 3)
-        with pytest.raises(ValidationError, match="seed"):
-            fl.spherical_average(mu, 2.0, "none", fl.QuadratureSpec())
-
     def test_series_fits_decay(self):
         nu = fl.build_cantor(fl.middle_thirds(7))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         series = fl.spherical_average_series(mu, [3.0, 9.0, 27.0, 81.0], "sin_theta")
         assert series.fitted_decay < 0.0
-        assert len(series.values) == 4
-        assert series.quadrature_kind == "uniform_angle"
+        assert len(series.values) == len(series.node_counts) == 4
 
 
 class TestCircularAverageRoute:
@@ -235,7 +217,7 @@ class TestCircularAverageRoute:
             mu = fl.build_product([a, b], [0.5, 0.5])
             for weight in ("none", "sin_theta", "cos_theta"):
                 sizes.clear()
-                _, nodes, _ = fl.spherical_average_detailed(mu, t, weight)
+                _, nodes = fl.spherical_average_detailed(mu, t, weight)
                 n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
                 assert sizes == [n]
                 assert nodes == 2 * n
@@ -268,7 +250,7 @@ def spec_less_measure(seed, atoms, base, level):
 
 
 # a Cantor factor and a spec-less one of 40 atoms, whose power spectrum is a
-# dense sum through BLAS; each is paired with itself
+# dense sum; each is paired with itself
 BATCH_FACTORS = {
     "cantor 3:0,2:6": lambda: fl.build_cantor(fl.CantorSpec(3, (0, 2), 6)),
     "spec-less 40 atoms": lambda: spec_less_measure(77, 40, 3, 6),
@@ -298,8 +280,7 @@ class TestSigmaBatch:
         counts = [fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
                   for t in ts]
         assert len(set(counts)) == 3
-        spec = fl.QuadratureSpec()
-        alone = [fourier._sigma_many(mu, [t], weight, spec)[0][0] for t in ts]
+        alone = [fourier._sigma_many(mu, [t], weight)[0][0] for t in ts]
         rows = []
         rfft = np.fft.rfft
 
@@ -314,30 +295,31 @@ class TestSigmaBatch:
                 group = [t for t, c in zip(ts, counts) if c == n]
                 for start in range(0, len(group), size):
                     chunk = group[start : start + size]
-                    values, nodes, stderrs = fourier._sigma_many(mu, chunk, weight, spec)
+                    values, nodes = fourier._sigma_many(mu, chunk, weight)
                     want = [alone[list(ts).index(t)] for t in chunk]
                     assert values.tobytes() == np.array(want).tobytes()
-                    assert list(nodes) == [2 * n] * len(chunk) and not stderrs.any()
+                    assert list(nodes) == [2 * n] * len(chunk)
             assert max(rows) == size
-        values, _, _ = fourier._sigma_many(mu, ts, weight, spec)  # all 51 at once
+        values, _ = fourier._sigma_many(mu, ts, weight)  # all 51 at once
         assert values.tobytes() == np.array(alone).tobytes()
         assert sorted(rows[-3:]) == [17, 17, 17]
 
     def test_spec_less_chunk_ends_do_not_move_with_the_block(self):
-        # transform takes _CHUNK // atoms = 32 frequencies per BLAS product:
-        # alone, a t's 33 samples end in a one-frequency chunk, which numpy
-        # rounds as a dot; in a block of two that sample is inside a product
+        # transform takes _CHUNK // atoms = 32 frequencies per chunk: alone,
+        # a t's 33 samples end in a one-frequency chunk; in a block of two
+        # that sample is inside a chunk, where a BLAS product would round it
+        # differently
         rng = np.random.default_rng(1)
         atoms = measures._CHUNK // 32
         weights = rng.random(atoms) + 0.05
         wide = fl.GridMeasure(base=2, level=18, weights=weights / weights.sum(),
                               indices=np.sort(rng.choice(2**18, atoms, replace=False)))
         mu = fl.build_product([wide, fl.point_mass()], [0.5, 0.0])
-        ts, spec = [0.11, 0.23], fl.QuadratureSpec()
-        alone = [fourier._sigma_many(mu, [t], "sin_theta", spec) for t in ts]
-        assert [nodes[0] for _, nodes, _ in alone] == [128, 128]  # 64 samples, 33 in [0, pi/2]
-        values, _, _ = fourier._sigma_many(mu, ts, "sin_theta", spec)
-        assert values.tolist() == [v[0] for v, _, _ in alone]
+        ts = [0.11, 0.23]
+        alone = [fourier._sigma_many(mu, [t], "sin_theta") for t in ts]
+        assert [nodes[0] for _, nodes in alone] == [128, 128]  # 64 samples, 33 in [0, pi/2]
+        values, _ = fourier._sigma_many(mu, ts, "sin_theta")
+        assert values.tolist() == [v[0] for v, _ in alone]
 
     def test_blocks_keep_to_the_row_bound(self, monkeypatch):
         shapes = []
@@ -352,7 +334,7 @@ class TestSigmaBatch:
         mu = fl.build_product([nu, nu], [0.5, 0.5])
         # 2500 t of 64 samples span three blocks of 32768 // 33 = 992 rows
         ts = np.concatenate((np.linspace(0.0, 0.6, 2500), batch_ts(mu)))
-        values, nodes, _ = fourier._sigma_many(mu, ts, "sin_theta", fl.QuadratureSpec())
+        values, nodes = fourier._sigma_many(mu, ts, "sin_theta")
         for rows, n in shapes:
             assert rows <= max(1, fourier._BLOCK // (n // 2 + 1))
         per_count = {n: sum(r for r, m in shapes if m == n) for _, n in shapes}
@@ -374,52 +356,136 @@ class TestSigmaBatch:
         mu = fl.build_product([wide, wide], [0.0, 0.0])
         start = time.perf_counter()
         with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
-            fourier._sigma_many(mu, [1.0, 2.0, 1e7, 3.0], "none", fl.QuadratureSpec())
+            fourier._sigma_many(mu, [1.0, 2.0, 1e7, 3.0], "none")
         assert calls == []
         assert time.perf_counter() - start < 1.0
 
     def test_bad_t_is_named(self):
         nu = fl.build_cantor(fl.middle_thirds(4))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        spec = fl.QuadratureSpec()
         with pytest.raises(ValidationError, match="nonnegative and finite, got -1.0"):
-            fourier._sigma_many(mu, [1.0, 1e9, -1.0, math.nan], "none", spec)
+            fourier._sigma_many(mu, [1.0, 1e9, -1.0, math.nan], "none")
         with pytest.raises(ValidityCapError, match="t=2000000000.0 exceeds") as err:
-            fourier._sigma_many(mu, [1.0, 1e9, 2e9, 3.0], "none", spec)
+            fourier._sigma_many(mu, [1.0, 1e9, 2e9, 3.0], "none")
         assert err.value.cap == pytest.approx(8.1)
 
+
+def sphere_kernel_5(u):
+    """|S^4| 3 j_1(u)/u = (8 pi^2/3) 3 (sin u - u cos u)/u^3, by its Taylor
+    series below u = 0.5, where the difference cancels."""
+    small = u < 0.5
+    us = np.where(small, 1.0, u)
+    direct = 3.0 * (np.sin(us) - us * np.cos(us)) / us**3
+    series = sum(3.0 * (-1) ** (k + 1) * 2 * k * u ** (2 * k - 2) / math.factorial(2 * k + 1)
+                 for k in range(1, 7))
+    return 8.0 * np.pi**2 / 3.0 * np.where(small, series, direct)
+
+
+def cantor_cube(level):
+    nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), level))
+    return fl.build_product([nu] * 3, [0.5] * 3)
+
+
+def three_atoms():
+    """Atoms 0, 2/27 and 7/27: a narrow spec-less factor."""
+    return fl.GridMeasure(base=3, level=3, indices=np.array([0, 2, 7]), weights=np.array([0.2, 0.5, 0.3]))
+
+
+# d >= 3 products: Cantor cubes, spec-less factors and mixtures
+SPHERE_PRODUCTS = {
+    "3:0,2:3^3": lambda: cantor_cube(3),
+    "3:0,2:4^3": lambda: cantor_cube(4),
+    "spec-less^3": lambda: fl.build_product(
+        [spec_less_measure(s, 9, 3, 4) for s in (3, 4, 5)], [0.5] * 3),
+    "d=4 3:0,2:3^3 x spec-less": lambda: fl.build_product(
+        [fl.build_cantor(fl.CantorSpec(3, (0, 2), 3))] * 3 + [spec_less_measure(6, 7, 3, 3)], [0.5] * 4),
+    "d=5 mixed": lambda: fl.build_product(
+        [fl.build_cantor(fl.CantorSpec(3, (0, 2), 2)), three_atoms()] * 2 + [three_atoms()], [0.5] * 5),
+}
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("name", ["3:0,2:3^3", "3:0,2:4^3", "spec-less^3"])
+    def test_d3_matches_the_sinc_sum_up_to_the_cap(self, name):
+        mu = SPHERE_PRODUCTS[name]()
+        ts = np.linspace(0.5, fl.validity_cap(mu), 12)
+        values, _ = fourier._sigma_many(mu, ts, "none")
+        oracle = space_side_sigma(mu, ts, sphere_kernel_3)
+        assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
+
+    def test_d5_matches_the_bessel_sum(self):
+        # at t = 0.75 the rule would need 65**3 * 128 > 2**24 nodes
+        mu = SPHERE_PRODUCTS["d=5 mixed"]()
+        ts = [0.15, 0.4, 0.7]
+        values, _ = fourier._sigma_many(mu, ts, "none")
+        oracle = space_side_sigma(mu, ts, sphere_kernel_5)
+        assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
+            fourier._sigma_many(mu, [0.75], "none")
+
+    @pytest.mark.parametrize(
+        "name, weight",
+        [("3:0,2:4^3", "sin_theta"), ("spec-less^3", "sin_theta"),
+         ("d=4 3:0,2:3^3 x spec-less", "none"), ("d=4 3:0,2:3^3 x spec-less", "sin_theta")],
+    )
+    def test_doubling_the_nodes_changes_nothing(self, monkeypatch, name, weight):
+        # twice the circle samples give n + 1 polar nodes and twice the
+        # samples on every ring; d = 5 doubled is past 2**24 nodes at any t
+        mu = SPHERE_PRODUCTS[name]()
+        ts = np.linspace(0.5, fl.validity_cap(mu), 4)
+        at_n, nodes_n = fourier._sigma_many(mu, ts, weight)
+        samples = fourier._circle_samples
+        monkeypatch.setattr(fourier, "_circle_samples", lambda x: 2 * samples(x))
+        at_2n, nodes_2n = fourier._sigma_many(mu, ts, weight)
+        assert (nodes_2n > 2 * nodes_n).all()
+        assert np.max(np.abs(at_n - at_2n) / at_2n) <= 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_point_masses_give_the_sphere_and_twice_the_ball(self, d):
+        pm = fl.point_mass()
+        mu = fl.build_product([pm] * d, [0.0] * d)
+        sphere = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+        ball = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)  # the unit ball of R^(d-1)
+        values, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "none")
+        weighted, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "sin_theta")
+        assert np.max(np.abs(values / sphere - 1.0)) <= 1e-12
+        assert np.max(np.abs(weighted / (2.0 * ball) - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("weight", ["none", "sin_theta"])
-    def test_d3_matches_the_per_t_loop_with_one_sphere_sample(self, monkeypatch, weight):
+    def test_a_t_is_bitwise_the_same_alone_and_in_batches(self, weight):
         a = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
-        b = spec_less_measure(8, 9, 3, 4)
-        mu = fl.build_product([a, b, a], [0.5] * 3)
-        spec = fl.QuadratureSpec(node_count=500, seed=21)
-        ts = np.linspace(0.0, 5.0, 150)
-        # the per-t loop: one seeded draw per t, its mean and standard error
-        area = sphere_surface_area(3)
-        want_v, want_se = [], []
-        for t in ts:
-            omega = sample_sphere(3, 500, 21)
-            vals = np.ones(500)
-            for j, factor in enumerate(mu.factors):
-                vals *= factor.power_spectrum(t * omega[:, j])
-            if weight == "sin_theta":
-                vals *= np.abs(omega[:, -1])
-            want_v.append(area * float(np.mean(vals)))
-            want_se.append(area * float(np.std(vals, ddof=1)) / math.sqrt(500))
-        draws, sizes = [], []
-        sample = fourier.sample_sphere
-        monkeypatch.setattr(fourier, "sample_sphere", lambda *args: draws.append(args) or sample(*args))
+        mu = fl.build_product([a, spec_less_measure(8, 9, 3, 4), a], [0.5] * 3)
+        ts = np.random.default_rng(5).permutation(np.linspace(0.0, 5.0, 51))
+        alone = [fourier._sigma_many(mu, [t], weight) for t in ts]
+        want_v = np.array([v[0] for v, _ in alone])
+        want_n = [n[0] for _, n in alone]
+        assert len(set(want_n)) > 3
+        for size in (2, 3, 17, ts.size):
+            for start in range(0, ts.size, size):
+                values, nodes = fourier._sigma_many(mu, ts[start : start + size], weight)
+                assert values.tobytes() == want_v[start : start + size].tobytes()
+                assert nodes.tolist() == want_n[start : start + size]
+
+    def test_over_budget_t_raises_before_any_spectrum(self, monkeypatch):
+        calls = []
         spectrum = fl.GridMeasure.power_spectrum
         monkeypatch.setattr(fl.GridMeasure, "power_spectrum",
-                            lambda self, xi: sizes.append(np.size(xi)) or spectrum(self, xi))
-        values, nodes, stderrs = fourier._sigma_many(mu, ts, weight, spec)
-        assert draws == [(3, 500, 21)]
-        assert values.tolist() == want_v and stderrs.tolist() == want_se
-        assert nodes.tolist() == [500] * ts.size
-        # 32768 // 500 = 65 rows per block, 150 t in three: each Cantor factor
-        # takes the two full blocks whole, the spec-less one row by row
-        assert max(sizes) == 65 * 500 and sizes.count(65 * 500) == 4
+                            lambda self, xi: calls.append("spectrum") or spectrum(self, xi))
+        # diameter ~ 1 on the 2**30 grid: at t = 1000, 2 pi t |diam| ~ 1.1e4
+        # gives 16384 circle samples and 8193 polar nodes, 1.3e8 > 2**24
+        wide = fl.GridMeasure(base=2, level=30, indices=np.array([0, 2**30 - 1]),
+                              weights=np.array([0.5, 0.5]))
+        mu = fl.build_product([wide] * 3, [0.0] * 3)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"sphere rule at t=1000.0 needs over 2\*\*24"):
+            fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta")
+        assert calls == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_cos_theta_is_refused_past_d_2(self):
+        pm = fl.point_mass()
+        with pytest.raises(ValidationError, match="d = 2 only"):
+            fl.spherical_average(fl.build_product([pm] * 3, [0.0] * 3), 1.0, "cos_theta")
 
 
 class TestSolidAverage:
@@ -631,6 +697,14 @@ class TestAngularDecomposition:
         cut = fl.CutoffFunction("fejer", 2.0)
         with pytest.raises(ValidationError, match="disjoint"):
             fl.angular_decomposition(mu, 2.0, 0.05, cut)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_t(self, middle_thirds_8, t):
+        # a point-mass product has no validity cap to stop an infinite t
+        for nu in (middle_thirds_8, fl.point_mass()):
+            mu = fl.build_product([nu, nu], [0.5, 0.5])
+            with pytest.raises(ValidationError, match="t must be >= 1 and finite"):
+                fl.angular_decomposition(mu, t, 0.1, fl.CutoffFunction("fejer", 2.0))
 
     def test_cutoff_scale_must_exceed_one(self, middle_thirds_8):
         mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
+from conftest import derive_delta_grid, space_side_sigma, sphere_kernel_3
 from fractalab import geometry
+from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
 ALPHA_MT = math.log(2.0) / math.log(3.0)
@@ -382,15 +384,33 @@ class TestMattila:
             fl.mattila_truncated(mu, 50.0, weighted=True)
 
     def test_d3_point_mass_unweighted(self):
-        # sigma = (4 pi)^2 constant, integrand t^2: value = 16 pi^2 (T^3 - 1)/3
+        # sigma = 4 pi = |S^2|, integrand 16 pi^2 t^2: value = 16 pi^2 (T^3 - 1)/3
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
-        quad = fl.MattilaQuadrature(
-            t_rel_tol=1e-6, max_t_nodes=2000,
-            angular=fl.QuadratureSpec(node_count=2000, seed=3),
-        )
-        est = fl.mattila_truncated(mu, 5.0, weighted=False, quadrature=quad)
-        assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-4)
+        est = fl.mattila_truncated(mu, 5.0, weighted=False)
+        assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-6)
+
+    def test_d3_point_mass_weighted(self):
+        # sigma_w = 2 pi = 2 |B^2|, integrand 4 pi^2 t^2: value = 4 pi^2 (T^3 - 1)/3
+        pm = fl.point_mass()
+        mu = fl.build_product([pm, pm, pm], [0.0] * 3)
+        est = fl.mattila_truncated(mu, 5.0, weighted=True)
+        assert est.value == pytest.approx(4.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-6)
+
+    def test_d3_cantor_matches_the_space_side_oracle(self):
+        # sigma = 4 pi sum w_x w_y sinc(2 t |x - y|) (np.sinc), and the
+        # integral of sigma^2 t^2 by Simpson in log t at 1e-10
+        nu = fl.build_cantor(fl.middle_thirds(3))
+        mu = fl.build_product([nu] * 3, [ALPHA_MT] * 3)
+        T = 2.5
+
+        def integrand(tau):
+            return space_side_sigma(mu, np.exp(tau), sphere_kernel_3) ** 2 * np.exp(3.0 * tau)
+
+        oracle, _, converged = simpson_doubling(integrand, 0.0, math.log(T), 64, rel_tol=1e-10)
+        assert converged
+        est = fl.mattila_truncated(mu, T, weighted=False)
+        assert est.value == pytest.approx(oracle, rel=1e-6)
 
 
 class TestMattilaBatches:
@@ -407,15 +427,13 @@ class TestMattilaBatches:
     )
     def test_each_refinement_is_one_batch_of_the_per_t_values(self, monkeypatch, factors, T, weighted):
         mu = fl.build_product(factors(), [0.5] * len(factors()))
-        quad = fl.MattilaQuadrature(
-            t_rel_tol=1e-6, max_t_nodes=600, angular=fl.QuadratureSpec(node_count=300, seed=5)
-        )
+        quad = fl.MattilaQuadrature(t_rel_tol=1e-6, max_t_nodes=600)
         batches = []
         many = geometry._sigma_many
 
-        def recording(mu, ts, weight, spec):
+        def recording(mu, ts, weight):
             batches.append(len(ts))
-            return many(mu, ts, weight, spec)
+            return many(mu, ts, weight)
 
         monkeypatch.setattr(geometry, "_sigma_many", recording)
         est = fl.mattila_truncated(mu, T, weighted, quad)
@@ -426,7 +444,7 @@ class TestMattilaBatches:
         assert sum(batches) == est.t_nodes + panels - 1  # shared panel ends twice
         assert len(batches) < est.t_nodes / 8
         weight = "sin_theta" if weighted else "none"
-        alone = [fl.spherical_average_detailed(mu, t, weight, quad.angular)[0] for t in est.t_values]
+        alone = [fl.spherical_average_detailed(mu, t, weight)[0] for t in est.t_values]
         assert est.sigma.tolist() == alone
 
     @pytest.mark.parametrize(
@@ -513,13 +531,18 @@ class TestThresholds:
         with pytest.raises(ValidationError, match="dims"):
             fl.threshold_report([0.5, 1.2])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "two thirds", "1/0", ""])
+    def test_non_numeric_dims_rejected_naming_the_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"dims\[1\] must be a number"):
+            fl.threshold_report(["2/3", bad])
+
 
 class TestDeriveDelta:
     def test_example_and_grid_agreement(self):
         g0, delta = fl.derive_delta(0.5, 0.02)
         assert g0 == pytest.approx(0.01, abs=1e-15)
         assert delta == pytest.approx(0.005, abs=1e-15)
-        gg, dd = fl.derive_delta_grid(0.5, 0.02)
+        gg, dd = derive_delta_grid(0.5, 0.02)
         assert abs(g0 - gg) < 1e-6
         assert abs(delta - dd) < 1e-6
 
@@ -538,7 +561,7 @@ class TestDeriveDelta:
     @given(alpha=st.floats(0.1, 0.9), beta=st.floats(1e-4, 0.2))
     def test_grid_search_confirms_closed_form(self, alpha, beta):
         g0, delta = fl.derive_delta(alpha, beta)
-        gg, dd = fl.derive_delta_grid(alpha, beta, points=400_001)
+        gg, dd = derive_delta_grid(alpha, beta, points=400_001)
         assert abs(g0 - gg) <= max(1e-6, 2.0 * beta / 400_000)
         assert abs(delta - dd) <= 1e-6
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import dense_copy, exact_phase_transform
+from conftest import dense_copy, exact_phase_transform, product_ft, random_grid_measure
+from fractalab import measures
 from fractalab.errors import ValidationError
 
 
@@ -149,12 +150,12 @@ class TestRieszTransform:
         m = np.array(multiples)
         pairs = np.stack([m, m[::-1]], axis=-1) * caps
         for vectors in (pairs, np.stack([pairs, -pairs])):
-            out = fl.product_ft(mu, vectors)
+            out = product_ft(mu, vectors)
             assert out.shape == vectors.shape[:-1]
-            assert out.tobytes() == fl.product_ft(oracle, vectors).tobytes()
-        one = fl.product_ft(mu, pairs[0])
+            assert out.tobytes() == product_ft(oracle, vectors).tobytes()
+        one = product_ft(mu, pairs[0])
         assert isinstance(one, complex)
-        assert one == fl.product_ft(oracle, pairs[0])
+        assert one == product_ft(oracle, pairs[0])
 
     def test_only_build_cantor_sets_the_spec(self):
         spec = fl.middle_thirds(4)
@@ -269,6 +270,30 @@ def spec_less_measure_st(draw, max_atoms=1500):
     indices = np.sort(rng.choice(base**level, size=atoms, replace=False))
     weights = rng.random(atoms) + 0.05
     return fl.GridMeasure(base, level, indices, weights / weights.sum())
+
+
+class TestDenseSumOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 64), st.sampled_from([1, 7, 40, 1 << 22]))
+    def test_a_frequency_is_bitwise_the_same_alone_and_in_any_batch(self, seed, size, chunk):
+        # each frequency is one row of a phase table, summed in a fixed order,
+        # so neither the batch nor its place in a chunk of _CHUNK // atoms
+        # rows moves its last bit
+        rng = np.random.default_rng(seed)
+        nu = random_grid_measure(rng, max_atoms=40)
+        xi = rng.uniform(-300.0, 300.0, 97)
+        want = nu.transform(xi)
+        want_power = nu.power_spectrum(xi)
+        assert [nu.transform(float(x)) for x in xi] == want.tolist()
+        assert [nu.power_spectrum(float(x)) for x in xi] == want_power.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK", chunk)
+            for start in range(0, xi.size, size):
+                part = slice(start, start + size)
+                assert nu.transform(xi[part]).tobytes() == want[part].tobytes()
+                assert nu.power_spectrum(xi[part]).tobytes() == want_power[part].tobytes()
+            grid = nu.transform(xi[:96].reshape(8, 12))
+            assert grid.tobytes() == want[:96].tobytes()
 
 
 class TestTransformOnGrid:

@@ -131,26 +131,6 @@ class TestRules:
             require_converged((1.25, 33, False), "some rule", 1e-7)
 
 
-class TestQuadratureSpec:
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            ({"node_count": 64.5}, "node_count must be an integer >= 4, got 64.5"),
-            ({"node_count": 3}, "node_count must be an integer >= 4, got 3"),
-            ({"seed": -1}, "seed must be a nonnegative integer"),
-            ({"seed": 1.5}, "seed must be a nonnegative integer"),
-        ],
-        ids=["fractional-nodes", "three-nodes", "negative-seed", "fractional-seed"],
-    )
-    def test_rejects(self, options, message):
-        with pytest.raises(ValidationError, match=message):
-            fl.QuadratureSpec(**options)
-
-    def test_accepts_numpy_integers(self):
-        spec = fl.QuadratureSpec(node_count=np.int64(100), seed=np.uint32(7))
-        assert (spec.node_count, spec.seed) == (100, 7)
-
-
 class TestNonConvergenceRaises:
     def test_solid_average(self, monkeypatch, middle_thirds_8):
         monkeypatch.setattr(fourier, "simpson_doubling", capped_simpson)
@@ -186,6 +166,6 @@ class TestNonConvergenceRaises:
     def test_spherical_average_converged_under_a_cap(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        value, nodes, _ = fl.spherical_average_detailed(mu, 5.0, "none")
+        value, nodes = fl.spherical_average_detailed(mu, 5.0, "none")
         assert value == pytest.approx(2.0 * np.pi, rel=1e-12)
         assert nodes == 128 == 2 * fourier._circle_samples(0.0)
