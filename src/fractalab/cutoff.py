@@ -23,8 +23,8 @@ class CutoffFunction:
     def __post_init__(self):
         if self.kind != "fejer":
             raise ValidationError(f"unknown cutoff kind {self.kind!r}; only 'fejer' is available")
-        if not self.scale > 0:
-            raise ValidationError(f"cutoff scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValidationError(f"cutoff scale must be positive and finite, got {self.scale}")
 
     def __call__(self, x):
         """psi(x) = sinc(scale * x)^2 (numpy sinc convention: sin(pi u)/(pi u))."""

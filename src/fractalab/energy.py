@@ -25,12 +25,13 @@ Both routes decide the strict window on the same float expression
 Smoothed fourth moments replace the sharp window by a Fejer cutoff:
 space side  iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, computed through the gap
 autocorrelation c of q (from D + D - D - D for build_cantor measures, by an
-FFT for any other); Fourier side (1/t) int psi_hat(eta/t) |nu_hat(eta)|^4
-deta by Simpson over the compact transform support, |nu_hat|^4 taken as
-GridMeasure.power_spectrum squared (the real Riesz product) for build_cantor
-measures and from GridMeasure.transform_on_grid (one factored phase-table
-product per uniform node grid) for any other. The two agree by Parseval and
-are tested against each other.
+FFT for any other; cached as its nonzero gaps); Fourier side (1/t) int
+psi_hat(eta/t) |nu_hat(eta)|^4 deta by Simpson over the compact transform
+support, |nu_hat|^4 taken as GridMeasure.power_spectrum squared (the real
+Riesz product) for build_cantor measures and from
+GridMeasure.transform_on_grid (one factored phase-table product per uniform
+node grid) for any other. The two agree by Parseval and are tested against
+each other.
 """
 from __future__ import annotations
 
@@ -92,18 +93,27 @@ def _check_grid(nu: GridMeasure) -> None:
 def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
     """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid copies of
     sum_j signs[j] D_j with D_j uniform on the kept digits, shifted to start
-    at index 0. Built level by level: upsample by base, then convolve with
-    the digit pmf (padded over [0, base)); no scatter-add and no FFT."""
-    d = np.zeros(spec.base)
+    at index 0. Built level by level, polyphase: entry base*m + r of the next
+    level is the pmf convolved with phase r of the digit pmf, [r::base]
+    trimmed of zero end taps (one tap: a scaled strided copy); no FFT."""
+    base = spec.base
+    d = np.zeros(base)
     d[list(spec.digits)] = 1.0 / len(spec.digits)
     digit_pmf = np.ones(1)
     for sign in signs:
         digit_pmf = np.convolve(digit_pmf, d if sign > 0 else d[::-1])
+    nonzero = [(r, np.flatnonzero(digit_pmf[r::base])) for r in range(base)]
+    phases = [(r + base * nz[0], digit_pmf[r::base][nz[0] : nz[-1] + 1])  # (first index, taps)
+              for r, nz in nonzero if nz.size]
     pmf = np.ones(1)
     for _ in range(spec.level):
-        up = np.zeros(spec.base * (pmf.size - 1) + 1)
-        up[:: spec.base] = pmf
-        pmf = np.convolve(up, digit_pmf)
+        out = np.zeros(base * (pmf.size - 1) + digit_pmf.size)
+        for start, taps in phases:
+            if taps.size == 1:
+                np.multiply(pmf, taps[0], out=out[start::base][: pmf.size])
+            else:
+                out[start::base][: pmf.size + taps.size - 1] = np.convolve(pmf, taps)
+        pmf = out
     return pmf
 
 
@@ -248,6 +258,8 @@ def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
     rs = [float(r) for r in r_values]
     if len(rs) < 3:
         raise ValidationError(f"need at least 3 scales, got {len(rs)}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
     delta = nu.delta
     for r in rs:
         if not 0 < r < math.inf:
@@ -272,7 +284,6 @@ def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
 # Smoothed fourth moments (Fejer window instead of the sharp scale-r cut)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
 def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
     """Autocorrelation c(g) = sum_a q(a) q(a+g) of the sumset distribution,
     returned as a dense array over g in [-(L-1), L-1] plus the offset L-1.
@@ -284,7 +295,6 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
     if nu.spec is not None:
         _check_grid(nu)
         c = _digit_expansion_pmf(nu.spec, (1, 1, -1, -1))
-        c.setflags(write=False)
         return c, c.size // 2
     q = sumset_autocorrelation(nu).values
     m = q.size
@@ -296,23 +306,30 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
     c = np.empty(2 * m - 1)
     c[m - 1 :] = circ[:m]
     c[: m - 1] = circ[size - (m - 1) :]
-    c = np.maximum((c + c[::-1]) / 2.0, 0.0)
-    c.setflags(write=False)
-    return c, m - 1
+    return np.maximum((c + c[::-1]) / 2.0, 0.0), m - 1
+
+
+@lru_cache(maxsize=8)
+def _gap_table(nu: GridMeasure) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c(0), c(g) at the gaps g > 0 where it is nonzero, their positions
+    g * delta), read-only: the cache keeps no dense c."""
+    c, offset = _gap_correlation(nu)
+    nz = np.flatnonzero(c[offset + 1 :])
+    table = c[offset + 1 :][nz], (nz + 1) * nu.delta
+    for a in table:
+        a.setflags(write=False)
+    return float(c[offset]), *table
 
 
 def smoothed_fourth_moment(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
     """Space-side moment iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, evaluated
     exactly through the sumset gap correlation. c is even and psi(0) = 1,
     so the sum runs over g >= 0 as c(0) + 2 sum_{g>0} c(g) psi(t g delta),
-    with psi evaluated only at the gaps where c(g) != 0 (a Cantor measure's
-    c lives on gcd(D - D) Z, so most gaps drop out)."""
+    one psi evaluation and one dot over the cached nonzero gaps."""
     if not 0 < t < math.inf:
         raise ValidationError(f"t must be positive and finite, got {t}")
-    c, offset = _gap_correlation(nu)
-    tail = c[offset + 1 :]
-    nz = np.flatnonzero(tail)
-    return float(c[offset] + 2.0 * np.dot(tail[nz], cutoff(t * ((nz + 1) * nu.delta))))
+    c0, cg, positions = _gap_table(nu)
+    return float(c0 + 2.0 * np.dot(cg, cutoff(t * positions)))
 
 
 def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:

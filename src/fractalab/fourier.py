@@ -14,17 +14,18 @@ A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
-Every d = 2 circle integral is one band-limited Fourier sum (_circle_sum:
+Every d = 2 circle integral is one band-limited Fourier sum (the modes of
 one real FFT of equispaced samples of [0, pi), exact to rounding, capped at
 2**24 samples; it never refines): the circular average sigma(t) under each
-weight and the stationary-phase circle integral. sigma for d >= 3 is one
-product rule: Gauss-Legendre in the polar angle of the last axis over
-sigma of the first d - 1 factors, which ends in the d = 2 circle sum; it
-is exact to rounding too and never refines. sigma is evaluated on arrays of
-t (_sigma_many: one t, a sweep, or a Mattila refinement's nodes) in row
-blocks of at most energy._BLOCK samples or polar nodes. The solid averages
-and the angular sectors are quadrature.simpson_doubling, which raises
-BudgetError when it reaches its node cap before its tolerance.
+weight, the stationary-phase circle integral, and the three angular
+sectors, each an exact integral of the same modes as sigma's. sigma for
+d >= 3 is one product rule: Gauss-Legendre in the polar angle of the last
+axis over sigma of the first d - 1 factors, which ends in the d = 2 circle
+sum; it is exact to rounding too and never refines. sigma is evaluated on
+arrays of t (_sigma_many: one t, a sweep, or a Mattila refinement's nodes)
+in row blocks of at most energy._BLOCK samples or polar nodes. The solid
+averages are quadrature.simpson_doubling, which raises BudgetError when it
+reaches its node cap before its tolerance.
 """
 from __future__ import annotations
 
@@ -67,24 +68,40 @@ def require_under_cap(mu: ProductMeasure | GridMeasure, x: float, what: str) -> 
 # Circle integrals (d = 2) and spherical averages
 # ---------------------------------------------------------------------------
 
-def _circle_samples(x: float) -> int:
+def _circle_samples(x):
     """The smallest power of two, at least 16, >= x + 10 x^(1/3) + 40: past
-    that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that shows."""
+    that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that shows.
+    Elementwise on an array of x."""
     need = x + 10.0 * x ** (1.0 / 3.0) + 40.0
-    if not need <= 1 << 24:  # t|g| above about 2.6e6
-        raise BudgetError(f"circle integral at 2 pi t|gap| = {x:.6g} needs over 2**24 samples; lower t")
-    return max(16, 1 << (math.ceil(need) - 1).bit_length())
+    over = np.ravel(x)[~(np.ravel(need) <= 1 << 24)]  # t|g| above about 2.6e6
+    if over.size:
+        raise BudgetError(f"circle integral at 2 pi t|gap| = {over[0]:.6g} needs over 2**24 samples; lower t")
+    # frexp's exponent of an integer m >= 1 is m.bit_length()
+    return np.maximum(16, 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int))
 
 
-def _circle_sum(f: np.ndarray, weight: str) -> np.ndarray:
-    """int_0^{2pi} F(theta) w(theta) dtheta from f = F(pi m / n), m = 0..n-1,
-    along the last axis, for F pi-periodic and even with no mode past n/2
-    that shows: the trapezoid rule gives its modes c_k exactly up to rounding
-    (Trefethen-Weideman 2014), from one real FFT. Weight 'none' gives
-    2 pi c_0; |sin theta| = 2/pi - (4/pi) sum_k cos(2k theta)/(4k^2 - 1)
-    gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1), and |cos theta| the same with
-    (-1)^k: one dot per row (a stack of 1 x k by k x 1 products)."""
-    c = np.fft.rfft(f).real / f.shape[-1]
+def _circle_modes(f: np.ndarray) -> np.ndarray:
+    """Modes c_k, k = 0..n/2, of F from f = F(pi m / n), m = 0..n-1, along
+    the last axis, for F pi-periodic and even with no mode past n/2 that
+    shows: the trapezoid rule, one real FFT, gives them exactly up to
+    rounding (Trefethen-Weideman 2014)."""
+    return np.fft.rfft(f).real / f.shape[-1]
+
+
+def _quadrant_modes(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) -> np.ndarray:
+    """_circle_modes of |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2,
+    a row per t of the column tr; even about pi/2, so [0, pi/2] mirrored."""
+    half = np.pi * np.arange(n // 2 + 1) / n
+    f = fa.power_spectrum(tr * np.cos(half)) * fb.power_spectrum(tr * np.sin(half))
+    return _circle_modes(np.concatenate((f, f[:, -2:0:-1]), axis=1))
+
+
+def _circle_sum(c: np.ndarray, weight: str) -> np.ndarray:
+    """int_0^{2pi} F(theta) w(theta) dtheta from the modes c of F along the
+    last axis. Weight 'none' gives 2 pi c_0; |sin theta| = 2/pi - (4/pi)
+    sum_k cos(2k theta)/(4k^2 - 1) gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1), and
+    |cos theta| the same with (-1)^k: one dot per row (a stack of 1 x k by
+    k x 1 products)."""
     if weight == "none":
         return 2.0 * np.pi * c[..., 0]
     k = np.arange(1, c.shape[-1], dtype=float)
@@ -135,18 +152,14 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     if t.size:
         require_under_cap(mu, t.max(), f"t={t.max()}")
     diam = math.hypot(*(f.diameter for f in mu.factors))
-    counts = np.array([_circle_samples(2.0 * np.pi * x * diam) for x in t.tolist()], dtype=int)
+    counts = _circle_samples(2.0 * np.pi * t * diam)
     values, nodes = np.empty(t.size), np.empty(t.size, dtype=int)
     if d == 2:
         fa, fb = mu.factors
         for n in np.unique(counts).tolist():
-            half = np.pi * np.arange(n // 2 + 1) / n
             group, rows = np.flatnonzero(counts == n), max(1, _BLOCK // (n // 2 + 1))
             for idx in np.split(group, range(rows, group.size, rows)):
-                tr = t[idx, None]
-                f = fa.power_spectrum(tr * np.cos(half)) * fb.power_spectrum(tr * np.sin(half))
-                # F(pi - theta) = F(theta): [0, pi/2] mirrored gives the n samples of [0, pi)
-                values[idx] = _circle_sum(np.concatenate((f, f[:, -2:0:-1]), axis=1), weight)
+                values[idx] = _circle_sum(_quadrant_modes(fa, fb, t[idx, None], n), weight)
         return values, 2 * counts
     polar = counts // 2 + 1
     over = polar.astype(float) ** (d - 2) * counts > 1 << 24
@@ -260,16 +273,28 @@ def _circle_phase_integral(gap: np.ndarray, t: float) -> complex:
     cos_t = np.concatenate((cos_h, -cos_h[-2:0:-1]))
     sin_t = np.concatenate((sin_h, sin_h[-2:0:-1]))
     f = np.cos(2.0 * np.pi * t * (gap[0] * cos_t + gap[1] * sin_t))
-    return complex(_circle_sum(f, "sin_theta"))
+    return complex(_circle_sum(_circle_modes(f), "sin_theta"))
+
+
+def _check_gap(gap) -> tuple[np.ndarray, float]:
+    g = np.asarray(gap, dtype=float)
+    if g.shape != (2,):
+        raise ValidationError("gap must be a 2-vector (the check is d = 2 only)")
+    norm = float(np.hypot(g[0], g[1]))
+    if not 0.0 < norm < math.inf:
+        raise ValidationError("gap must be nonzero and finite")
+    return g, norm
 
 
 def stationary_phase_main_term(gap, t):
     """Leading term 2 (t|g|)^(-1/2) cos(2 pi (t|g| - 1/8)) |sin theta_g|,
     where theta_g is the angle between the gap vector and the x-axis.
-    Vectorized in t."""
-    g = np.asarray(gap, dtype=float)
-    norm = float(np.hypot(g[0], g[1]))
-    x = np.asarray(t, dtype=float) * norm
+    Vectorized in t, every t positive and finite."""
+    g, norm = _check_gap(gap)
+    t = np.asarray(t, dtype=float)
+    if not ((t > 0.0) & (t < math.inf)).all():
+        raise ValidationError("t values must be positive and finite")
+    x = t * norm
     sin_gap = abs(g[1]) / norm
     return 2.0 * x ** (-0.5) * np.cos(2.0 * np.pi * (x - 0.125)) * sin_gap
 
@@ -293,17 +318,10 @@ def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     """Compare the oscillatory circle integral with its main term across a
     t sweep and fit the residual decay inside the declared window. The
     circle integral is exact to 1e-12; t|g| past ~2.6e6 raises BudgetError."""
-    g = np.asarray(gap, dtype=float)
-    if g.shape != (2,):
-        raise ValidationError("gap must be a 2-vector (the check is d = 2 only)")
-    norm = float(np.hypot(g[0], g[1]))
-    if not 0.0 < norm < math.inf:
-        raise ValidationError("gap must be nonzero and finite")
+    g, norm = _check_gap(gap)
     ts = [float(t) for t in t_values]
-    if not all(0 < t < math.inf for t in ts):
-        raise ValidationError("t values must be positive and finite")
+    main = [float(stationary_phase_main_term(g, t)) for t in ts]  # checks each t first
     exact = [_circle_phase_integral(g, t) for t in ts]
-    main = [float(stationary_phase_main_term(g, t)) for t in ts]
     resid = [e - m for e, m in zip(exact, main)]
     xs = [t * norm for t in ts]
     lo, hi = FIT_WINDOW
@@ -356,6 +374,10 @@ def angular_decomposition(
 ) -> AngularDecomposition:
     """Decompose the quadrant average at angular cut eps = t^(-gamma0).
 
+    Each sector is exact from the modes of sigma's circle sum
+    (_quadrant_modes): int_a^b F = c_0 (b - a) + sum_k c'_k (sin 2kb -
+    sin 2ka) / (2k). A t past 2**24 samples raises BudgetError first.
+
     The middle sector obeys middle <= C t^gamma0 sqrt(I * II) with
     C = (pi/2) / min_{[-1,1]} psi_hat: Cauchy-Schwarz in theta, then the
     substitutions u = cos theta / u = sin theta (whose Jacobians are bounded
@@ -383,19 +405,14 @@ def angular_decomposition(
             "cutoff transform must be positive on [-1, 1]: use a scale > 1"
         )
     fa, fb = mu.factors
-
-    def f(thetas: np.ndarray) -> np.ndarray:
-        return fa.power_spectrum(t * np.cos(thetas)) * fb.power_spectrum(t * np.sin(thetas))
-
-    def sector(a: float, b: float) -> float:
-        initial = max(32, 2 * int(4.0 * t * (b - a)))
-        result = simpson_doubling(f, a, b, initial_intervals=initial, rel_tol=1e-7)
-        return require_converged(result, "angular-sector Simpson", 1e-7)
-
-    near_zero = sector(0.0, eps)
-    near_half_pi = sector(np.pi / 2.0 - eps, np.pi / 2.0)
-    middle = sector(eps, np.pi / 2.0 - eps)
-
+    n = _circle_samples(2.0 * np.pi * t * math.hypot(fa.diameter, fb.diameter))
+    c = _quadrant_modes(fa, fb, np.array([[t]]), n)[0]
+    # F = c_0 + sum_k c'_k cos(2k theta), c'_k = 2 c_k with the Nyquist mode once
+    cp, k2 = 2.0 * c[1:], 2.0 * np.arange(1, c.size)
+    cp[-1] = c[-1]
+    a, b = np.array([[0.0, eps], [np.pi / 2.0 - eps, np.pi / 2.0], [eps, np.pi / 2.0 - eps]]).T
+    sines = (np.sin(k2 * b[:, None]) - np.sin(k2 * a[:, None])) / k2
+    near_zero, near_half_pi, middle = (c[0] * (b - a) + np.einsum("ij,j->i", sines, cp)).tolist()
     moment_a = smoothed_fourth_moment(fa, t, cutoff)
     # A x A products (the paper's case) share one factor object
     moment_b = moment_a if fb is fa else smoothed_fourth_moment(fb, t, cutoff)

@@ -3,6 +3,7 @@ import pytest
 
 import fractalab as fl
 from fractalab.errors import ValidationError
+from fractalab.quadrature import require_converged, simpson_doubling
 
 
 def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3, 4, 5)):
@@ -105,6 +106,41 @@ def space_side_sigma(mu, ts, kernel):
 def sphere_kernel_3(u):
     """|S^2| sin(u)/u, the transform of the surface measure of S^2."""
     return 4.0 * np.pi * np.sinc(u / np.pi)
+
+
+def upsample_pmf(spec, signs):
+    """The digit-expansion pmf of energy._digit_expansion_pmf built the
+    direct way: each level upsamples the pmf by the base (zeros between its
+    entries), then convolves it with the whole digit pmf."""
+    d = np.zeros(spec.base)
+    d[list(spec.digits)] = 1.0 / len(spec.digits)
+    digit_pmf = np.ones(1)
+    for sign in signs:
+        digit_pmf = np.convolve(digit_pmf, d if sign > 0 else d[::-1])
+    pmf = np.ones(1)
+    for _ in range(spec.level):
+        up = np.zeros(spec.base * (pmf.size - 1) + 1)
+        up[:: spec.base] = pmf
+        pmf = np.convolve(up, digit_pmf)
+    return pmf
+
+
+def simpson_sectors(mu, t, gamma0, rel_tol):
+    """Oracle of angular_decomposition's sectors (near_zero, near_half_pi,
+    middle): Simpson doubling of |nu_a_hat(t cos)|^2 |nu_b_hat(t sin)|^2 on
+    [0, eps], [pi/2 - eps, pi/2] and [eps, pi/2 - eps], eps = t^(-gamma0)."""
+    fa, fb = mu.factors
+    eps = t ** (-gamma0)
+
+    def f(thetas):
+        return fa.power_spectrum(t * np.cos(thetas)) * fb.power_spectrum(t * np.sin(thetas))
+
+    def sector(a, b):
+        initial = max(32, 2 * int(4.0 * t * (b - a)))
+        result = simpson_doubling(f, a, b, initial_intervals=initial, rel_tol=rel_tol)
+        return require_converged(result, "angular-sector Simpson", rel_tol)
+
+    return sector(0.0, eps), sector(np.pi / 2.0 - eps, np.pi / 2.0), sector(eps, np.pi / 2.0 - eps)
 
 
 @pytest.fixture(scope="session")

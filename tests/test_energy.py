@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import dense_copy, random_grid_measure
+from conftest import dense_copy, random_grid_measure, upsample_pmf
 from fractalab import energy
 from fractalab.energy import _fourth_moment_quadrature, _gap_correlation
 from fractalab.errors import BudgetError, ValidationError
@@ -189,6 +189,35 @@ class TestCantorRoute:
             fl.sumset_autocorrelation(nu)
 
 
+class TestPolyphasePmf:
+    """The polyphase digit-expansion pmf against the upsample-then-convolve
+    build: bitwise on sets of at most two digits, whose phases have at most
+    two nonzero taps (so no sum depends on its order), within 1e-15 of the
+    max on three-digit sets."""
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, 1, -1, -1)])
+    @pytest.mark.parametrize(
+        "spec",
+        [fl.CantorSpec(3, (0, 2), 10), fl.CantorSpec(4, (0, 3), 9), fl.CantorSpec(5, (0, 2), 8),
+         fl.CantorSpec(3, (0, 2), 12), fl.CantorSpec(2, (0, 1), 11), fl.CantorSpec(7, (2, 5), 5),
+         fl.CantorSpec(6, (1, 4), 1), fl.CantorSpec(3, (1,), 4), fl.CantorSpec(3, (0, 2), 0)],
+        ids=str,
+    )
+    def test_sets_of_at_most_two_digits_are_bitwise_equal(self, spec, signs):
+        fast, oracle = energy._digit_expansion_pmf(spec, signs), upsample_pmf(spec, signs)
+        assert fast.shape == oracle.shape
+        assert fast.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, 1, -1, -1)])
+    @pytest.mark.parametrize(
+        "spec", [fl.CantorSpec(5, (0, 1, 4), 8), fl.CantorSpec(7, (1, 3, 4), 6)], ids=str
+    )
+    def test_three_digit_sets_within_rounding(self, spec, signs):
+        fast, oracle = energy._digit_expansion_pmf(spec, signs), upsample_pmf(spec, signs)
+        assert fast.shape == oracle.shape
+        assert np.max(np.abs(fast - oracle)) <= 1e-15 * np.max(oracle)
+
+
 class TestWindowBlocks:
     """The streamed window sum against the explicit-window oracle, on q
     shorter than a block, a whole number of blocks, and one entry more."""
@@ -352,6 +381,11 @@ class TestEnergyProfile:
         with pytest.raises(ValidationError, match="resolution"):
             fl.energy_profile(middle_thirds_8, [3.0**-10, 3.0**-9, 3.0**-8], 0.6)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, middle_thirds_8, alpha):
+        with pytest.raises(ValidationError, match="alpha must be finite"):
+            fl.energy_profile(middle_thirds_8, [1 / 27, 1 / 9, 1 / 3], alpha)
+
 
 def smoothed_quadruple_oracle(nu, t, cutoff):
     pos = nu.positions
@@ -364,7 +398,40 @@ def smoothed_quadruple_oracle(nu, t, cutoff):
     return total
 
 
+# criterion 8's gamma0 = 0.1 sweeps, the (product, t) pairs of the benchmark
+CS_MOMENT_CASES = [
+    (fl.CantorSpec(3, (0, 2), 10), (81.0, 243.0, 729.0)),
+    (fl.CantorSpec(4, (0, 3), 9), (64.0, 256.0, 1024.0)),
+    (fl.CantorSpec(5, (0, 2), 8), (25.0, 125.0, 625.0)),
+]
+
+
 class TestSmoothedEnergy:
+    @pytest.mark.parametrize("spec, ts", CS_MOMENT_CASES, ids=lambda v: str(v))
+    def test_moments_bitwise_equal_to_the_dense_gap_sum(self, spec, ts):
+        # the moment read off the dense c of the upsample-then-convolve pmf,
+        # psi at g delta over its nonzero gaps g > 0, in the same float
+        # expressions as the cached nonzero-gap table
+        nu = fl.build_cantor(spec)
+        c = upsample_pmf(spec, (1, 1, -1, -1))
+        offset = c.size // 2
+        tail = c[offset + 1 :]
+        nz = np.flatnonzero(tail)
+        cut = fl.CutoffFunction("fejer", 2.0)
+        for t in ts:
+            want = float(c[offset] + 2.0 * np.dot(tail[nz], cut(t * ((nz + 1) * nu.delta))))
+            assert fl.smoothed_fourth_moment(nu, t, cut).hex() == want.hex()
+
+    def test_gap_table_holds_the_nonzero_gaps(self):
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 6))
+        c, offset = _gap_correlation(nu)
+        c0, cg, positions = energy._gap_table(nu)
+        nz = np.flatnonzero(c[offset + 1 :])
+        assert c0 == c[offset] and cg.tobytes() == c[offset + 1 :][nz].tobytes()
+        assert positions.tobytes() == ((nz + 1) * nu.delta).tobytes()
+        assert not cg.flags.writeable and not positions.flags.writeable
+        assert energy._gap_table(nu)[1] is cg
+
     def test_point_mass_gives_psi_zero(self):
         cut = fl.CutoffFunction("fejer", 1.0)
         space, fourier = fl.smoothed_energy(fl.point_mass(), 4.0, cut)
@@ -535,6 +602,24 @@ class TestCutoff:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError, match="fejer"):
             fl.CutoffFunction("gauss", 1.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            fl.CutoffFunction("fejer", scale)
+
+    @pytest.mark.parametrize("entry", ["smoothed_fourth_moment", "smoothed_energy",
+                                       "angular_decomposition"])
+    def test_no_entry_point_takes_an_infinite_scale(self, middle_thirds_8, entry):
+        # scale = inf gave nan, an OverflowError and "use a scale > 1" here
+        calls = {
+            "smoothed_fourth_moment": lambda cut: fl.smoothed_fourth_moment(middle_thirds_8, 9.0, cut),
+            "smoothed_energy": lambda cut: fl.smoothed_energy(middle_thirds_8, 9.0, cut),
+            "angular_decomposition": lambda cut: fl.angular_decomposition(
+                fl.build_product([middle_thirds_8] * 2, [0.5, 0.5]), 81.0, 0.1, cut),
+        }
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            calls[entry](fl.CutoffFunction("fejer", math.inf))
 
 
 class TestDzBeta:

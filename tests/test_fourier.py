@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import measure_ft, product_ft, random_grid_measure, space_side_sigma, sphere_kernel_3
+from conftest import (measure_ft, product_ft, random_grid_measure, simpson_sectors,
+                      space_side_sigma, sphere_kernel_3)
 from fractalab import fourier, measures
 from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
@@ -188,6 +189,57 @@ class TestSphericalAverage:
         series = fl.spherical_average_series(mu, [3.0, 9.0, 27.0, 81.0], "sin_theta")
         assert series.fitted_decay < 0.0
         assert len(series.values) == len(series.node_counts) == 4
+
+
+def first_x_counting(n):
+    """The least float x >= 0 with _circle_samples(x) >= n, by bisection on
+    the bits of nonnegative floats (which are ordered as the floats); x =
+    1.677e7 needs just under 2**24 samples."""
+    lo, hi = 0, np.float64(1.677e7).view(np.int64).item()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fourier._circle_samples(np.int64(mid).view(np.float64).item()) >= n:
+            hi = mid
+        else:
+            lo = mid
+    return np.int64(hi).view(np.float64).item()
+
+
+class TestCircleSamples:
+    def test_array_count_equals_the_scalar_count(self):
+        steps = np.array([first_x_counting(1 << k) for k in range(7, 25)])
+        xs = np.concatenate((
+            np.linspace(0.0, 1.677e7, 50_001), np.geomspace(1e-9, 1.677e7, 50_000),
+            steps, np.nextafter(steps, -math.inf),
+        ))
+        counts = fourier._circle_samples(xs)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [fourier._circle_samples(x) for x in xs.tolist()]
+        # the integer rule on Python floats
+        assert counts.tolist() == [max(16, 1 << (math.ceil(x + 10.0 * x ** (1.0 / 3.0) + 40.0) - 1)
+                                       .bit_length()) for x in xs.tolist()]
+        # each step is where the count doubles
+        assert fourier._circle_samples(steps).tolist() == [1 << k for k in range(7, 25)]
+        assert fourier._circle_samples(np.nextafter(steps, -math.inf)).tolist() == [
+            1 << k for k in range(6, 24)]
+
+    def test_array_past_the_cap_raises_the_scalar_error(self):
+        # the last x under 2**24 samples, by bisection on the float bits
+        lo, hi = (np.float64(x).view(np.int64).item() for x in (1.6e7, 1.7e7))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                fourier._circle_samples(np.int64(mid).view(np.float64).item())
+                lo = mid
+            except BudgetError:
+                hi = mid
+        last, over = (np.int64(b).view(np.float64).item() for b in (lo, hi))
+        assert fourier._circle_samples(np.array([1.0, last])).tolist() == [64, 1 << 24]
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t") as scalar:
+            fourier._circle_samples(over)
+        with pytest.raises(BudgetError) as array:
+            fourier._circle_samples(np.array([1.0, last, over, 2.0 * over]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestCircularAverageRoute:
@@ -574,6 +626,16 @@ class TestStationaryPhase:
             need = 2.0 * math.pi * t + 10.0 * (2.0 * math.pi * t) ** (1.0 / 3.0) + 40.0
             assert n & (n - 1) == 0 and n >= need and (n == 16 or n // 2 < need)
 
+    @pytest.mark.parametrize("gap", [(0.0, 0.0), (1.0, math.inf), (math.nan, 1.0), (1.0, 2.0, 3.0)])
+    def test_main_term_rejects_a_bad_gap(self, gap):
+        with pytest.raises(ValidationError, match="gap must be"):
+            fl.stationary_phase_main_term(gap, [10.0])
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, [10.0, 0.0], [[1.0], [math.nan]]])
+    def test_main_term_rejects_t_not_positive_and_finite(self, t):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            fl.stationary_phase_main_term((0.0, 1.0), t)
+
     def test_circle_budget_guard(self):
         start = time.perf_counter()
         with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
@@ -652,7 +714,37 @@ class TestCirclePhaseIntegral:
             assert abs(circle_integral(gap, t) - base) <= 1e-13
 
 
+# criterion 8's gamma0 = 0.1 sweeps of its three products, its largest t
+# (gamma0 = 0.05 on 5:0,2:8), a spec-less product and point masses
+SECTOR_CASES = [
+    (spec, t, 0.1)
+    for spec, ts in (((3, (0, 2), 10), (81.0, 243.0, 729.0)),
+                     ((4, (0, 3), 9), (64.0, 256.0, 1024.0)),
+                     ((5, (0, 2), 8), (25.0, 125.0, 625.0)))
+    for t in ts
+] + [((5, (0, 2), 8), 15625.0, 0.05), ("spec-less", 40.0, 0.2), ("point", 16.0, 0.2)]
+
+
+def sector_product(spec):
+    if spec == "spec-less":
+        return fl.build_product([spec_less_measure(3, 60, 3, 6), spec_less_measure(4, 30, 2, 9)],
+                                [0.5, 0.5])
+    nu = fl.point_mass() if spec == "point" else fl.build_cantor(fl.CantorSpec(*spec))
+    return fl.build_product([nu, nu], [0.5, 0.5])
+
+
 class TestAngularDecomposition:
+    @pytest.mark.parametrize("spec, t, gamma0", SECTOR_CASES, ids=str)
+    def test_sectors_match_the_simpson_oracle(self, spec, t, gamma0):
+        mu = sector_product(spec)
+        dec = fl.angular_decomposition(mu, t, gamma0, fl.CutoffFunction("fejer", 2.0))
+        got = (dec.near_zero, dec.near_half_pi, dec.middle)
+        for value, oracle in zip(got, simpson_sectors(mu, t, gamma0, 1e-11)):
+            assert abs(value - oracle) <= 1e-10 * oracle
+        if spec == "point":  # F = 1
+            eps = t**-gamma0
+            assert got == pytest.approx((eps, eps, np.pi / 2.0 - 2.0 * eps), rel=1e-14)
+
     def test_point_mass_factors_partition_the_quadrant(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])

@@ -137,11 +137,18 @@ class TestNonConvergenceRaises:
         with pytest.raises(BudgetError, match="solid-average Simpson"):
             fl.solid_average(middle_thirds_8, 81.0)
 
-    def test_angular_decomposition_sector(self, monkeypatch, middle_thirds_8):
-        monkeypatch.setattr(fourier, "simpson_doubling", capped_simpson)
-        mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
-        with pytest.raises(BudgetError, match="angular-sector Simpson"):
-            fl.angular_decomposition(mu, 81.0, 0.1, fl.CutoffFunction("fejer", 2.0))
+    def test_angular_decomposition_past_the_sample_cap(self, monkeypatch):
+        # the sectors are one circle sum, refused before any power spectrum:
+        # at t = 1e7, 2 pi t hypot(1/2, 0) ~ 3.1e7 needs over 2**24 samples
+        two = fl.GridMeasure(base=2, level=30, indices=np.array([0, 1 << 29]),
+                             weights=np.array([0.5, 0.5]))
+        mu = fl.build_product([two, fl.point_mass()], [0.0, 0.0])
+        assert fl.validity_cap(mu) > 1e8
+        calls = []
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum", lambda self, xi: calls.append(xi))
+        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
+            fl.angular_decomposition(mu, 1e7, 0.1, fl.CutoffFunction("fejer", 2.0))
+        assert calls == []
 
     def test_smoothed_energy_first_grid_past_the_cap(self):
         # the start grid, 2 * 8 * (2 * 3e5) intervals, is past the 2**22 cap
