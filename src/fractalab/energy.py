@@ -14,9 +14,10 @@ Two routes compute it:
 * autocorrelation: the quadruple integral factors through the sumset
   distribution q = nu * nu on the integer index grid, and E(r) is a sliding
   window sum of q against one prefix sum of q, O(M) per scale, in blocks of
-  _BLOCK entries. q is exact up to product rounding (no transform, fixed
-  order): level by level from the digit pmf of D + D for a build_cantor
-  measure, by np.add.at over atom pairs in _BLOCK-pair row chunks otherwise.
+  _BLOCK entries, all scales per block. q is exact up to product rounding
+  (no transform, fixed order): level by level from the digit pmf of D + D
+  for a build_cantor measure, by np.add.at over atom pairs in square tiles
+  of about _BLOCK pairs, in the order of one scatter, otherwise.
 
 Both routes decide the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
@@ -121,8 +122,12 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     """Exact discrete self-convolution q(s) = sum_{i+j=s} w_i w_j.
 
     A build_cantor measure builds q level by level from the pmf of D + D;
-    any other measure scatter-adds its ordered atom pairs in index order,
-    max(1, _BLOCK // n) rows at a time so every temporary stays in cache.
+    any other measure scatter-adds its ordered atom pairs in square tiles of
+    side isqrt(_BLOCK), whose sums hit a stretch of q that stays in cache:
+    row tiles ascending, column tiles descending, each one row-major
+    np.add.at. Indices increase, so along a fixed sum the column falls as
+    the row rises, and each q(s) gets its pairs in ascending row order, the
+    order (and so the bytes) of one scatter over all pairs.
     Neither route uses transform arithmetic: repeated runs are bitwise equal.
     """
     _check_grid(nu)
@@ -133,12 +138,24 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     idx = nu.indices
     w = nu.weights
     n = idx.size
-    chunk = max(1, _BLOCK // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        sums = (idx[start:stop, None] + idx[None, :]).ravel()
-        prods = (w[start:stop, None] * w[None, :]).ravel()
-        np.add.at(q, sums, prods)
+    side = math.isqrt(_BLOCK)
+    width = min(side, n)
+    sums_buf = np.empty(width * width, dtype=idx.dtype)
+    prods_buf = np.empty(width * width)
+    for start in range(0, n, side):
+        # numpy buffers a broadcast op over short rows (about 3x slower), so
+        # a tile is filled with its columns and then adds this band in place
+        band_idx = np.repeat(idx[start : start + side, None], width, axis=1)
+        band_w = np.repeat(w[start : start + side, None], width, axis=1)
+        for col in reversed(range(0, n, side)):
+            shape = (band_idx.shape[0], min(side, n - col))
+            sums = sums_buf[: shape[0] * shape[1]].reshape(shape)
+            prods = prods_buf[: sums.size].reshape(shape)
+            sums[...] = idx[col : col + side]
+            sums += band_idx[:, : shape[1]]
+            prods[...] = w[col : col + side]
+            prods *= band_w[:, : shape[1]]
+            np.add.at(q, sums.ravel(), prods.ravel())
     return SumsetDistribution(base=nu.base, level=nu.level, values=q)
 
 
@@ -153,26 +170,30 @@ def _strict_window_gap(delta: float, r: float, max_gap: int) -> int:
 def _energy_from_sumset(q: np.ndarray, delta: float, rs) -> list[float]:
     """E(r) = sum_s q(s) q([s - k, s + k]) for each r, with k its strict
     window gap. Blocks of the window cum[min(s + k + 1, m)] - cum[max(s - k, 0)]
-    of one prefix sum fill one reused buffer; block sums (np.sum, not BLAS,
-    so no thread count changes the order) are added in order."""
+    of one prefix sum fill one reused buffer, every radius per block, so q's
+    block stays in cache; each radius adds its block sums (np.sum, not BLAS,
+    so no thread count changes the order) in block order to its own total."""
     m = q.size
-    cum = np.concatenate(([0.0], np.cumsum(q)))
+    cum = np.empty(m + 1)
+    cum[0] = 0.0
+    np.cumsum(q, out=cum[1:])
     buf = np.empty(min(m, _BLOCK))
-    energies = []
-    for r in rs:
-        k = _strict_window_gap(delta, r, m - 1)
-        total = 0.0
-        for start in range(0, m, _BLOCK):
-            stop = min(start + _BLOCK, m)
-            window = buf[: stop - start]
+    ks = [_strict_window_gap(delta, r, m - 1) for r in rs]
+    totals = [0.0] * len(ks)
+    for start in range(0, m, _BLOCK):
+        stop = min(start + _BLOCK, m)
+        window = buf[: stop - start]
+        for i, k in enumerate(ks):
             top = min(max(m - k, start), stop)  # s < top: s + k + 1 <= m
-            window[: top - start] = cum[start + k + 1 : top + k + 1]
-            window[top - start :] = cum[m]
             low = min(max(k, start), stop)  # s >= low: s - k >= 0
-            window[low - start :] -= cum[low - k : stop - k]
-            total += float(np.sum(np.multiply(q[start:stop], window, out=window)))
-        energies.append(min(total, 1.0))
-    return energies
+            if top == stop and low == start:
+                np.subtract(cum[start + k + 1 : stop + k + 1], cum[start - k : stop - k], out=window)
+            else:
+                window[: top - start] = cum[start + k + 1 : top + k + 1]
+                window[top - start :] = cum[m]
+                window[low - start :] -= cum[low - k : stop - k]
+            totals[i] += float(np.sum(np.multiply(q[start:stop], window, out=window)))
+    return [min(total, 1.0) for total in totals]
 
 
 def _energy_bruteforce(nu: GridMeasure, r: float) -> float:

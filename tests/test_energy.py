@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -42,7 +43,9 @@ def explicit_window_energy(q, delta, rs):
     """E(r) from one full-length window per radius and one np.sum over all
     of q: the unblocked form of the streamed window sum."""
     m = q.size
-    cum = np.concatenate(([0.0], np.cumsum(q)))
+    cum = np.empty(m + 1)
+    cum[0] = 0.0
+    np.cumsum(q, out=cum[1:])
     energies = []
     for r in rs:
         k = energy._strict_window_gap(delta, r, m - 1)
@@ -79,24 +82,42 @@ class TestSumset:
         assert abs(q.total_mass - 1.0) <= 1e-12
         assert np.all(q.values >= 0.0)
 
-    @pytest.mark.parametrize(
-        "block, atoms",
-        [
-            (None, 1000),  # 32 rows a chunk, the last chunk 8 rows
-            (None, 4096),  # 8 rows a chunk, n divides the block
-            (64, 5),  # 12 rows a chunk, n does not divide the block
-            (64, 100),  # n above the block: one row a chunk
-        ],
-    )
-    def test_blocked_scatter_is_one_scatter(self, monkeypatch, block, atoms):
+    @staticmethod
+    def _assert_one_scatter(monkeypatch, block, indices, rng):
         if block is not None:
             monkeypatch.setattr(energy, "_BLOCK", block)
-        rng = np.random.default_rng(atoms)
-        indices = np.sort(rng.choice(3**9, size=atoms, replace=False))
-        weights = rng.random(atoms) + 0.05
+        weights = rng.random(indices.size) + 0.05
         nu = fl.GridMeasure(base=3, level=9, indices=indices, weights=weights / weights.sum())
         q = fl.sumset_autocorrelation(nu).values
         assert q.tobytes() == sumset_scatter_oracle(nu).tobytes()
+
+    @pytest.mark.parametrize(
+        "block, atoms",
+        [
+            (None, 1),  # one 1 x 1 tile
+            (None, 180),  # one tile, one short of the side (181)
+            (None, 181),  # one full tile
+            (None, 182),  # 2 x 2 tiles, the last row and column one wide
+            (None, 1000),  # 6 x 6 tiles, the last 95 wide
+            (None, 4096),  # 23 x 23 tiles, the last 114 wide
+            (64, 5),  # side 8: one 5 x 5 tile
+            (64, 100),  # side 8: 13 x 13 tiles, the last 4 wide
+            (64, 1000),  # side 8: 125 x 125 full tiles
+            (64, 1001),  # side 8: the last tile 1 wide
+        ],
+    )
+    def test_blocked_scatter_is_one_scatter(self, monkeypatch, block, atoms):
+        rng = np.random.default_rng(atoms)
+        indices = np.sort(rng.choice(3**9, size=atoms, replace=False))
+        self._assert_one_scatter(monkeypatch, block, indices, rng)
+
+    @pytest.mark.parametrize("block, atoms", [(None, 1000), (64, 300)])
+    def test_clustered_scatter_is_one_scatter(self, monkeypatch, block, atoms):
+        # a narrow band, where many tiles share each sum, and both grid ends
+        rng = np.random.default_rng(atoms)
+        band = 9000 + np.sort(rng.choice(atoms, size=atoms - 4, replace=False))
+        indices = np.concatenate(([0, 1], band, [3**9 - 2, 3**9 - 1]))
+        self._assert_one_scatter(monkeypatch, block, indices, rng)
 
 
 # The dense oracle scatter-adds N**2 atom pairs and correlates a sumset of
@@ -247,6 +268,38 @@ class TestWindowBlocks:
         for g, e in zip(got, expected):
             assert abs(g - e) <= 1e-14 * e
 
+    @pytest.mark.parametrize("source", ["random", "cantor"])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_radius_batch_is_bitwise_one_radius_at_a_time(self, monkeypatch, source, block):
+        if block is not None:
+            monkeypatch.setattr(energy, "_BLOCK", block)
+        m = 3 * energy._BLOCK + 5
+        q = self._q(source, m)
+        delta = 3.0**-9
+        rs = [delta / 2.0, 2.5 * delta, 40.0 * delta, m * delta / 3.0, m * delta / 1.5,
+              2.0 * m * delta]
+        ks = [energy._strict_window_gap(delta, r, m - 1) for r in rs]
+        assert ks[0] == 0 and ks[-1] == m - 1
+        alone = np.array([energy._energy_from_sumset(q, delta, [r])[0] for r in rs])
+        batch = np.array(energy._energy_from_sumset(q, delta, rs))
+        reversed_batch = np.array(energy._energy_from_sumset(q, delta, rs[::-1]))
+        assert batch.tobytes() == alone.tobytes()
+        assert reversed_batch.tobytes() == alone[::-1].tobytes()
+
+    def test_peak_memory_is_one_prefix_sum(self):
+        q = fl.sumset_autocorrelation(fl.build_cantor(fl.CantorSpec(3, (0, 2), 10))).values
+        m = q.size
+        assert m == 118_097
+        rs = [3.0**-j for j in range(10, -1, -1)]
+        tracemalloc.start()
+        try:
+            energy._energy_from_sumset(q, 3.0**-10, rs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the prefix sum, the window buffer and room for one more block
+        assert peak <= (m + 1) * 8 + 2 * energy._BLOCK * 8
+
 
 class TestAdditiveEnergy:
     def test_single_atom_is_one(self):
@@ -340,6 +393,15 @@ class TestEnergyProfile:
         profile = fl.energy_profile(nu, rs, 1.0)
         for r, e in profile.samples:
             assert e == pytest.approx(fl.additive_energy(nu, r, "bruteforce"), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_spec_less_profile_equals_additive_energy(self, seed):
+        nu = random_grid_measure(np.random.default_rng(seed), max_atoms=300, max_level=8)
+        rs = [nu.delta * 1.9**j for j in range(5)]
+        assert fl.energy_profile(nu, rs, 0.5).energies == tuple(
+            fl.additive_energy(nu, r) for r in rs
+        )
 
     def test_single_atom_profile_is_flat(self):
         nu = fl.GridMeasure(base=2, level=5, indices=np.array([7]), weights=np.array([1.0]))
