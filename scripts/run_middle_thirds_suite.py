@@ -3,15 +3,18 @@
 
 Builds the base-3 digit-{0,2} measure at the requested level, runs
 regularity, energy, solid, weighted circular average and threshold
-experiments on it, and emits summary.txt plus per-experiment CSVs. Exit
-codes follow the fractalab CLI: 2 on a validation error (a level too shallow
-for the frequency sweep, below 6), 3 on a budget error.
+experiments on it through `fractalab full-report`, and emits summary.txt
+plus per-experiment CSVs. Exit codes are the fractalab CLI's: 2 on a
+validation error (a level too shallow for the frequency sweep, below 6), 3
+on a budget error.
 """
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
-import fractalab as fl
+from fractalab import cli
 
 
 def main() -> int:
@@ -21,25 +24,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    try:
-        config = fl.ExperimentConfig.from_dict(
-            {
-                "kind": "full-report",
-                "output_dir": args.output,
-                "seed": args.seed,
-                "factors": [{"base": 3, "digits": [0, 2], "level": args.level}] * 2,
-                "dz_c_nu": 4.0,
-            }
-        )
-        files = fl.run_experiment(config)
-    except fl.ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except fl.BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return 3
+    factor = ["--factor", f"3:0,2:{args.level}"]
+    listing = io.StringIO()  # the CLI prints one artifact path a line
+    with contextlib.redirect_stdout(listing):
+        code = cli.main(["full-report", *factor, *factor, "--dz-c-nu", "4",
+                         "--seed", str(args.seed), "--output", args.output])
+    if code != cli.EXIT_OK:
+        return code
     print((Path(args.output) / "summary.txt").read_text())
-    print(f"{len(files)} artifacts under {args.output}")
+    print(f"{len(listing.getvalue().splitlines())} artifacts under {args.output}")
     return 0
 
 

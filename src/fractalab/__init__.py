@@ -2,7 +2,7 @@
 decay, additive energy, and distance-set geometry."""
 
 from ._version import __version__
-from .config import EXPERIMENT_KINDS, ExperimentConfig, GeometricSweep, parse_factor_spec
+from .config import EXPERIMENT_KINDS, ExperimentConfig, GeometricSweep
 from .cutoff import CutoffFunction
 from .energy import (
     DZParams,
@@ -35,7 +35,6 @@ from .geometry import (
     CoverageReport,
     DistanceMeasure,
     MattilaEstimate,
-    MattilaQuadrature,
     ThresholdReport,
     coverage_report,
     derive_delta,

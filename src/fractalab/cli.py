@@ -17,12 +17,9 @@ from .config import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     non_null,
-    parse_factor_spec,
     read_config_file,
-    to_plain,
 )
 from .errors import BudgetError, ValidationError
-from .measures import CantorSpec
 from .runner import run_experiment
 
 EXIT_OK = 0
@@ -52,14 +49,13 @@ def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
 
 
 def _from_text(tp, text: str, f) -> object:
-    """The JSON value of a field of type ``tp`` written as flag text: a factor
-    spec, colon-separated parts for a tuple or a record (A:B,
-    START:STOP:COUNT), a comma-separated list, or a single value."""
+    """The JSON value of a field of type ``tp`` written as flag text:
+    colon-separated parts for a fixed tuple or a record (A:B,
+    START:STOP:COUNT, BASE:DIGITS:LEVEL), a comma-separated list or variadic
+    tuple, or a single value."""
     flag = f.metadata["flag"]
     tp = non_null(tp)
-    if tp is CantorSpec:
-        return to_plain(parse_factor_spec(text))
-    if get_origin(tp) is list:
+    if get_origin(tp) is list or (get_origin(tp) is tuple and get_args(tp)[-1] is Ellipsis):
         return [_from_text(get_args(tp)[0], x, f) for x in text.split(",") if x]
     if get_origin(tp) is tuple or is_dataclass(tp):
         hints = get_type_hints(tp) if is_dataclass(tp) else None

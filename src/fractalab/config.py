@@ -28,6 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ValidationError
+from .fourier import _WEIGHTS
 from .measures import CantorSpec
 
 # Every experiment kind, with the fewest Cantor factors it runs on.
@@ -83,7 +84,8 @@ class ExperimentConfig:
         action="append", metavar="BASE:DIGITS:LEVEL")
     sweep: GeometricSweep | None = _flagged(
         None, "--sweep", "geometric sweep", metavar="START:STOP:COUNT")
-    weight: str = _flagged("sin_theta", "--weight", choices=["none", "sin_theta"])
+    weight: str = _flagged(
+        "sin_theta", "--weight", "angular weight of spherical and mattila", choices=_WEIGHTS)
     dz_k: float = _flagged(
         1.0, "--dz-k", "absolute constant in the energy-improvement exponent")
     dz_c_nu: float | None = _flagged(
@@ -91,8 +93,6 @@ class ExperimentConfig:
     alpha: float | None = _flagged(None, "--alpha", "reference dimension override")
     regularity_cap: float = _flagged(4.0, "--cap", "regularity pass cap")
     truncation: float | None = _flagged(None, "--truncation", "Mattila truncation T")
-    mattila_weighted: bool = _flagged(
-        True, "--unweighted", "drop the |sin theta| weight", action="store_const", const=False)
     bin_width: float = _flagged(0.01, "--bin-width", "distance histogram bin width")
     distance_weighted: bool = _flagged(
         False, "--weighted-distance", "weighted distance measure",
@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ValidationError(
                 f"kind: unknown experiment {self.kind!r}; expected one of {tuple(EXPERIMENT_KINDS)}"
             )
-        if self.weight not in ("none", "sin_theta"):
-            raise ValidationError(f"weight: must be 'none' or 'sin_theta', got {self.weight!r}")
+        if self.weight not in _WEIGHTS:
+            raise ValidationError(f"weight: must be one of {_WEIGHTS}, got {self.weight!r}")
         if not self.dz_k > 0:
             raise ValidationError(f"dz_k: must be positive, got {self.dz_k}")
         if not self.bin_width > 0:
@@ -232,19 +232,3 @@ def _load(tp, value, path: str):
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{path}: expected a finite number, got {value!r}")
     return tp(value)
-
-
-def parse_factor_spec(text: str) -> CantorSpec:
-    """Parse the CLI factor syntax 'base:digit,digit,...:level', e.g. '3:0,2:8'."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(
-            f"factor: expected 'base:digits:level' (e.g. '3:0,2:8'), got {text!r}"
-        )
-    try:
-        base = int(parts[0])
-        digits = tuple(int(x) for x in parts[1].split(",") if x != "")
-        level = int(parts[2])
-    except ValueError as exc:
-        raise ValidationError(f"factor: bad numbers in {text!r}") from exc
-    return CantorSpec(base=base, digits=digits, level=level)

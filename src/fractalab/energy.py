@@ -256,16 +256,16 @@ class EnergyProfile:
         return self.fitted_exponent - self.alpha_ref
 
 
-def dyadic_r_sweep(nu: GridMeasure, max_points: int = 12) -> list[float]:
-    """Dyadic scales between 4*delta and the sumset support diameter;
-    below 4*delta the discretization dominates."""
+def dyadic_r_sweep(nu: GridMeasure) -> list[float]:
+    """The 12 largest dyadic scales between 4*delta and the sumset support
+    diameter; below 4*delta the discretization dominates."""
     diam = 2.0 * nu.diameter
     if diam <= 0.0:
         raise ValidationError("point mass has no scale sweep")
     floor_r = 4.0 * nu.delta
     rs = []
     r = diam / 2.0
-    while r >= floor_r and len(rs) < max_points:
+    while r >= floor_r and len(rs) < 12:
         rs.append(r)
         r /= 2.0
     if len(rs) < 3:

@@ -22,21 +22,14 @@ class LoglogFit:
     n_points: int
 
 
-def loglog_fit(x, y=None) -> LoglogFit:
+def loglog_fit(x, y) -> LoglogFit:
     """Fit log y = slope * log x + intercept by ordinary least squares.
 
-    Accepts either two positional arrays or a single sequence of (x, y)
-    pairs. All values must be strictly positive and at least 3 points are
+    All values must be strictly positive and at least 3 points are
     required; x values must not be all identical.
     """
-    if y is None:
-        pts = np.asarray(list(x), dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValidationError("expected a sequence of (x, y) pairs")
-        xs, ys = pts[:, 0], pts[:, 1]
-    else:
-        xs = np.asarray(x, dtype=float)
-        ys = np.asarray(y, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValidationError("x and y must be 1-d arrays of equal length")
     n = xs.size

@@ -42,7 +42,8 @@ from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
 from .quadrature import require_converged, simpson_doubling
 
-_WEIGHTS = ("none", "sin_theta", "cos_theta")
+# the angular weights: 1, and |sin theta| (|omega_d| for d >= 3)
+_WEIGHTS = ("none", "sin_theta")
 
 
 def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
@@ -69,15 +70,15 @@ def require_under_cap(mu: ProductMeasure | GridMeasure, x: float, what: str) -> 
 # ---------------------------------------------------------------------------
 
 def _circle_samples(x):
-    """The smallest power of two, at least 16, >= x + 10 x^(1/3) + 40: past
-    that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that shows.
-    Elementwise on an array of x."""
+    """The smallest power of two >= x + 10 x^(1/3) + 40 (so at least 64):
+    past that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that
+    shows. Elementwise on an array of x."""
     need = x + 10.0 * x ** (1.0 / 3.0) + 40.0
     over = np.ravel(x)[~(np.ravel(need) <= 1 << 24)]  # t|g| above about 2.6e6
     if over.size:
         raise BudgetError(f"circle integral at 2 pi t|gap| = {over[0]:.6g} needs over 2**24 samples; lower t")
     # frexp's exponent of an integer m >= 1 is m.bit_length()
-    return np.maximum(16, 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int))
+    return 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int)
 
 
 def _circle_modes(f: np.ndarray) -> np.ndarray:
@@ -99,15 +100,12 @@ def _quadrant_modes(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) ->
 def _circle_sum(c: np.ndarray, weight: str) -> np.ndarray:
     """int_0^{2pi} F(theta) w(theta) dtheta from the modes c of F along the
     last axis. Weight 'none' gives 2 pi c_0; |sin theta| = 2/pi - (4/pi)
-    sum_k cos(2k theta)/(4k^2 - 1) gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1), and
-    |cos theta| the same with (-1)^k: one dot per row (a stack of 1 x k by
-    k x 1 products)."""
+    sum_k cos(2k theta)/(4k^2 - 1) gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1): one
+    dot per row (a stack of 1 x k by k x 1 products)."""
     if weight == "none":
         return 2.0 * np.pi * c[..., 0]
     k = np.arange(1, c.shape[-1], dtype=float)
     coef = 1.0 / (4.0 * k * k - 1.0)
-    if weight == "cos_theta":
-        coef[::2] = -coef[::2]  # odd k
     return 4.0 * c[..., 0] - 8.0 * (c[..., None, 1:] @ coef[:, None])[..., 0, 0]
 
 
@@ -143,8 +141,6 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
     d = mu.dimension
-    if weight == "cos_theta" and d != 2:
-        raise ValidationError("cos_theta weight is defined for d = 2 only")
     t = np.array(ts, dtype=float, ndmin=1)
     finite = (t >= 0.0) & (t < math.inf)
     if not finite.all():
@@ -188,12 +184,11 @@ def spherical_average_detailed(
     """sigma(t) = int_{S^(d-1)} |mu_hat(t omega)|^2 w(omega) domega.
 
     Weight 'sin_theta' multiplies by |sin theta| (d = 2) or by the distance
-    of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3);
-    'cos_theta' (d = 2 only) is the complementary weight used by the
-    axis-exchange symmetry checks. Returns (value, node_count) of _sigma_many
-    on the one t: d = 2 is the exact band-limited sum, 2n nodes for n samples
-    of [0, pi); d >= 3 the product rule over it, whose node count is the
-    points it evaluates. Past its node cap either raises BudgetError.
+    of omega from the hyperplane x_d = 0, i.e. |omega_d| (d >= 3); 'none'
+    by 1. Returns (value, node_count) of _sigma_many on the one t: d = 2 is
+    the exact band-limited sum, 2n nodes for n samples of [0, pi); d >= 3
+    the product rule over it, whose node count is the points it evaluates.
+    Past its node cap either raises BudgetError.
     """
     values, nodes = _sigma_many(mu, [t], weight)
     return float(values[0]), int(nodes[0])
@@ -328,7 +323,7 @@ def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     pts = [(x, abs(r)) for x, r in zip(xs, resid) if lo <= x <= hi and abs(r) > 0]
     slope = stderr = None
     if len(pts) >= 3:
-        fit = loglog_fit(pts)
+        fit = loglog_fit(*zip(*pts))
         slope, stderr = fit.slope, fit.stderr
     return StationaryPhaseReport(
         gap=(float(g[0]), float(g[1])),

@@ -177,23 +177,11 @@ def energy_integral(
 # Truncated Mattila integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MattilaQuadrature:
-    """t-integral controls for the truncated Mattila integral:
-    initial_t_nodes (>= 3), t_rel_tol (positive, finite) and max_t_nodes
-    (>= initial_t_nodes) apply to each log-t panel. sigma itself takes no
-    controls: it is the exact rule of fourier._sigma_many in every d."""
-
-    initial_t_nodes: int = 65
-    t_rel_tol: float = 1e-7
-    max_t_nodes: int = 1 << 15
-
-    def __post_init__(self):
-        if not 0.0 < self.t_rel_tol < math.inf:
-            raise ValidationError(f"t_rel_tol must be positive and finite, got {self.t_rel_tol}")
-        if not 3 <= self.initial_t_nodes <= self.max_t_nodes:
-            raise ValidationError("need 3 <= initial_t_nodes <= max_t_nodes, got "
-                                  f"{self.initial_t_nodes} and {self.max_t_nodes}")
+# Simpson controls of each log-t panel of the Mattila integral: first grid,
+# relative tolerance, node cap
+_T_NODES = 65
+_T_REL_TOL = 1e-7
+_MAX_T_NODES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,14 +214,15 @@ def mattila_truncated(
     mu: ProductMeasure,
     truncation: float,
     weighted: bool = True,
-    quadrature: MattilaQuadrature = MattilaQuadrature(),
 ) -> MattilaEstimate:
-    """Evaluate the truncated Mattila integral with the chosen angular weight.
+    """Evaluate the truncated Mattila integral, under the |sin theta| weight
+    (|omega_d| for d >= 3) when weighted, else unweighted.
 
     sigma_w(t) comes from the circular/spherical average. In tau = log t the
     integrand is sigma(e^tau)^2 e^(d tau), one simpson_doubling call per
     panel [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1 dropped), so
-    the doubling ratios are exact ratios of cumulative panel sums. Each
+    the doubling ratios are exact ratios of cumulative panel sums; a panel
+    at _MAX_T_NODES before _T_REL_TOL makes t_grid_converged False. Each
     refinement's new nodes are one array of t for fourier._sigma_many (row
     blocks, one real FFT each on d = 2, and on d >= 3 the product rule over
     them), which gives each t its value alone.
@@ -256,9 +245,7 @@ def mattila_truncated(
     for a, b in pairwise([0.0, *ends, math.log(T)]):
         evaluated.clear()
         panel, nodes, panel_converged = simpson_doubling(
-            integrand_in_tau, a, b, quadrature.initial_t_nodes - 1,
-            quadrature.t_rel_tol, quadrature.max_t_nodes - 1,
-        )
+            integrand_in_tau, a, b, _T_NODES - 1, _T_REL_TOL, _MAX_T_NODES - 1)
         tau, sig = (np.concatenate(c) for c in zip(*evaluated))
         order = np.argsort(tau)
         tau, sig = tau[order], sig[order]

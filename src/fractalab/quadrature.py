@@ -11,7 +11,8 @@ product rule over them (fourier._sigma_many). `simpson_cumulative` gives
 the running integral on a converged grid. Non-convergence is never silent:
 a bare-number result goes through `require_converged`, which raises
 BudgetError (CLI exit 3) naming the rule, the tolerance and the cap; a
-report carries the flag instead (Mattila's t_grid_converged).
+report carries the flag instead (Mattila's t_grid_converged). Each caller
+fixes its tolerance and node cap in its own module; none is an option.
 """
 from __future__ import annotations
 
@@ -35,18 +36,13 @@ def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0
     return value, nodes, False
 
 
-def require_converged(
-    result: tuple[float, int, bool], rule: str, rel_tol: float, abs_tol: float = 0.0
-) -> float:
+def require_converged(result: tuple[float, int, bool], rule: str, rel_tol: float) -> float:
     """The non-convergence policy for callers that return a bare number:
     the value of a converged result, else BudgetError."""
     value, nodes, converged = result
     if not converged:
-        floor = f", abs_tol {abs_tol:g}" if abs_tol else ""
         raise BudgetError(
-            f"{rule} did not converge to rel_tol {rel_tol:g}{floor} before its "
-            f"node cap ({nodes} nodes)"
-        )
+            f"{rule} did not converge to rel_tol {rel_tol:g} before its node cap ({nodes} nodes)")
     return value
 
 

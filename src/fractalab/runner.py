@@ -365,7 +365,7 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
     T = config.truncation if config.truncation is not None else min(100.0, cap)
-    est = mattila_truncated(mu, T, config.mattila_weighted)
+    est = mattila_truncated(mu, T, config.weight == "sin_theta")
     rows = list(zip(est.t_values, est.sigma, est.integrand, est.partial_values))
     _write_csv(
         run.add_file("mattila.csv"),

@@ -10,7 +10,7 @@ import pytest
 import fractalab as fl
 from fractalab.cli import _build_parser, _config_from_args
 from fractalab.cli import main as cli_main
-from fractalab import runner
+from fractalab import geometry, runner
 from fractalab.errors import ValidationError
 
 
@@ -59,11 +59,15 @@ class TestConfig:
                 {"kind": "spherical", "factors": [{"base": 3, "digits": [0, 2], "level": 4}]}
             )
 
-    def test_factor_spec_parsing(self):
-        spec = fl.parse_factor_spec("3:0,2:8")
+    def test_factor_spec_parsing(self, tmp_path, capsys):
+        args = _build_parser().parse_args(["cantor", "--factor", "3:0,2:8"])
+        (spec,) = _config_from_args(args).factors
         assert (spec.base, spec.digits, spec.level) == (3, (0, 2), 8)
-        with pytest.raises(ValidationError, match="factor"):
-            fl.parse_factor_spec("3:8")
+        for text in ("3:8", "3:0,x:8"):
+            code = cli_main(["cantor", "--factor", text, "--output", str(tmp_path / "out")])
+            assert code == 2
+            assert "validation error: --factor" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunner:
@@ -187,6 +191,30 @@ class TestRunner:
         fl.run_experiment(config3)
         summary = fl.emit_report(tmp_path).read_text()
         assert "[d = 2]" in summary and "[d = 3]" in summary
+
+    @pytest.mark.parametrize("weight", ["none", "sin_theta"])
+    def test_mattila_weight_picks_the_weighting(self, tmp_path, weight):
+        factors = ["--factor", "3:0,2:4"] * 2
+        argv = ["mattila", *factors, "--truncation", "8", "--weight", weight]
+        assert cli_main([*argv, "--output", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        mu = fl.build_product([fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))] * 2, [0.5] * 2)
+        est = fl.mattila_truncated(mu, 8.0, weight == "sin_theta")
+        assert results["weighted"] is (weight == "sin_theta")
+        assert results["value"] == est.value
+        csv = (tmp_path / "mattila.csv").read_text()
+        assert f"# weighted={str(est.weighted).lower()}" in csv
+
+    def test_mattila_run_reports_its_unconverged_t_grid(self, tmp_path, monkeypatch):
+        # a node cap at the first grid leaves no room to refine any panel
+        monkeypatch.setattr(geometry, "_MAX_T_NODES", geometry._T_NODES)
+        argv = ["mattila", *["--factor", "3:0,2:4"] * 2, "--truncation", "8"]
+        assert cli_main([*argv, "--output", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert results["t_grid_converged"] is False
+        rows = (tmp_path / "mattila.csv").read_text().splitlines()
+        assert sum(not r.startswith("#") for r in rows) == 1 + 3 * 65 - 2  # header, shared ends once
+        assert "t grid NOT converged" in fl.emit_report(tmp_path).read_text()
 
     def test_emit_report_flags_unconverged_mattila_grid(self, tmp_path):
         results = {
@@ -352,6 +380,7 @@ class TestCli:
 # its field, instead of running another integral or crashing.
 BAD_CONFIG_VALUES = [
     ({"mattila_weighted": "no"}, "mattila_weighted"),
+    ({"distance_weighted": "no"}, "distance_weighted"),
     ({"gamma0": "0.1"}, "gamma0"),
     ({"interval": 5}, "interval"),
     ({"factors": [{"base": 3}]}, "factors"),
@@ -362,6 +391,7 @@ BAD_CONFIG_VALUES = [
     ({"parallelism": 1}, "parallelism"),
     ({"gamma0": 0.1}, "gamma0"),
     ({"cutoff_scale": 2.0}, "cutoff_scale"),
+    ({"mattila_weighted": False}, "mattila_weighted"),
     ({"dims": ["abc", "2/3"]}, "dims"),
     ({"dims": ["abc"]}, "dims"),
 ]
@@ -383,7 +413,6 @@ FLAG_CASES = {
     "--alpha": (["--alpha", "0.6"], "alpha", 0.6),
     "--cap": (["--cap", "5"], "regularity_cap", 5.0),
     "--truncation": (["--truncation", "2"], "truncation", 2.0),
-    "--unweighted": (["--unweighted"], "mattila_weighted", False),
     "--bin-width": (["--bin-width", "0.02"], "bin_width", 0.02),
     "--weighted-distance": (["--weighted-distance"], "distance_weighted", True),
     "--widths": (["--widths", "0.1,0.2"], "coverage_widths", [0.1, 0.2]),
@@ -477,6 +506,12 @@ class TestConfigFields:
         args = _build_parser().parse_args(["thresholds", "--dims", "1/2", *argv])
         value = getattr(_config_from_args(args), field_name)
         assert _plain_types(value) == _plain_types(expected)
+
+    def test_removed_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["mattila", *["--factor", "3:0,2:4"] * 2, "--unweighted"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unweighted" in capsys.readouterr().err
 
     def test_int_literal_and_float_flag_give_one_config_hash(self, tmp_path):
         out = tmp_path / "run"

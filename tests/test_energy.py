@@ -384,7 +384,7 @@ class TestAdditiveEnergy:
 class TestEnergyProfile:
     def test_uniform_measure_slope_near_one(self):
         nu = fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=10))
-        profile = fl.energy_profile(nu, fl.dyadic_r_sweep(nu, 9), 1.0)
+        profile = fl.energy_profile(nu, fl.dyadic_r_sweep(nu), 1.0)
         assert abs(profile.fitted_exponent - 1.0) < 0.1
 
     def test_uniform_level_5_confirmed_by_bruteforce(self):

@@ -32,12 +32,6 @@ def test_noisy_slope_recovery():
     assert fit.stderr > 0.0
 
 
-def test_accepts_pairs():
-    fit = fl.loglog_fit([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
-    assert fit.slope == pytest.approx(2.0)
-    assert fit.n_points == 3
-
-
 def test_flat_data_has_unit_r_squared():
     fit = fl.loglog_fit([1.0, 2.0, 4.0], [1.0, 1.0, 1.0])
     assert fit.slope == 0.0

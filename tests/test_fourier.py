@@ -68,7 +68,7 @@ class TestProductFt:
 def simpson_sigma(mu, t, weight):
     """Test oracle: the d = 2 circular average as 4 x the Simpson integral
     of the weighted product integrand on the first quadrant, where the
-    |sin theta| and |cos theta| weights are smooth, doubling to rel_tol
+    |sin theta| weight is smooth, doubling to rel_tol
     1e-10 from 8 intervals per phase cycle."""
     fa, fb = mu.factors
 
@@ -77,8 +77,6 @@ def simpson_sigma(mu, t, weight):
         vals = fa.power_spectrum(t * c) * fb.power_spectrum(t * s)
         if weight == "sin_theta":
             vals = vals * np.abs(s)
-        elif weight == "cos_theta":
-            vals = vals * np.abs(c)
         return vals
 
     intervals = max(64, 8 * math.ceil(t * math.hypot(fa.diameter, fb.diameter)))
@@ -138,7 +136,7 @@ class TestSphericalAverage:
         cases = [(fl.middle_thirds(6), 27.0, "sin_theta")] + [
             (spec, t, weight)
             for spec, t in CIRCLE_CASES
-            for weight in ("none", "sin_theta", "cos_theta")
+            for weight in ("none", "sin_theta")
         ]
         mus = [fl.build_product([fl.build_cantor(spec)] * 2, [0.5, 0.5]) for spec, _, _ in cases]
         at_n = [fl.spherical_average_detailed(mu, t, w) for mu, (_, t, w) in zip(mus, cases)]
@@ -172,16 +170,6 @@ class TestSphericalAverage:
                    fl.build_product([fl.build_cantor(fl.middle_thirds(4))] * 2, [ALPHA_MT] * 2)):
             with pytest.raises(ValidationError, match="finite"):
                 fl.spherical_average(mu, t)
-
-    def test_axis_exchange_symmetry(self):
-        a = fl.build_cantor(fl.middle_thirds(6))
-        b = fl.build_cantor(fl.CantorSpec(4, (0, 3), 5))
-        mab = fl.build_product([a, b], [a.dimension_hint, b.dimension_hint])
-        mba = fl.build_product([b, a], [b.dimension_hint, a.dimension_hint])
-        for t in (5.0, 25.0, 70.0):
-            lhs = fl.spherical_average(mab, t, "sin_theta")
-            rhs = fl.spherical_average(mba, t, "cos_theta")
-            assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_series_fits_decay(self):
         nu = fl.build_cantor(fl.middle_thirds(7))
@@ -245,7 +233,7 @@ class TestCircleSamples:
 class TestCircularAverageRoute:
     @settings(max_examples=40, deadline=None)
     @given(circle_factor_st, circle_factor_st, st.floats(0.0, 1.0),
-           st.sampled_from(["none", "sin_theta", "cos_theta"]))
+           st.sampled_from(["none", "sin_theta"]))
     def test_matches_simpson_oracle(self, a, b, fraction, weight):
         mu = fl.build_product([a, b], [0.5, 0.5])
         t = fraction * min(fl.validity_cap(mu), 300.0)
@@ -267,7 +255,7 @@ class TestCircularAverageRoute:
         for spec, t in CIRCLE_CASES:
             a = fl.build_cantor(spec)
             mu = fl.build_product([a, b], [0.5, 0.5])
-            for weight in ("none", "sin_theta", "cos_theta"):
+            for weight in ("none", "sin_theta"):
                 sizes.clear()
                 _, nodes = fl.spherical_average_detailed(mu, t, weight)
                 n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
@@ -287,7 +275,7 @@ class TestCircularAverageRoute:
         monkeypatch.setattr(fourier, "simpson_doubling", recording)
         nu = fl.build_cantor(fl.middle_thirds(5))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        for weight in ("none", "sin_theta", "cos_theta"):
+        for weight in ("none", "sin_theta"):
             fl.spherical_average_series(mu, [2.0, 6.0, 18.0], weight)
         for weighted in (False, True):
             fl.mattila_truncated(mu, 20.0, weighted)
@@ -322,7 +310,7 @@ def batch_ts(mu, per_count=17):
 
 
 class TestSigmaBatch:
-    @pytest.mark.parametrize("weight", ["none", "sin_theta", "cos_theta"])
+    @pytest.mark.parametrize("weight", ["none", "sin_theta"])
     @pytest.mark.parametrize("factor", BATCH_FACTORS.values(), ids=BATCH_FACTORS.keys())
     def test_a_t_is_bitwise_the_same_alone_and_in_blocks(self, monkeypatch, factor, weight):
         nu = factor()
@@ -533,11 +521,6 @@ class TestSphereRule:
             fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta")
         assert calls == []
         assert time.perf_counter() - start < 1.0
-
-    def test_cos_theta_is_refused_past_d_2(self):
-        pm = fl.point_mass()
-        with pytest.raises(ValidationError, match="d = 2 only"):
-            fl.spherical_average(fl.build_product([pm] * 3, [0.0] * 3), 1.0, "cos_theta")
 
 
 class TestSolidAverage:

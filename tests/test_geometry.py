@@ -304,21 +304,20 @@ class TestMattila:
         est_w = fl.mattila_truncated(mu, 10.0, weighted=True)
         assert est_w.value == pytest.approx(8.0 * 99.0, rel=1e-6)
 
-    def test_value_nondecreasing_in_truncation(self):
+    def test_value_nondecreasing_in_truncation(self, monkeypatch):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        quad = fl.MattilaQuadrature(t_rel_tol=1e-4, max_t_nodes=300)
-        v = [
-            fl.mattila_truncated(mu, T, weighted=True, quadrature=quad).value
-            for T in (4.0, 8.0, 16.0)
-        ]
+        monkeypatch.setattr(geometry, "_T_REL_TOL", 1e-4)  # for speed
+        monkeypatch.setattr(geometry, "_MAX_T_NODES", 300)
+        v = [fl.mattila_truncated(mu, T, weighted=True).value for T in (4.0, 8.0, 16.0)]
         assert v[0] < v[1] < v[2]
 
-    def test_middle_thirds_diagnostics(self):
+    def test_middle_thirds_diagnostics(self, monkeypatch):
         nu = fl.build_cantor(fl.middle_thirds(6))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        quad = fl.MattilaQuadrature(initial_t_nodes=33, max_t_nodes=300)
-        est = fl.mattila_truncated(mu, 3.0**3, weighted=True, quadrature=quad)
+        monkeypatch.setattr(geometry, "_T_NODES", 33)  # for speed
+        monkeypatch.setattr(geometry, "_MAX_T_NODES", 300)
+        est = fl.mattila_truncated(mu, 3.0**3, weighted=True)
         # s = 2 alpha < 4/3: no convergence asserted, diagnostics only
         assert est.value > 0.0
         assert len(est.doubling_ratios) >= 2
@@ -427,7 +426,8 @@ class TestMattilaBatches:
     )
     def test_each_refinement_is_one_batch_of_the_per_t_values(self, monkeypatch, factors, T, weighted):
         mu = fl.build_product(factors(), [0.5] * len(factors()))
-        quad = fl.MattilaQuadrature(t_rel_tol=1e-6, max_t_nodes=600)
+        monkeypatch.setattr(geometry, "_T_REL_TOL", 1e-6)  # for speed
+        monkeypatch.setattr(geometry, "_MAX_T_NODES", 600)
         batches = []
         many = geometry._sigma_many
 
@@ -436,33 +436,16 @@ class TestMattilaBatches:
             return many(mu, ts, weight)
 
         monkeypatch.setattr(geometry, "_sigma_many", recording)
-        est = fl.mattila_truncated(mu, T, weighted, quad)
+        est = fl.mattila_truncated(mu, T, weighted)
         panels = 1 + sum(c > 1.0 for c in (T / 8.0, T / 4.0, T / 2.0))
         # per panel, Simpson's coarse trapezoid grid, then one batch of
         # midpoints per doubling
-        assert batches[0] == quad.initial_t_nodes // 2 + 1
+        assert batches[0] == geometry._T_NODES // 2 + 1
         assert sum(batches) == est.t_nodes + panels - 1  # shared panel ends twice
         assert len(batches) < est.t_nodes / 8
         weight = "sin_theta" if weighted else "none"
         alone = [fl.spherical_average_detailed(mu, t, weight)[0] for t in est.t_values]
         assert est.sigma.tolist() == alone
-
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            ({"t_rel_tol": math.nan}, "t_rel_tol"),
-            ({"t_rel_tol": -1e-7}, "t_rel_tol"),
-            ({"t_rel_tol": 0.0}, "t_rel_tol"),
-            ({"t_rel_tol": math.inf}, "t_rel_tol"),
-            ({"initial_t_nodes": 2}, "3 <= initial_t_nodes"),
-            ({"initial_t_nodes": 65, "max_t_nodes": 64}, "<= max_t_nodes, got 65 and 64"),
-        ],
-        ids=["nan", "negative", "zero", "inf", "two-nodes", "cap-below-start"],
-    )
-    def test_quadrature_controls_are_validated(self, options, message):
-        with pytest.raises(ValidationError, match=message):
-            fl.MattilaQuadrature(**options)
-        fl.MattilaQuadrature(initial_t_nodes=3, max_t_nodes=3, t_rel_tol=1e-3)
 
 
 class TestCoverage:
