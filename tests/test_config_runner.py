@@ -392,6 +392,7 @@ BAD_CONFIG_VALUES = [
     ({"gamma0": 0.1}, "gamma0"),
     ({"cutoff_scale": 2.0}, "cutoff_scale"),
     ({"mattila_weighted": False}, "mattila_weighted"),
+    ({"weight": "cos_theta"}, "weight"),
     ({"dims": ["abc", "2/3"]}, "dims"),
     ({"dims": ["abc"]}, "dims"),
 ]
@@ -507,11 +508,19 @@ class TestConfigFields:
         value = getattr(_config_from_args(args), field_name)
         assert _plain_types(value) == _plain_types(expected)
 
-    def test_removed_flag_is_refused(self, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--unweighted"], "unrecognized arguments: --unweighted"),
+            (["--weight", "cos_theta"], "invalid choice: 'cos_theta'"),
+        ],
+        ids=["--unweighted", "--weight cos_theta"],
+    )
+    def test_removed_flag_is_refused(self, capsys, flags, message):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["mattila", *["--factor", "3:0,2:4"] * 2, "--unweighted"])
+            cli_main(["mattila", *["--factor", "3:0,2:4"] * 2, *flags])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --unweighted" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_int_literal_and_float_flag_give_one_config_hash(self, tmp_path):
         out = tmp_path / "run"

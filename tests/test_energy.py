@@ -394,6 +394,15 @@ class TestEnergyProfile:
         for r, e in profile.samples:
             assert e == pytest.approx(fl.additive_energy(nu, r, "bruteforce"), rel=1e-12)
 
+    def test_dyadic_sweep_keeps_the_12_largest_scales(self):
+        # level 16 leaves 15 dyadic scales above 4 delta; the top 12 stay
+        nu = fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=16))
+        rs = fl.dyadic_r_sweep(nu)
+        assert len(rs) == 12
+        assert rs[-1] == nu.diameter
+        assert rs == [nu.diameter / 2.0**k for k in range(11, -1, -1)]
+        assert rs[0] / 2.0 >= 4.0 * nu.delta
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_spec_less_profile_equals_additive_energy(self, seed):

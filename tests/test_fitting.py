@@ -52,6 +52,11 @@ def test_rejects_bad_inputs(x, y):
         fl.loglog_fit(x, y)
 
 
+def test_y_is_required():
+    with pytest.raises(TypeError):
+        fl.loglog_fit([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
+
+
 @given(
     slope=st.floats(-3.0, 3.0),
     scale=st.floats(0.1, 10.0),

@@ -171,6 +171,18 @@ class TestSphericalAverage:
             with pytest.raises(ValidationError, match="finite"):
                 fl.spherical_average(mu, t)
 
+    def test_axis_exchange_symmetry(self):
+        # theta -> pi/2 - theta swaps the factors; the unweighted circle is
+        # its own image, and both products see the same circle samples
+        a = fl.build_cantor(fl.middle_thirds(6))
+        b = fl.build_cantor(fl.CantorSpec(4, (0, 3), 5))
+        mab = fl.build_product([a, b], [a.dimension_hint, b.dimension_hint])
+        mba = fl.build_product([b, a], [b.dimension_hint, a.dimension_hint])
+        for t in (5.0, 25.0, 70.0):
+            lhs = fl.spherical_average(mab, t, "none")
+            rhs = fl.spherical_average(mba, t, "none")
+            assert lhs == pytest.approx(rhs, rel=1e-9)
+
     def test_series_fits_decay(self):
         nu = fl.build_cantor(fl.middle_thirds(7))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
@@ -521,6 +533,17 @@ class TestSphereRule:
             fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta")
         assert calls == []
         assert time.perf_counter() - start < 1.0
+
+
+    def test_cos_theta_is_refused_at_d_2(self):
+        pm = fl.point_mass()
+        with pytest.raises(ValidationError, match="unknown weight 'cos_theta'"):
+            fl.spherical_average(fl.build_product([pm] * 2, [0.0] * 2), 1.0, "cos_theta")
+
+    def test_cos_theta_is_refused_past_d_2(self):
+        pm = fl.point_mass()
+        with pytest.raises(ValidationError, match="unknown weight 'cos_theta'"):
+            fl.spherical_average(fl.build_product([pm] * 3, [0.0] * 3), 1.0, "cos_theta")
 
 
 class TestSolidAverage:

@@ -304,6 +304,15 @@ class TestMattila:
         est_w = fl.mattila_truncated(mu, 10.0, weighted=True)
         assert est_w.value == pytest.approx(8.0 * 99.0, rel=1e-6)
 
+    def test_third_positional_argument_is_weighted(self):
+        pm = fl.point_mass()
+        mu = fl.build_product([pm, pm], [0.0, 0.0])
+        est = fl.mattila_truncated(mu, 10.0, False)
+        assert est.weighted is False
+        assert est.value == fl.mattila_truncated(mu, 10.0, weighted=False).value
+        with pytest.raises(TypeError):
+            fl.mattila_truncated(mu, 10.0, False, None)  # no quadrature argument
+
     def test_value_nondecreasing_in_truncation(self, monkeypatch):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
