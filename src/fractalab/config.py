@@ -11,7 +11,8 @@ value against its field's declared type: ints widen to floats, numbers in a
 text field (such as ``dims``) become their text, ``bool`` is never a
 number, and no value may be NaN or infinite (JSON's ``NaN`` and ``Infinity``,
 or a flag like ``--interval nan:1``); a missing required key, a wrong type or
-a non-finite number raises ValidationError naming the field.
+a non-finite number raises ValidationError naming the field, and so does a
+record's own check (such as a digit outside its base).
 serialize(parse(text)) is idempotent: parsing normalizes, serialization is
 canonical JSON.
 """
@@ -225,7 +226,12 @@ def _load(tp, value, path: str):
                 kw[f.name] = _load(hints[f.name], value[f.name], name)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValidationError(f"{name}: missing required field")
-        return tp(**kw)
+        try:
+            return tp(**kw)
+        except ValidationError as exc:  # a record's own check names no field
+            if not path:
+                raise
+            raise ValidationError(f"{path}: {exc}") from exc
     accepted = {float: (int, float), str: (str, int, float)}.get(tp, tp)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
         raise ValidationError(f"{path}: expected {tp.__name__}, got {value!r}")

@@ -16,8 +16,9 @@ Two routes compute it:
   window sum of q against one prefix sum of q, O(M) per scale, in blocks of
   _BLOCK entries, all scales per block. q is exact up to product rounding
   (no transform, fixed order): level by level from the digit pmf of D + D
-  for a build_cantor measure, by np.add.at over atom pairs in square tiles
-  of about _BLOCK pairs, in the order of one scatter, otherwise.
+  for a build_cantor measure, otherwise by np.add.at over the unordered atom
+  pairs i <= j (2 w_i w_j off the diagonal) in square tiles of about _BLOCK
+  pairs, in the order of one scatter over the upper triangle.
 
 Both routes decide the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
@@ -122,12 +123,15 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     """Exact discrete self-convolution q(s) = sum_{i+j=s} w_i w_j.
 
     A build_cantor measure builds q level by level from the pmf of D + D;
-    any other measure scatter-adds its ordered atom pairs in square tiles of
-    side isqrt(_BLOCK), whose sums hit a stretch of q that stays in cache:
-    row tiles ascending, column tiles descending, each one row-major
-    np.add.at. Indices increase, so along a fixed sum the column falls as
-    the row rises, and each q(s) gets its pairs in ascending row order, the
-    order (and so the bytes) of one scatter over all pairs.
+    any other measure scatter-adds each unordered atom pair i <= j once, as
+    (2 w_i) w_j off the diagonal and w_i w_i on it, in square tiles of side
+    isqrt(_BLOCK) whose sums hit a stretch of q that stays in cache: row
+    tiles ascending; in each, the column tiles right of the diagonal
+    descending, each one row-major np.add.at, then the diagonal tile's upper
+    triangle (diagonal included) as one row-major np.add.at. Indices
+    increase, so along a fixed sum the column falls as the row rises, and
+    each q(s) gets its pairs in ascending row order, the order (and so the
+    bytes) of one scatter over the upper triangle in row-major order.
     Neither route uses transform arithmetic: repeated runs are bitwise equal.
     """
     _check_grid(nu)
@@ -142,20 +146,27 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     width = min(side, n)
     sums_buf = np.empty(width * width, dtype=idx.dtype)
     prods_buf = np.empty(width * width)
+    upper = np.tri(width, dtype=bool).T  # i <= j
     for start in range(0, n, side):
+        stop = min(start + side, n)
         # numpy buffers a broadcast op over short rows (about 3x slower), so
         # a tile is filled with its columns and then adds this band in place
-        band_idx = np.repeat(idx[start : start + side, None], width, axis=1)
-        band_w = np.repeat(w[start : start + side, None], width, axis=1)
-        for col in reversed(range(0, n, side)):
-            shape = (band_idx.shape[0], min(side, n - col))
+        band_idx = np.repeat(idx[start:stop, None], width, axis=1)
+        band_w = np.repeat(2.0 * w[start:stop, None], width, axis=1)
+        for col in reversed(range(start, n, side)):
+            shape = (stop - start, min(side, n - col))
             sums = sums_buf[: shape[0] * shape[1]].reshape(shape)
             prods = prods_buf[: sums.size].reshape(shape)
             sums[...] = idx[col : col + side]
             sums += band_idx[:, : shape[1]]
             prods[...] = w[col : col + side]
             prods *= band_w[:, : shape[1]]
-            np.add.at(q, sums.ravel(), prods.ravel())
+            if col > start:
+                np.add.at(q, sums.ravel(), prods.ravel())
+            else:  # the diagonal tile: w_i w_i on its diagonal, its upper triangle only
+                prods.ravel()[:: shape[0] + 1] = w[start:stop] * w[start:stop]
+                keep = upper[: shape[0], : shape[0]]
+                np.add.at(q, sums[keep], prods[keep])
     return SumsetDistribution(base=nu.base, level=nu.level, values=q)
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import fractalab as fl
 from fractalab.errors import ValidationError
+from fractalab.geometry import _gap_pmf
 from fractalab.quadrature import require_converged, simpson_doubling
 
 
@@ -123,6 +126,20 @@ def upsample_pmf(spec, signs):
         up[:: spec.base] = pmf
         pmf = np.convolve(up, digit_pmf)
     return pmf
+
+
+def gap_cells_oracle(factors, pair_budget, block):
+    """geometry._gap_cells cell by cell: every cell of a chunk unravelled to
+    its per-axis gap ids, then gathered per axis. Yields per-axis
+    coordinates, distances sqrt(sum_j c_j**2) and cell masses."""
+    pmfs = [_gap_pmf(f, pair_budget) for f in factors]
+    shape = tuple(gaps.size for gaps, _ in pmfs)
+    cells = math.prod(shape)
+    for start in range(0, cells, block):
+        ids = np.unravel_index(np.arange(start, min(start + block, cells)), shape)
+        coords = [gaps[i] for (gaps, _), i in zip(pmfs, ids)]
+        mass = math.prod(masses[i] for (_, masses), i in zip(pmfs, ids))
+        yield coords, np.sqrt(sum(c * c for c in coords)), mass
 
 
 def simpson_sectors(mu, t, gamma0, rel_tol):

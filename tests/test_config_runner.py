@@ -468,6 +468,25 @@ class TestConfigFields:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "flag, text, record, message",
+        [
+            ("--factor", "3:0,9:6", {"factors": [{"base": 3, "digits": [0, 9], "level": 6}]},
+             "factors[0]: digits must lie in [0, base)"),
+            ("--sweep", "9:3:4", {"sweep": {"start": 9, "stop": 3, "count": 4}},
+             "sweep: sweep needs 0 < start < stop"),
+        ],
+        ids=["factor digit", "sweep order"],
+    )
+    def test_record_check_names_its_field(self, tmp_path, capsys, flag, text, record, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"factors": [{"base": 3, "digits": [0, 2], "level": 4}], **record}))
+        for argv in ([flag, text], ["--config", str(cfg)]):
+            code = cli_main(["energy", *argv, "--output", str(tmp_path / "out")])
+            assert code == 2
+            assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv, field_name",
         [(["--interval", "nan:1"], "interval[0]"), (["--sweep", "1:inf:4"], "sweep.stop"),
          (["--dz-k=-inf"], "dz_k"), (["--truncation", "NaN"], "truncation")],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import derive_delta_grid, space_side_sigma, sphere_kernel_3
+from conftest import derive_delta_grid, gap_cells_oracle, space_side_sigma, sphere_kernel_3
 from fractalab import geometry
 from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
@@ -139,7 +139,7 @@ def _cantor_product(base: int, digits: tuple[int, ...], level: int, d: int = 2):
     return fl.build_product([nu] * d, [nu.dimension_hint] * d)
 
 
-def _fixed_atoms_product(seed: int, d: int, atoms: int, level: int):
+def _fixed_atoms_factors(seed: int, d: int, atoms: int, level: int) -> list:
     """d random factors of `atoms` atoms each on the 3**level grid."""
     rng = np.random.default_rng(seed)
     factors = []
@@ -148,7 +148,11 @@ def _fixed_atoms_product(seed: int, d: int, atoms: int, level: int):
         weights = rng.random(atoms) + 0.05
         weights /= weights.sum()
         factors.append(fl.GridMeasure(base=3, level=level, indices=indices, weights=weights))
-    return fl.build_product(factors, [1.0] * d)
+    return factors
+
+
+def _fixed_atoms_product(seed: int, d: int, atoms: int, level: int):
+    return fl.build_product(_fixed_atoms_factors(seed, d, atoms, level), [1.0] * d)
 
 
 # gap-cell counts 388 * 385 = 149,380 and 56 * 55 * 52 = 160,160: several
@@ -256,6 +260,87 @@ class TestGapRouteOracle:
         assert fl.distance_measure(mu, 1e-3, pair_budget=bins).masses.size == bins
         with pytest.raises(BudgetError, match="widen the bin width"):
             fl.distance_measure(mu, 1e-3, pair_budget=bins - 1)
+
+
+def _with_point_mass(point_mass_first: bool):
+    """A point mass (a one-gap axis) times a random 40-atom factor on 3^5."""
+    (rnd,) = _fixed_atoms_factors(3, 1, 40, 5)
+    pair = [fl.point_mass(), rnd] if point_mass_first else [rnd, fl.point_mass()]
+    return fl.build_product(pair, [0.0, 1.0] if point_mass_first else [1.0, 0.0])
+
+
+# the pairs workload's two products, d = 3 and 4, a one-gap head or last axis,
+# and one factor
+CELL_CASES = {
+    "3:0,2:6^2": lambda: _cantor_product(3, (0, 2), 6).factors,
+    "random 64 atoms on 3^6, squared": lambda: _fixed_atoms_product(1, 2, 64, 6).factors,
+    "3:0,2:3^3": lambda: _cantor_product(3, (0, 2), 3, d=3).factors,
+    # three head axes: the first d at which the order of a head sum shows
+    "random d=4 8 atoms on 3^4": lambda: _fixed_atoms_factors(5, 4, 8, 4),
+    "point mass x random": lambda: _with_point_mass(True).factors,
+    "random x point mass": lambda: _with_point_mass(False).factors,
+    "one random factor": lambda: _fixed_atoms_factors(4, 1, 50, 6),
+}
+PAIR_PRODUCTS = {
+    "3:0,2:6^2": lambda: _cantor_product(3, (0, 2), 6),
+    "random 64 atoms on 3^6, squared": lambda: _fixed_atoms_product(1, 2, 64, 6),
+}
+
+
+def oracle_pair_functionals(mu, h: float, s: float) -> dict:
+    """distance_measure (plain and weighted), weighted_mass and
+    energy_integral over the cell-by-cell oracle's chunks, with the diagonal
+    found by its zero distance."""
+    budget = geometry.DEFAULT_PAIR_BUDGET
+    max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
+    out = {}
+    for key, width, weighted in (("plain", h, False), ("weighted", h, True), ("unit", 1.0, True)):
+        acc = np.zeros(int(max_dist / width) + 2)
+        diagonal = 0.0
+        for coords, dist, mass in gap_cells_oracle(mu.factors, budget, max(geometry._BLOCK, acc.size)):
+            if weighted:
+                mass = mass * np.divide(coords[1], dist, out=np.zeros_like(dist), where=dist > 0.0)
+            diagonal += float(np.sum(mass[dist == 0.0]))
+            acc += np.bincount((dist / width).astype(np.int64), weights=mass, minlength=acc.size)
+        out[key] = (acc.tobytes(), float(np.sum(acc)), diagonal)
+    total = 0.0
+    for _, dist, mass in gap_cells_oracle(mu.factors, budget, geometry._BLOCK):
+        off = dist > 0.0
+        total += float(np.sum(mass[off] * dist[off] ** (-s)))
+    out["energy"] = total
+    return out
+
+
+class TestGapCellChunks:
+    """The row-broadcast cells against the cell-by-cell oracle, bit for bit."""
+
+    # 97 cells end chunks inside rows of 365 or more gaps, and span rows of
+    # 14 (d = 3) or 1 (a point-mass last axis)
+    @pytest.mark.parametrize("name", sorted(CELL_CASES))
+    @pytest.mark.parametrize("block", [97, 1000, geometry._BLOCK])
+    def test_chunks_are_the_oracle_chunks(self, name, block):
+        factors = CELL_CASES[name]()
+        budget = geometry.DEFAULT_PAIR_BUDGET
+        got = list(geometry._gap_cells(factors, budget, block))
+        expected = list(gap_cells_oracle(factors, budget, block))
+        assert len(got) == len(expected)
+        for (last, dist, mass), (coords, oracle_dist, oracle_mass) in zip(got, expected):
+            assert last().tobytes() == coords[-1].tobytes()
+            assert dist.tobytes() == oracle_dist.tobytes()
+            assert mass.tobytes() == oracle_mass.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PAIR_PRODUCTS))
+    @pytest.mark.parametrize("block", [None, 1000])
+    def test_pair_functionals_are_the_oracle_sums(self, monkeypatch, name, block):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+        mu = PAIR_PRODUCTS[name]()
+        expected = oracle_pair_functionals(mu, 0.01, 0.5)
+        for key, h, weighted in (("plain", 0.01, False), ("weighted", 0.01, True)):
+            dm = fl.distance_measure(mu, h, weighted=weighted)
+            assert (dm.masses.tobytes(), dm.total_mass, dm.diagonal_mass) == expected[key]
+        assert fl.weighted_mass(mu) == expected["unit"][1]
+        assert fl.energy_integral(mu, 0.5) == expected["energy"]
 
 
 class TestEnergyIntegral:
