@@ -11,16 +11,16 @@ Two routes compute it:
 * bruteforce: a direct enumeration of all quadruples, grouped as ordered
   pair-sums. Exact by construction; guarded by an atom-count limit because
   the work is O(N^4).
-* autocorrelation: the quadruple integral factors through the sumset
-  distribution q = nu * nu on the integer index grid, and E(r) is a sliding
-  window sum of q against one prefix sum of q, O(M) per scale, in blocks of
-  _BLOCK entries, all scales per block. q is exact up to product rounding
-  (no transform, fixed order): level by level from the digit pmf of D + D
-  for a build_cantor measure, otherwise by np.add.at over the unordered atom
-  pairs i <= j (2 w_i w_j off the diagonal) in square tiles of about _BLOCK
-  pairs, in the order of one scatter over the upper triangle.
+* autocorrelation: exact up to product rounding, with no transform. A
+  build_cantor measure takes the digit DP (_cantor_energies): no grid, no
+  grid cap. Any other measure factors the quadruple integral through the
+  sumset q = nu * nu on the integer index grid, np.add.at over the
+  unordered atom pairs i <= j in tiles of about _BLOCK pairs, and E(r) is a
+  window sum of q against one prefix sum of q, in blocks of _BLOCK entries,
+  all scales per block. On build_cantor measures this route, over their
+  level-by-level q, is the DP's oracle.
 
-Both routes decide the strict window on the same float expression
+Every route decides the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
 1e-10 oracle gate in the tests is meaningful.
 
@@ -28,12 +28,11 @@ Smoothed fourth moments replace the sharp window by a Fejer cutoff:
 space side  iiii psi(t(u1 - u2 + u3 - u4)) dnu^4, computed through the gap
 autocorrelation c of q (from D + D - D - D for build_cantor measures, by an
 FFT for any other; cached as its nonzero gaps); Fourier side (1/t) int
-psi_hat(eta/t) |nu_hat(eta)|^4 deta by Simpson over the compact transform
-support, |nu_hat|^4 taken as GridMeasure.power_spectrum squared (the real
-Riesz product) for build_cantor measures and from
-GridMeasure.transform_on_grid (one factored phase-table product per uniform
-node grid) for any other. The two agree by Parseval and are tested against
-each other.
+psi_hat(eta/t) |nu_hat(eta)|^4 deta by Gauss-Legendre panels sized a
+priori from the exponential type of |nu_hat|^4 (power_spectrum squared for
+build_cantor measures, transform_on_grid over the node lattice for any
+other). The two agree by Parseval to rounding and are tested against each
+other.
 """
 from __future__ import annotations
 
@@ -47,11 +46,12 @@ from .cutoff import CutoffFunction
 from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
 from .measures import CantorSpec, GridMeasure
-from .quadrature import require_converged, simpson_doubling
 
 BRUTEFORCE_ATOM_LIMIT = 200
 _MAX_GRID = 1 << 24  # dense sumset arrays beyond this are refused
 _BLOCK = 1 << 15  # entries per streamed block: 256 KiB of floats, well inside L2
+_PANEL_NODES = 24  # Gauss-Legendre nodes per panel of the smoothed Fourier side
+_MAX_PANEL_NODES = 1 << 22  # its node budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +92,27 @@ def _check_grid(nu: GridMeasure) -> None:
         )
 
 
-def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
-    """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid copies of
-    sum_j signs[j] D_j with D_j uniform on the kept digits, shifted to start
-    at index 0. Built level by level, polyphase: entry base*m + r of the next
-    level is the pmf convolved with phase r of the digit pmf, [r::base]
-    trimmed of zero end taps (one tap: a scaled strided copy); no FFT."""
-    base = spec.base
-    d = np.zeros(base)
-    d[list(spec.digits)] = 1.0 / len(spec.digits)
-    digit_pmf = np.ones(1)
+def _digit_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
+    """pmf of e = sum_j signs[j] D_j, D_j iid uniform on the kept digits, at
+    index e + (base - 1) * (number of negative signs): the integer tuple
+    counts of one convolution, each divided once by |D|**len(signs), so
+    every entry is its exact value correctly rounded."""
+    d = np.zeros(spec.base)
+    d[list(spec.digits)] = 1.0
+    counts = np.ones(1)
     for sign in signs:
-        digit_pmf = np.convolve(digit_pmf, d if sign > 0 else d[::-1])
+        counts = np.convolve(counts, d if sign > 0 else d[::-1])
+    return counts / len(spec.digits) ** len(signs)
+
+
+def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
+    """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid draws from
+    _digit_pmf, shifted to start at index 0. Built level by level,
+    polyphase: entry base*m + r of the next level is the pmf convolved with
+    phase r of the digit pmf, [r::base] trimmed of zero end taps (one tap: a
+    scaled strided copy); no FFT."""
+    base = spec.base
+    digit_pmf = _digit_pmf(spec, signs)
     nonzero = [(r, np.flatnonzero(digit_pmf[r::base])) for r in range(base)]
     phases = [(r + base * nz[0], digit_pmf[r::base][nz[0] : nz[-1] + 1])  # (first index, taps)
               for r, nz in nonzero if nz.size]
@@ -117,6 +126,19 @@ def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray
                 out[start::base][: pmf.size + taps.size - 1] = np.convolve(pmf, taps)
         pmf = out
     return pmf
+
+
+@lru_cache(maxsize=16)
+def _upper_triangle(width: int) -> np.ndarray:
+    """Row-major flat indices of the entries i <= j of a width x width tile,
+    read-only, in the smallest dtype that holds them: at width 181, np.take
+    of this 32 KiB uint16 table beats building and compressing by a boolean
+    mask, and an int64 one held in the cache raised the pairs workload's
+    peak RSS by 0.9 MB."""
+    i, j = np.triu_indices(width)
+    flat = (i * width + j).astype(np.min_scalar_type(width * width - 1))
+    flat.setflags(write=False)
+    return flat
 
 
 def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
@@ -138,15 +160,18 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     if nu.spec is not None:
         q = _digit_expansion_pmf(nu.spec, (1, 1))
         return SumsetDistribution(base=nu.base, level=nu.level, values=q)
-    q = np.zeros(2 * nu.grid_size - 1)
     idx = nu.indices
     w = nu.weights
     n = idx.size
     side = math.isqrt(_BLOCK)
     width = min(side, n)
+    # the diagonal tiles' index tables, fetched before q and the tile
+    # buffers: a table first cached between them pinned the freed buffers on
+    # the heap (1.3 MB more peak RSS on the pairs workload)
+    upper = {rows: _upper_triangle(rows) for rows in (width, (n - 1) % side + 1)}
+    q = np.zeros(2 * nu.grid_size - 1)
     sums_buf = np.empty(width * width, dtype=idx.dtype)
     prods_buf = np.empty(width * width)
-    upper = np.tri(width, dtype=bool).T  # i <= j
     for start in range(0, n, side):
         stop = min(start + side, n)
         # numpy buffers a broadcast op over short rows (about 3x slower), so
@@ -165,8 +190,8 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
                 np.add.at(q, sums.ravel(), prods.ravel())
             else:  # the diagonal tile: w_i w_i on its diagonal, its upper triangle only
                 prods.ravel()[:: shape[0] + 1] = w[start:stop] * w[start:stop]
-                keep = upper[: shape[0], : shape[0]]
-                np.add.at(q, sums[keep], prods[keep])
+                keep = upper[shape[0]]
+                np.add.at(q, np.take(sums, keep), np.take(prods, keep))
     return SumsetDistribution(base=nu.base, level=nu.level, values=q)
 
 
@@ -207,6 +232,52 @@ def _energy_from_sumset(q: np.ndarray, delta: float, rs) -> list[float]:
     return [min(total, 1.0) for total in totals]
 
 
+def _cantor_energies(spec: CantorSpec, rs) -> list[float]:
+    """E(r) = P(|N_L| <= k) for each r of a build_cantor measure, with no
+    grid: (u1 + u2) - (u3 + u4) = N_L delta, N_L = sum_j e_j b**(L-j) with
+    e_j iid from the D + D - D - D digit pmf p, and k the strict window gap
+    of the grid route. As N_m = b N_{m-1} + e_m, on intervals (no CDFs to
+    cancel) P(lo <= N_m <= hi) = sum_e p(e) P(ceil((lo - e)/b) <= N_{m-1}
+    <= floor((hi - e)/b)). |N_m| <= M_m = e_max (b**m - 1)/(b - 1), so an
+    interval holding [-M_m, M_m] is 1, one missing it is 0, and the live
+    rest are clamped to it. The descent keeps each level's distinct live
+    intervals, every radius at once; the ascent sums over e in ascending
+    order, one numpy pass per level. Bitwise the grid route where both are
+    exact (two digits to level 13: multiples of 16**-level)."""
+    base = spec.base
+    pmf = _digit_pmf(spec, (1, 1, -1, -1))
+    e = np.flatnonzero(pmf)
+    p, e = pmf[e], e - 2 * (base - 1)
+    bounds = [int(e[-1]) * (base**m - 1) // (base - 1) for m in range(spec.level + 1)]
+    if bounds[-1] >= 1 << 53:
+        raise BudgetError(f"energy digit DP bound {bounds[-1]} past 2**53; coarsen the level")
+    k = np.array([_strict_window_gap(float(base) ** -spec.level, r, bounds[-1]) for r in rs])
+    lo, hi, steps = -k, k, []
+    for bound in reversed(bounds):
+        full = (lo <= -bound) & (hi >= bound)
+        live = ~full & (lo <= hi) & (hi >= -bound) & (lo <= bound)
+        # (lo, hi) as one complex key, exact below 2**53, sorted lexicographically
+        keys, inverse = np.unique(np.maximum(lo[live], -bound) + 1j * np.minimum(hi[live], bound),
+                                  return_inverse=True)
+        steps.append((full, live, inverse))
+        lo = -((e - keys.real.astype(np.int64)[:, None]) // base)
+        hi = (keys.imag.astype(np.int64)[:, None] - e) // base
+    values = np.empty(0)  # of the live intervals one level down: none below level 0
+    for full, live, inverse in reversed(steps):
+        child = full.astype(float)
+        child[live] = values[inverse]
+        values = child if child.ndim == 1 else sum(p[j] * child[:, j] for j in range(p.size))
+    return values.tolist()
+
+
+def _energies(nu: GridMeasure, rs) -> list[float]:
+    """E(r) for each r: the digit DP for a build_cantor measure, the sumset
+    window for any other."""
+    if nu.spec is not None:
+        return _cantor_energies(nu.spec, rs)
+    return _energy_from_sumset(sumset_autocorrelation(nu).values, nu.delta, rs)
+
+
 def _energy_bruteforce(nu: GridMeasure, r: float) -> float:
     n = nu.atom_count
     if n > BRUTEFORCE_ATOM_LIMIT:
@@ -234,14 +305,15 @@ def additive_energy(nu: GridMeasure, r: float, algorithm: str = "autocorrelation
 
     The window inequality is strict; grid gaps landing exactly on r are
     excluded. `algorithm` is 'bruteforce' (O(N^4) oracle, atom count capped)
-    or 'autocorrelation' (exact convolution + prefix-sum window).
+    or 'autocorrelation' (the digit DP on a build_cantor measure, else the
+    exact convolution and its prefix-sum window).
     """
     if not 0 < r < math.inf:
         raise ValidationError(f"window r must be positive and finite, got {r}")
     if algorithm == "bruteforce":
         return _energy_bruteforce(nu, r)
     if algorithm == "autocorrelation":
-        return _energy_from_sumset(sumset_autocorrelation(nu).values, nu.delta, [r])[0]
+        return _energies(nu, [r])[0]
     raise ValidationError(f"unknown algorithm {algorithm!r}")
 
 
@@ -285,8 +357,9 @@ def dyadic_r_sweep(nu: GridMeasure) -> list[float]:
 
 
 def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
-    """Sample E(r) over a geometric sweep (autocorrelation route) and fit
-    the decay exponent of E against r on log-log axes."""
+    """Sample E(r) over a geometric sweep (autocorrelation route, every
+    scale in one pass) and fit the decay exponent of E against r on log-log
+    axes."""
     rs = [float(r) for r in r_values]
     if len(rs) < 3:
         raise ValidationError(f"need at least 3 scales, got {len(rs)}")
@@ -301,7 +374,7 @@ def energy_profile(nu: GridMeasure, r_values, alpha: float) -> EnergyProfile:
     ratios = [rs[i + 1] / rs[i] for i in range(len(rs) - 1)]
     if max(ratios) - min(ratios) > 1e-6 * max(ratios):
         raise ValidationError("r_values must form a geometric sweep")
-    energies = _energy_from_sumset(sumset_autocorrelation(nu).values, delta, rs)
+    energies = _energies(nu, rs)
     fit = loglog_fit(rs, energies)
     return EnergyProfile(
         r_values=tuple(rs),
@@ -364,17 +437,44 @@ def smoothed_fourth_moment(nu: GridMeasure, t: float, cutoff: CutoffFunction) ->
     return float(c0 + 2.0 * np.dot(cg, cutoff(t * positions)))
 
 
+@lru_cache(maxsize=None)
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = (x + 1.0) / 2.0, w / 2.0
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> float:
+    """Fourier side (2/t) int_0^span psi_hat(eta/t) |nu_hat(eta)|^4 deta,
+    span = t * transform_support, on Gauss-Legendre panels sized a priori,
+    with no refinement. |nu_hat(z)|^4 <= exp(tau |Im z|), tau = 4 pi diam,
+    and psi_hat(eta/t) is linear on [0, span]. P = ceil(span tau / 24)
+    panels of width H <= 24/tau, mapped to [-1, 1], give type tau H/2 <= 12:
+    on the Bernstein ellipse E_rho the integrand is at most M = exp(6 (rho -
+    1/rho)) (1 + rho/2) times its real sup, so n = 24 nodes err by at most
+    (64/15) M rho**(-2n) / (rho**2 - 1) H/2 (Trefethen, ATAP, Thm 19.3):
+    5e-24 of the sup times H/2 at rho = 4 + sqrt(15). Measured, within
+    1.6e-15 of the exact space side. The nodes are the lattice H arange(P)
+    + H x_j: one transform_on_grid for a spec-less measure, power_spectrum
+    ** 2 for a build_cantor one. The 2**22-node budget is checked first."""
     span = cutoff.transform_support * t
-    def integrand(eta):
-        if nu.spec is not None:
-            return nu.power_spectrum(eta) ** 2 * cutoff.transform(eta / t)
-        step = (eta[-1] - eta[0]) / (eta.size - 1)
-        vals = nu.transform_on_grid(eta[0], step, eta.size)
-        return (np.abs(vals) ** 4) * cutoff.transform(eta / t)
-    initial = max(64, 2 * int(8.0 * span))
-    result = simpson_doubling(integrand, 0.0, span, initial_intervals=initial, rel_tol=1e-9)
-    return (2.0 / t) * require_converged(result, "smoothed-energy Simpson", 1e-9)
+    panels = max(1, math.ceil(span * 4.0 * math.pi * nu.diameter / _PANEL_NODES))
+    if panels * _PANEL_NODES > _MAX_PANEL_NODES:
+        raise BudgetError(
+            f"smoothed-energy Fourier side needs {panels * _PANEL_NODES} Gauss-Legendre "
+            "nodes, past its 2**22 budget; lower t")
+    x, w = _panel_rule(_PANEL_NODES)
+    width = span / panels
+    coarse, fine = width * np.arange(panels), width * x
+    eta = coarse[:, None] + fine
+    if nu.spec is not None:
+        power = nu.power_spectrum(eta) ** 2
+    else:
+        power = np.abs(nu.transform_on_grid(coarse, fine)) ** 4
+    return (2.0 / t) * width * float(np.sum(power * cutoff.transform(eta / t) * w))
 
 
 def smoothed_energy(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> tuple[float, float]:
@@ -382,8 +482,7 @@ def smoothed_energy(nu: GridMeasure, t: float, cutoff: CutoffFunction) -> tuple[
 
     Returns (space_side, fourier_side): the quadruple sum against
     psi(t * gap), and the quadrature of (1/t) psi_hat(eta/t) |nu_hat(eta)|^4
-    over the compact support of psi_hat(./t). The two agree within
-    quadrature tolerance.
+    over the compact support of psi_hat(./t). The two agree to rounding.
     """
     if not 1.0 <= t < math.inf:
         raise ValidationError(f"t must be >= 1 and finite, got {t}")

@@ -208,41 +208,32 @@ class GridMeasure:
                 out *= np.maximum(level, 0.0)
         return float(out) if xi_arr.ndim == 0 else out
 
-    def transform_on_grid(self, start: float, step: float, count: int) -> np.ndarray:
-        """nu_hat at the ``count`` frequencies start + k step, k = 0, 1, ...
+    def transform_on_grid(self, coarse, fine) -> np.ndarray:
+        """nu_hat at the lattice of frequencies coarse_r + fine_k, as an array
+        of shape (coarse.size, fine.size).
 
-        Splits k = m k1 + k0 with 0 <= k0 < m ~ sqrt(count) into one complex
-        product of two phase tables, (w_j e(-k1 m step x_j)) @ e(-(start + k0
-        step) x_j)^T: (count/m + m) * atoms exponentials instead of count *
-        atoms, for every measure. Tables and product
-        blocks keep to the dense route's 2**22-entry chunks (m <= 2**22 /
-        atoms), in a fixed order, with no FFT. Both tables reduce their phases
-        mod 1 exactly, and the rounding gap between the float node start + k
-        step and coarse + fine enters at first order through a second product
-        with weights w_j x_j, so the route keeps ~1e-15 of the exact sum at the
-        float nodes. Oracle: the dense sum at the same nodes with its phases
-        reduced mod 1 exactly, within 1e-11 for |xi| up to 1e4; transform,
-        whose phases round to ~1e-15 |xi|, can miss it by more near 1e4.
+        e(-(c + f) x) = e(-c x) e(-f x), so the lattice is one complex
+        product of two phase tables, (w_j e(-coarse_r x_j)) @ e(-fine_k x_j):
+        (coarse + fine) * atoms exponentials instead of their product, for
+        every measure. Tables and product blocks keep to the dense route's
+        2**22-entry chunks, in a fixed order, with no FFT. Both tables reduce
+        their phases mod 1 exactly, so the route keeps ~1e-15 of the exact
+        sum at the real nodes coarse_r + fine_k. Oracle: the dense sum with
+        its phases reduced mod 1 exactly at the float nodes, within 1e-11 for
+        |xi| up to 1e4 (the float sum rounds a node by up to 1e-12 there);
+        transform, whose phases round to ~1e-15 |xi|, can miss it by more.
         """
         x, w = self.positions, self.weights
-        m = max(1, min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK // x.size))
-        coarse_f = (m * np.arange(-(-count // m))) * step
-        fine_f = start + step * np.arange(m)
-        # each node start + k step, as transform takes it, is coarse + fine +
-        # delta exactly (two-sum); e(-delta x) = 1 - 2 pi i delta x to ~1e-22
-        node = coarse_f[:, None] + fine_f
-        fine_part = node - coarse_f[:, None]
-        lost = (coarse_f[:, None] - (node - fine_part)) + (fine_f - fine_part)
-        delta = ((start + step * np.arange(count)) - node.ravel()[:count]) - lost.ravel()[:count]
-        fine_t = _phase_table(x, fine_f)
-        rows = max(1, _CHUNK // max(x.size, m))
-        out = np.empty((coarse_f.size, m), dtype=complex)
-        slope = np.empty((coarse_f.size, m), dtype=complex)
-        for r in range(0, coarse_f.size, rows):
-            coarse = _phase_table(coarse_f[r : r + rows], x)
-            out[r : r + rows] = (w * coarse) @ fine_t
-            slope[r : r + rows] = (w * x * coarse) @ fine_t
-        return out.ravel()[:count] - (2j * np.pi) * delta * slope.ravel()[:count]
+        coarse = np.asarray(coarse, dtype=float).ravel()
+        fine = np.asarray(fine, dtype=float).ravel()
+        cols = max(1, _CHUNK // x.size)
+        rows = max(1, _CHUNK // max(x.size, min(cols, fine.size)))
+        out = np.empty((coarse.size, fine.size), dtype=complex)
+        for c in range(0, fine.size, cols):
+            fine_t = _phase_table(x, fine[c : c + cols])
+            for r in range(0, coarse.size, rows):
+                out[r : r + rows, c : c + cols] = (w * _phase_table(coarse[r : r + rows], x)) @ fine_t
+        return out
 
 
 def _phase_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ quadrature of the package is composite Simpson (`simpson_doubling`), the
 Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
 only this module drives `converge`. The sphere averages never refine: the
 d = 2 circle integrals are exact band-limited sums and d >= 3 is a fixed
-product rule over them (fourier._sigma_many). `simpson_cumulative` gives
+product rule over them (fourier._sigma_many). Nor does the smoothed-energy
+Fourier side: Gauss-Legendre panels sized a priori from the integrand's
+exponential type (energy._fourth_moment_quadrature). `simpson_cumulative` gives
 the running integral on a converged grid. Non-convergence is never silent:
 a bare-number result goes through `require_converged`, which raises
 BudgetError (CLI exit 3) naming the rule, the tolerance and the cap; a
@@ -49,11 +51,7 @@ def require_converged(result: tuple[float, int, bool], rule: str, rel_tol: float
 def trapezoid_refinements(f, a: float, b: float, intervals: int):
     """Endless trapezoid sums on [a, b] over intervals, 2 intervals, ...;
     each refinement evaluates f only at the new midpoints. Yields
-    (value, nodes evaluated so far). Each call to f gets a uniform grid,
-    linspace(a, b) and then the midpoints a + (k + 1/2) h, of at least 2
-    nodes when intervals >= 2: f may read its start x[0] and step
-    (x[-1] - x[0]) / (x.size - 1) off it, as the smoothed-energy Fourier
-    side does."""
+    (value, nodes evaluated so far)."""
     n = int(intervals)
     h = (b - a) / n
     fx = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -220,6 +222,108 @@ class TestCantorRoute:
             fl.smoothed_fourth_moment(nu, 4.0, cut)
         with pytest.raises(BudgetError, match="sumset grid"):
             fl.sumset_autocorrelation(nu)
+
+
+def exact_digit_dp(spec, rs):
+    """E(r) of a build_cantor measure in exact rationals: P(|N_L| <= k) by
+    the interval recursion over the D + D - D - D digit pmf, k the strict
+    window gap of the grid route."""
+    b, n = spec.base, len(spec.digits)
+    counts = {}
+    for d in iproduct(spec.digits, repeat=4):
+        e = d[0] + d[1] - d[2] - d[3]
+        counts[e] = counts.get(e, 0) + 1
+    pmf = sorted((e, Fraction(c, n**4)) for e, c in counts.items())
+    e_max = max(counts)
+
+    @lru_cache(maxsize=None)
+    def prob(m, lo, hi):
+        bound = e_max * (b**m - 1) // (b - 1)
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            return Fraction(0)
+        if (lo, hi) == (-bound, bound):
+            return Fraction(1)
+        return sum(p * prob(m - 1, -((e - lo) // b), (hi - e) // b) for e, p in pmf)
+
+    bound = e_max * (b**spec.level - 1) // (b - 1)
+    return [prob(spec.level, -k, k) for k in
+            (energy._strict_window_gap(float(b) ** -spec.level, r, bound) for r in rs)]
+
+
+def _dp_radii(nu):
+    """The dyadic sweep, a sub-grid radius (k = 0), a half-integer gap and
+    one past the diameter (every quadruple)."""
+    return fl.dyadic_r_sweep(nu) + [nu.delta / 2.0, 2.5 * nu.delta, 3.0]
+
+
+def _grid_route(nu, rs):
+    return energy._energy_from_sumset(fl.sumset_autocorrelation(nu).values, nu.delta, rs)
+
+
+class TestCantorDigitDP:
+    """build_cantor energies by the digit DP against an exact rational DP
+    and against the sumset window (the grid route)."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [fl.CantorSpec(3, (0, 2), 10), fl.CantorSpec(4, (0, 3), 8), fl.CantorSpec(5, (0, 1, 4), 8),
+         fl.CantorSpec(7, (1, 3, 4), 6)],
+        ids=str,
+    )
+    def test_matches_exact_rational_dp(self, spec):
+        nu = fl.build_cantor(spec)
+        rs = _dp_radii(nu)
+        got = energy._cantor_energies(spec, rs)
+        for g, want in zip(got, exact_digit_dp(spec, rs)):
+            assert abs(Fraction(g) - want) <= Fraction(2, 10**15) * want
+
+    @pytest.mark.parametrize(
+        "spec",
+        [fl.CantorSpec(3, (0, 2), 8), fl.CantorSpec(3, (0, 2), 9), fl.CantorSpec(3, (0, 2), 12),
+         fl.CantorSpec(4, (0, 3), 9), fl.CantorSpec(5, (0, 2), 7), fl.CantorSpec(2, (0, 1), 11),
+         fl.CantorSpec(7, (2, 5), 5), fl.CantorSpec(3, (1,), 4)],
+        ids=str,
+    )
+    def test_sets_of_at_most_two_digits_are_bitwise_the_grid_route(self, spec):
+        # every value is a multiple of 16**-level, exact in both routes
+        nu = fl.build_cantor(spec)
+        sweep = [nu.delta * 2.0**j for j in range(nu.grid_size.bit_length() + 2)]
+        got = np.array(fl.energy_profile(nu, sweep, 0.5).energies)
+        assert got.tobytes() == np.array(_grid_route(nu, sweep)).tobytes()
+        edges = [nu.delta / 2.0, 2.5 * nu.delta, 3.0]
+        assert [fl.additive_energy(nu, r) for r in edges] == _grid_route(nu, edges)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [fl.CantorSpec(5, (0, 1, 4), 8), fl.CantorSpec(7, (1, 3, 4), 6),
+         fl.CantorSpec(5, (0, 2, 4), 7), fl.CantorSpec(3, (0, 1, 2), 9)],
+        ids=str,
+    )
+    def test_three_digit_sets_within_1e_12_of_the_grid_route(self, spec):
+        nu = fl.build_cantor(spec)
+        rs = _dp_radii(nu)
+        got, want = np.array(energy._cantor_energies(spec, rs)), np.array(_grid_route(nu, rs))
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_profile_past_the_dense_grid_cap(self):
+        # grid 3**16 > 2**24 and 65,536 atoms: no sumset is formed
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 16))
+        assert nu.grid_size > energy._MAX_GRID and nu.atom_count == 65_536
+        energies = fl.energy_profile(nu, fl.dyadic_r_sweep(nu), nu.dimension_hint).energies
+        assert len(energies) == 12
+        assert all(0.0 < e <= 1.0 for e in energies)
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+        with pytest.raises(BudgetError, match="sumset grid"):
+            fl.sumset_autocorrelation(nu)
+        with pytest.raises(BudgetError, match="sumset grid"):
+            fl.energy_profile(dense_copy(nu), fl.dyadic_r_sweep(nu), 0.5)
+
+    def test_refuses_bounds_past_exact_floats(self):
+        # base 1000 at level 7: |N_7| reaches 1998 (1000**7 - 1) / 999 > 2**53
+        nu = fl.build_cantor(fl.CantorSpec(1000, (0, 999), 7))
+        with pytest.raises(BudgetError, match=r"2\*\*53"):
+            fl.additive_energy(nu, 0.25)
 
 
 class TestPolyphasePmf:
@@ -634,10 +738,9 @@ class TestSmoothedEnergy:
         ],
     )
     def test_fourier_side_matches_dense_transform_integrand(self, monkeypatch, source, t):
-        # the fast integrand (the factored grid transform of a random
-        # measure with `source` atoms, the Riesz power spectrum of a Cantor
-        # measure) against the dense transform, on the same interval, start
-        # grid and tolerance of the same Simpson rule
+        # the fast integrand (the lattice transform of a random measure with
+        # `source` atoms, the Riesz power spectrum of a Cantor measure)
+        # against the dense transform at the same Gauss-Legendre nodes
         if isinstance(source, fl.CantorSpec):
             nu = fl.build_cantor(source)
         else:
@@ -646,23 +749,56 @@ class TestSmoothedEnergy:
             weights = rng.random(source) + 0.05
             nu = fl.GridMeasure(3, 8, indices, weights / weights.sum())
         cut = fl.CutoffFunction("fejer", 2.0)
-        simpson = energy.simpson_doubling
-        runs = []
+        route = "power_spectrum" if nu.spec is not None else "transform_on_grid"
+        fast_route = getattr(fl.GridMeasure, route)
+        nodes = {}
 
-        def dense(eta):
-            return np.abs(nu.transform(eta)) ** 4 * cut.transform(eta / t)
+        def recording(self, *args):
+            nodes["fast"] = args
+            return fast_route(self, *args)
 
-        def both_routes(f, a, b, **kwargs):
-            runs.append((simpson(f, a, b, **kwargs), simpson(dense, a, b, **kwargs)))
-            return runs[-1][0]
+        def dense(self, *args):
+            nodes["dense"] = args
+            if route == "power_spectrum":
+                return np.abs(self.transform(args[0])) ** 2
+            coarse, fine = args
+            return self.transform(coarse[:, None] + fine)
 
-        monkeypatch.setattr(energy, "simpson_doubling", both_routes)
-        value = _fourth_moment_quadrature(nu, t, cut)
-        [((fast, fast_nodes, fast_ok), (oracle, oracle_nodes, oracle_ok))] = runs
-        assert fast_ok and oracle_ok
-        assert fast_nodes == oracle_nodes
+        monkeypatch.setattr(fl.GridMeasure, route, recording)
+        fast = _fourth_moment_quadrature(nu, t, cut)
+        monkeypatch.setattr(fl.GridMeasure, route, dense)
+        oracle = _fourth_moment_quadrature(nu, t, cut)
+        assert len(nodes["fast"]) == len(nodes["dense"])
+        for a, b in zip(nodes["fast"], nodes["dense"]):
+            assert a.tobytes() == b.tobytes()
+        assert np.size(nodes["fast"][-1]) % energy._PANEL_NODES == 0
         assert fast == pytest.approx(oracle, rel=1e-12, abs=0.0)
-        assert value == (2.0 / t) * fast
+
+    def test_fourier_side_within_rounding_of_space_side(self, two_atom_half):
+        # the a-priori panels leave only rounding between the two Parseval
+        # sides, on the measures of the Parseval tests above
+        rng = np.random.default_rng(12)
+        cases = [(fl.point_mass(), 4.0, 1.0), (two_atom_half, 10.0, 1.0)]
+        for _ in range(8):
+            nu = random_grid_measure(rng, max_atoms=200, max_level=7)
+            cases.append((nu, float(rng.uniform(1.0, 25.0)), float(rng.uniform(0.8, 2.5))))
+        for spec in (fl.CantorSpec(3, (0, 2), 6), fl.CantorSpec(4, (0, 3), 5),
+                     fl.CantorSpec(5, (0, 2), 4)):
+            cases += [(fl.build_cantor(spec), t, 2.0) for t in (2.0, 9.0, 40.0)]
+        for nu, t, scale in cases:
+            space, fourier = fl.smoothed_energy(nu, t, fl.CutoffFunction("fejer", scale))
+            assert abs(space - fourier) <= 1e-13 * space
+
+    def test_fourier_side_is_bitwise_repeatable(self):
+        rng = np.random.default_rng(4)
+        indices = np.sort(rng.choice(3**8, size=512, replace=False))
+        weights = rng.random(512) + 0.05
+        cut = fl.CutoffFunction("fejer", 2.0)
+        for nu in (fl.GridMeasure(3, 8, indices, weights / weights.sum()),
+                   fl.build_cantor(fl.CantorSpec(3, (0, 2), 8))):
+            for t in (4.0, 16.0):
+                runs = {_fourth_moment_quadrature(nu, t, cut).hex() for _ in range(3)}
+                assert len(runs) == 1
 
 
 class TestCutoff:

@@ -300,45 +300,51 @@ class TestTransformOnGrid:
     @settings(max_examples=40, deadline=None)
     @given(
         st.one_of(spec_less_measure_st(), small_grid_spec_st.map(fl.build_cantor)),
-        st.integers(1, 20_000),
-        st.floats(-1e4, 1e4),
-        st.floats(-1e4, 1e4),
+        st.lists(st.floats(-5e3, 5e3), min_size=0, max_size=140),
+        st.lists(st.floats(-5e3, 5e3), min_size=0, max_size=140),
     )
-    def test_matches_dense_transform(self, nu, count, first, last):
-        step = (last - first) / max(count - 1, 1)
-        fast = nu.transform_on_grid(first, step, count)
-        assert fast.shape == (count,)
-        oracle = exact_phase_transform(nu, first + step * np.arange(count))
-        assert np.max(np.abs(fast - oracle)) <= 1e-11
+    def test_matches_dense_transform(self, nu, coarse, fine):
+        coarse, fine = np.array(coarse), np.array(fine)
+        fast = nu.transform_on_grid(coarse, fine)
+        assert fast.shape == (coarse.size, fine.size)
+        oracle = exact_phase_transform(nu, coarse[:, None] + fine)
+        assert np.max(np.abs(fast - oracle), initial=0.0) <= 1e-11
 
-    def test_coarse_table_spanning_several_chunks(self):
-        # 2**13 atoms allow m = 2**22 / 2**13 = 512 < sqrt(3e5) fine
-        # frequencies, so the 586 coarse rows take two 512-row chunks
+    def test_tables_spanning_several_chunks(self, monkeypatch):
+        # 2**13 atoms allow 2**22 / 2**13 = 512 rows per coarse table, so the
+        # 586 coarse rows take two row chunks; a _CHUNK of 2**20 leaves 128
+        # rows and 128 fine columns per table, so five row chunks and three
+        # column chunks
         rng = np.random.default_rng(3)
-        atoms, count = 2**13, 300_000
+        atoms = 2**13
         indices = np.sort(rng.choice(3**12, size=atoms, replace=False))
         weights = rng.random(atoms) + 0.05
         nu = fl.GridMeasure(3, 12, indices, weights / weights.sum())
-        first, step = -1500.0, 0.01
-        fast = nu.transform_on_grid(first, step, count)
-        assert fast.shape == (count,)
-        # the dense oracle at every 211th node, around the chunk seam (row
-        # 512) and on the partly used last row
-        seam = 512 * 512 + np.arange(-1024, 1024)
-        k = np.unique(np.concatenate([np.arange(0, count, 211), seam, np.arange(count - 600, count)]))
-        oracle = nu.transform(first + step * k)
-        assert np.max(np.abs(fast[k] - oracle)) <= 1e-11
+        coarse = -1500.0 + 3.0 * np.arange(586)
+        fine = 0.01 * np.arange(300)
+        # the dense oracle around every row seam (128 and 512 rows) and
+        # column seam (128 and 256 columns), and at the last row and column
+        rows = np.array([0, 1, 126, 127, 128, 129, 254, 255, 256, 257, 510, 511, 512, 513, 585])
+        cols = np.array([0, 1, 127, 128, 255, 256, 299])
+        oracle = nu.transform(coarse[rows, None] + fine[cols])
+        for chunk in (1 << 22, 1 << 20):
+            monkeypatch.setattr(measures, "_CHUNK", chunk)
+            fast = nu.transform_on_grid(coarse, fine)
+            assert fast.shape == (586, 300)
+            assert np.max(np.abs(fast[np.ix_(rows, cols)] - oracle)) <= 1e-11
 
     def test_cantor_measures_take_the_riesz_product_unchanged(self):
         # build_cantor measures take the factored route like any other
-        # measure; on its grid it still gives the dense sum, and its squared
-        # modulus is the real Riesz product power_spectrum
+        # measure; on its lattice it still gives the dense sum, and its
+        # squared modulus is the real Riesz product power_spectrum
         for spec in (fl.middle_thirds(8), fl.CantorSpec(5, (0, 2, 4), 6)):
             nu = fl.build_cantor(spec)
-            for first, step, count in ((0.0, 0.37, 5000), (-800.5, 0.125, 12_801), (3.0, 0.0, 1)):
-                xi = first + step * np.arange(count)
-                fast = nu.transform_on_grid(first, step, count)
-                assert fast.shape == (count,)
+            for coarse, fine in ((0.37 * 24 * np.arange(209), 0.37 * np.arange(24)),
+                                 (-800.5 + 12.5 * np.arange(129), 0.125 * np.arange(100)),
+                                 (np.array([3.0]), np.array([0.0]))):
+                xi = coarse[:, None] + fine
+                fast = nu.transform_on_grid(coarse, fine)
+                assert fast.shape == xi.shape
                 assert np.max(np.abs(fast - nu.transform(xi))) <= 1e-11
                 assert np.max(np.abs(np.abs(fast) ** 2 - nu.power_spectrum(xi))) <= 2e-11
 

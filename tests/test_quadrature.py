@@ -150,13 +150,18 @@ class TestNonConvergenceRaises:
             fl.angular_decomposition(mu, 1e7, 0.1, fl.CutoffFunction("fejer", 2.0))
         assert calls == []
 
-    def test_smoothed_energy_first_grid_past_the_cap(self):
-        # the start grid, 2 * 8 * (2 * 3e5) intervals, is past the 2**22 cap
+    def test_smoothed_energy_first_grid_past_the_cap(self, monkeypatch):
+        # the Fourier side is refused before any power spectrum: at t = 3e5,
+        # span 6e5 and type 4 pi 80/81 need 24 * ceil(6e5 * 12.41 / 24)
+        # ~ 7.4e6 Gauss-Legendre nodes, past the 2**22 budget
         nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
-        with pytest.raises(BudgetError, match="smoothed-energy Simpson") as info:
+        calls = []
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum", lambda self, xi: calls.append(xi))
+        with pytest.raises(BudgetError, match=r"Fourier side needs (\d+) .*2\*\*22.*lower t") as info:
             fl.smoothed_energy(nu, 3e5, fl.CutoffFunction("fejer", 2.0))
-        nodes = int(re.search(r"\((\d+) nodes\)", str(info.value)).group(1))
-        assert nodes <= (1 << 22) + 1
+        nodes = int(re.search(r"needs (\d+) ", str(info.value)).group(1))
+        assert nodes > 1 << 22 and nodes % 24 == 0
+        assert calls == []
 
     def test_spherical_average_past_the_sample_cap(self):
         # atoms 0 and 1/2 on the 2**30 grid (validity cap ~1.07e8): at t = 1e7
