@@ -1,28 +1,54 @@
-"""Self-converging quadrature rules.
+"""Quadrature rules: a-priori Gauss-Legendre panels, and Simpson doubling.
 
-`converge` is the package's one refinement loop. It consumes a rule's
-(value, nodes) refinements, each reusing the earlier evaluations, until
-|new - old| <= max(rel_tol |new|, abs_tol) or a node cap. Every refining
-quadrature of the package is composite Simpson (`simpson_doubling`), the
-Richardson extrapolation of the trapezoid sums of `trapezoid_refinements`;
-only this module drives `converge`. The sphere averages never refine: the
-d = 2 circle integrals are exact band-limited sums and d >= 3 is a fixed
-product rule over them (fourier._sigma_many). Nor does the smoothed-energy
-Fourier side: Gauss-Legendre panels sized a priori from the integrand's
-exponential type (energy._fourth_moment_quadrature). `simpson_cumulative` gives
-the running integral on a converged grid. Non-convergence is never silent:
-a bare-number result goes through `require_converged`, which raises
-BudgetError (CLI exit 3) naming the rule, the tolerance and the cap; a
-report carries the flag instead (Mattila's t_grid_converged). Each caller
-fixes its tolerance and node cap in its own module; none is an option.
+`gauss_legendre_panels`, for integrands of known exponential type, never
+refines and checks its node budget before any evaluation: the smoothed-energy
+Fourier side (also the angular majorant's moment) and the solid average.
+Only the Mattila t-grid refines: `converge`, the one refinement loop, takes
+`simpson_doubling` refinements until |new - old| <= max(rel_tol |new|,
+abs_tol) or a node cap and returns the converged flag its report carries;
+`simpson_cumulative` is the running integral. Callers fix their tolerance,
+cap or budget; none is an option.
 """
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import pairwise
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
+
+PANEL_NODES = 24  # Gauss-Legendre nodes per panel; 2**22 nodes per integral at most
+
+
+@lru_cache(maxsize=None)
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rule = (x + 1.0) / 2.0, w / 2.0
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def gauss_legendre_panels(a: float, b: float, tau: float, what: str):
+    """Panels for int_a^b f, f entire of exponential type tau times at most
+    a linear factor: P = ceil((b - a) tau / 24) panels of width H <= 24/tau,
+    24 nodes each. Mapped to [-1, 1] a panel has type <= 12, so on the
+    Bernstein ellipse E_rho, |f| <= M = exp(6 (rho - 1/rho)) (1 + rho/2)
+    sup|f|, and n = 24 nodes err by at most (64/15) M rho**(-2n) / (rho**2 -
+    1) H/2 (Trefethen, ATAP, Thm 19.3): 5e-24 sup|f| H/2 at rho = 4 +
+    sqrt(15). BudgetError naming `what` past 2**22 nodes, before the caller
+    evaluates anything. Returns (coarse, fine, w, H): nodes coarse[:, None] +
+    fine, coarse = a + H arange(P); the integral is H * sum(f * w)."""
+    panels = max(1, math.ceil((b - a) * tau / PANEL_NODES))
+    if panels * PANEL_NODES > 1 << 22:
+        raise BudgetError(f"{what} needs {panels * PANEL_NODES} Gauss-Legendre nodes, "
+                          "past its 2**22 budget; lower t")
+    x, w = _panel_rule(PANEL_NODES)
+    width = (b - a) / panels
+    return a + width * np.arange(panels), width * x, w, width
 
 
 def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):
@@ -36,16 +62,6 @@ def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0
             return new_value, nodes, True
         value = new_value
     return value, nodes, False
-
-
-def require_converged(result: tuple[float, int, bool], rule: str, rel_tol: float) -> float:
-    """The non-convergence policy for callers that return a bare number:
-    the value of a converged result, else BudgetError."""
-    value, nodes, converged = result
-    if not converged:
-        raise BudgetError(
-            f"{rule} did not converge to rel_tol {rel_tol:g} before its node cap ({nodes} nodes)")
-    return value
 
 
 def trapezoid_refinements(f, a: float, b: float, intervals: int):

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 import fractalab as fl
-from fractalab.errors import ValidationError
+from fractalab.errors import BudgetError, ValidationError
 from fractalab.geometry import _gap_pmf
-from fractalab.quadrature import require_converged, simpson_doubling
+from fractalab.quadrature import simpson_doubling
+
+
+def require_converged(result, rule, rel_tol):
+    """The value of a converged (value, nodes, converged) result, else
+    BudgetError naming the rule, the tolerance and the node count."""
+    value, nodes, converged = result
+    if not converged:
+        raise BudgetError(
+            f"{rule} did not converge to rel_tol {rel_tol:g} before its node cap ({nodes} nodes)")
+    return value
 
 
 def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3, 4, 5)):
@@ -109,6 +119,21 @@ def space_side_sigma(mu, ts, kernel):
 def sphere_kernel_3(u):
     """|S^2| sin(u)/u, the transform of the surface measure of S^2."""
     return 4.0 * np.pi * np.sinc(u / np.pi)
+
+
+def solid_average_oracle(nu, t, a, b):
+    """int_a^b |nu_hat(t u)|^2 du on the space side: |nu_hat(xi)|^2 =
+    sum_g p(g) cos(2 pi xi g) over the gap pmf p of the atom pairs, so the
+    integral is sum_g p(g) (sin 2 pi t b g - sin 2 pi t a g) / (2 pi t g),
+    whose g = 0 term is p(0) (b - a)."""
+    gaps, inverse = np.unique(np.subtract.outer(nu.indices, nu.indices).ravel(),
+                              return_inverse=True)
+    p = np.bincount(inverse, np.outer(nu.weights, nu.weights).ravel())
+    x = 2.0 * np.pi * t * gaps * nu.delta
+    zero = gaps == 0
+    x[zero] = 1.0
+    terms = np.where(zero, b - a, (np.sin(x * b) - np.sin(x * a)) / x)
+    return float(np.sum(p * terms))
 
 
 def upsample_pmf(spec, signs):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalab as fl
 from conftest import dense_copy, random_grid_measure, upsample_pmf
-from fractalab import energy
+from fractalab import energy, quadrature
 from fractalab.energy import _fourth_moment_quadrature, _gap_correlation
 from fractalab.errors import BudgetError, ValidationError
 
@@ -771,7 +771,7 @@ class TestSmoothedEnergy:
         assert len(nodes["fast"]) == len(nodes["dense"])
         for a, b in zip(nodes["fast"], nodes["dense"]):
             assert a.tobytes() == b.tobytes()
-        assert np.size(nodes["fast"][-1]) % energy._PANEL_NODES == 0
+        assert np.size(nodes["fast"][-1]) % quadrature.PANEL_NODES == 0
         assert fast == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_fourier_side_within_rounding_of_space_side(self, two_atom_half):

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
 from conftest import (measure_ft, product_ft, random_grid_measure, simpson_sectors,
-                      space_side_sigma, sphere_kernel_3)
-from fractalab import fourier, measures
+                      solid_average_oracle, space_side_sigma, sphere_kernel_3)
+from test_acceptance import CS_SWEEPS
+from fractalab import energy, fourier, measures, quadrature
 from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
 
@@ -276,22 +277,27 @@ class TestCircularAverageRoute:
 
     def test_no_simpson_on_the_circle(self, monkeypatch):
         # sigma on d = 2 products takes the band-limited sum, alone or inside
-        # the Mattila integral (whose t integral is Simpson in geometry)
+        # the Mattila integral, whose t integral is the one Simpson caller
+        # left (fourier imports none): every Simpson run is trapezoid sums
+        assert not hasattr(fourier, "simpson_doubling")
         calls = []
-        simpson = fourier.simpson_doubling
+        trapezoid = quadrature.trapezoid_refinements
 
-        def recording(*args, **kwargs):
-            calls.append(args[1:3])
-            return simpson(*args, **kwargs)
+        def recording(f, a, b, intervals):
+            calls.append((a, b))
+            return trapezoid(f, a, b, intervals)
 
-        monkeypatch.setattr(fourier, "simpson_doubling", recording)
+        monkeypatch.setattr(quadrature, "trapezoid_refinements", recording)
         nu = fl.build_cantor(fl.middle_thirds(5))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         for weight in ("none", "sin_theta"):
             fl.spherical_average_series(mu, [2.0, 6.0, 18.0], weight)
-        for weighted in (False, True):
-            fl.mattila_truncated(mu, 20.0, weighted)
         assert calls == []
+        ends = [0.0] + [math.log(c) for c in (2.5, 5.0, 10.0, 20.0)]
+        for weighted in (False, True):
+            calls.clear()
+            fl.mattila_truncated(mu, 20.0, weighted)
+            assert calls == list(zip(ends, ends[1:]))  # the four log t panels only
 
 
 def spec_less_measure(seed, atoms, base, level):
@@ -567,6 +573,24 @@ class TestSolidAverage:
         with pytest.raises(ValidationError, match="empty interval"):
             fl.solid_average(fl.point_mass(), 2.0, (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "nu, ts",
+        [
+            (fl.build_cantor(fl.middle_thirds(8)), (3.0, 9.0, 27.0, 81.0, 243.0)),
+            (fl.build_cantor(fl.CantorSpec(4, (0, 3), 6)), (4.0, 64.0, 256.0)),
+            (fl.build_cantor(fl.CantorSpec(5, (0, 1, 4), 5)), (5.0, 125.0)),
+            (spec_less_measure(3, 60, 3, 6), (1.0, 7.3, 40.0)),
+            (spec_less_measure(4, 30, 2, 9), (2.0, 30.0)),
+            (fl.point_mass(), (1.0, 500.0)),
+        ],
+        ids=["3:0,2:8", "4:0,3:6", "5:0,1,4:5", "spec-less-3^6", "spec-less-2^9", "point"],
+    )
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.25, 2.0)], ids=str)
+    def test_matches_the_gap_sum_oracle(self, nu, ts, interval):
+        for t in ts:
+            want = solid_average_oracle(nu, t, *interval)
+            assert abs(fl.solid_average(nu, t, interval) - want) <= 1e-13 * want
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_t(self, middle_thirds_8, t):
         with pytest.raises(ValidationError, match="finite"):
@@ -783,6 +807,69 @@ class TestAngularDecomposition:
         assert a.smoothed_moment_b == pytest.approx(b.smoothed_moment_b, rel=1e-12)
         assert a.smoothed_moment_a == a.smoothed_moment_b
         assert a.cs_bound == pytest.approx(b.cs_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, gamma0, ts", [
+        (spec, gamma0, ts) for spec, sweeps in CS_SWEEPS.items() for gamma0, ts in sweeps.items()
+    ], ids=str)
+    def test_moments_are_the_smoothed_fourier_side(self, spec, gamma0, ts):
+        # I and II are the Fourier side of smoothed_energy to the bit, and
+        # within rounding of its space side (the Parseval oracle)
+        nu = fl.build_cantor(fl.CantorSpec(*spec))
+        mu = fl.build_product([nu, nu], [0.5, 0.5])
+        cut = fl.CutoffFunction("fejer", 2.0)
+        for t in ts:
+            dec = fl.angular_decomposition(mu, t, gamma0, cut)
+            space, fourier_side = fl.smoothed_energy(nu, t, cut)
+            assert dec.smoothed_moment_a.hex() == dec.smoothed_moment_b.hex() == fourier_side.hex()
+            assert abs(dec.smoothed_moment_a - space) <= 1e-13 * space
+
+    def test_distinct_factors_take_their_own_fourier_side(self):
+        mu = sector_product("spec-less")
+        cut = fl.CutoffFunction("fejer", 2.0)
+        dec = fl.angular_decomposition(mu, 40.0, 0.2, cut)
+        for factor, moment in zip(mu.factors, (dec.smoothed_moment_a, dec.smoothed_moment_b)):
+            assert moment.hex() == fl.smoothed_energy(factor, 40.0, cut)[1].hex()
+
+    def test_cantor_product_builds_no_gap_table(self, monkeypatch):
+        # the space side's dense D + D - D - D gap table is what set the
+        # majorant's cost and peak memory; the Fourier side needs none
+        def refused(*args):
+            raise AssertionError("gap table built")
+
+        monkeypatch.setattr(energy, "_gap_table", refused)
+        monkeypatch.setattr(energy, "_gap_correlation", refused)
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 10))
+        dec = fl.angular_decomposition(fl.build_product([nu, nu], [0.5, 0.5]), 729.0, 0.1,
+                                       fl.CutoffFunction("fejer", 2.0))
+        assert dec.middle <= dec.cs_bound
+
+    @pytest.mark.parametrize("wide_first", [True, False], ids=["wide-first", "wide-second"])
+    def test_panel_budget_before_any_evaluation(self, monkeypatch, wide_first):
+        # atoms 0 and 1/2 on the 2**30 grid beside a point mass: at t = 4e5
+        # the circle needs 2 pi t / 2 ~ 1.3e6 < 2**24 samples, but the wider
+        # factor's moment needs 24 ceil(8e5 * 2 pi / 24) ~ 5.0e6 panel nodes,
+        # past 2**22; refused before the narrow factor's moment runs
+        two = fl.GridMeasure(base=2, level=30, indices=np.array([0, 1 << 29]),
+                             weights=np.array([0.5, 0.5]))
+        pair = [two, fl.point_mass()] if wide_first else [fl.point_mass(), two]
+        mu = fl.build_product(pair, [0.0, 0.0])
+        calls = []
+        for route in ("power_spectrum", "transform_on_grid"):
+            monkeypatch.setattr(fl.GridMeasure, route, lambda self, *args: calls.append(args))
+        with pytest.raises(BudgetError, match=r"Fourier side needs (\d+) Gauss-Legendre .*2\*\*22"):
+            fl.angular_decomposition(mu, 4e5, 0.1, fl.CutoffFunction("fejer", 2.0))
+        assert calls == []
+
+    def test_majorant_past_the_sumset_grid_cap(self):
+        # 3:0,2:16 has a 2 * 3**16 sumset grid, past 2**24: its space-side
+        # moment is refused, and the Fourier side still gives the majorant
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 16))
+        cut = fl.CutoffFunction("fejer", 2.0)
+        with pytest.raises(BudgetError, match="sumset grid"):
+            fl.smoothed_fourth_moment(nu, 729.0, cut)
+        dec = fl.angular_decomposition(fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT]), 729.0, 0.1, cut)
+        assert 0.0 < dec.smoothed_moment_a < 1.0
+        assert 0.0 < dec.middle <= dec.cs_bound
 
     def test_gamma_range_enforced(self, middle_thirds_8):
         mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])

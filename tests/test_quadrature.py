@@ -8,9 +8,9 @@ import pytest
 import fractalab as fl
 from fractalab import fourier
 from fractalab.errors import BudgetError, ValidationError
+from conftest import require_converged
 from fractalab.quadrature import (
     converge,
-    require_converged,
     simpson_cumulative,
     simpson_doubling,
     trapezoid_refinements,
@@ -34,11 +34,6 @@ class CountingIntegrand:
     @property
     def evaluated(self) -> np.ndarray:
         return np.concatenate(self.calls)
-
-
-def capped_simpson(f, a, b, initial_intervals=16, rel_tol=1e-8, max_intervals=1 << 22, abs_tol=0.0):
-    """simpson_doubling with no room to refine: the cap is the initial grid."""
-    return simpson_doubling(f, a, b, initial_intervals, rel_tol, initial_intervals, abs_tol)
 
 
 class TestRules:
@@ -133,9 +128,16 @@ class TestRules:
 
 class TestNonConvergenceRaises:
     def test_solid_average(self, monkeypatch, middle_thirds_8):
-        monkeypatch.setattr(fourier, "simpson_doubling", capped_simpson)
-        with pytest.raises(BudgetError, match="solid-average Simpson"):
-            fl.solid_average(middle_thirds_8, 81.0)
+        # the panels are refused before any power spectrum: at t = 4e5 the
+        # type 2 pi t (1 - 3**-8) over [-1, 1] needs 24 * ceil(5.03e6 / 24)
+        # ~ 5.0e6 Gauss-Legendre nodes, past the 2**22 budget
+        calls = []
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum", lambda self, xi: calls.append(xi))
+        with pytest.raises(BudgetError, match=r"solid average needs (\d+) .*2\*\*22.*lower t") as info:
+            fl.solid_average(middle_thirds_8, 4e5)
+        nodes = int(re.search(r"needs (\d+) ", str(info.value)).group(1))
+        assert nodes > 1 << 22 and nodes % 24 == 0
+        assert calls == []
 
     def test_angular_decomposition_past_the_sample_cap(self, monkeypatch):
         # the sectors are one circle sum, refused before any power spectrum:
