@@ -21,5 +21,5 @@ class ValidityCapError(ValidationError):
 
 
 class BudgetError(FractalabError, RuntimeError):
-    """Work-size guard tripped (pair counts, brute-force sizes, grid sizes),
-    or a quadrature reached its node cap before its tolerance."""
+    """Work-size guard tripped (pair counts, brute-force sizes, grid sizes,
+    circle samples, quadrature nodes), before the work it guards."""

@@ -22,10 +22,11 @@ sectors, each an exact integral of the same modes as sigma's. sigma for
 d >= 3 is one product rule: Gauss-Legendre in the polar angle of the last
 axis over sigma of the first d - 1 factors, which ends in the d = 2 circle
 sum; it is exact to rounding too and never refines. sigma is evaluated on
-arrays of t (_sigma_many: one t, a sweep, or a Mattila refinement's nodes)
-in row blocks of at most energy._BLOCK samples or polar nodes. The solid
-average and the majorant's smoothed moments take a-priori Gauss-Legendre
-panels (quadrature.gauss_legendre_panels); nothing here refines.
+arrays of t (_sigma_many: one t, a sweep, or every node of a Mattila
+integral) in row blocks of at most energy._BLOCK samples or polar nodes. The
+solid average and the majorant's smoothed moments take a-priori
+Gauss-Legendre panels (quadrature.gauss_legendre_panels); nothing here
+refines.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ bins int(max distance / h) + 2, every factor's atom pairs N_j**2, the gap cells.
 
 The truncated Mattila integral takes sigma from fourier._sigma_many, an exact
 rule in every dimension (the circle sum for d = 2, a product rule over it for
-d >= 3); only its t integral refines.
+d >= 3), and its t integral a-priori Gauss-Legendre panels: nothing refines.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
 from .fourier import _sigma_many, require_under_cap
 from .measures import GridMeasure, ProductMeasure
-from .quadrature import simpson_cumulative, simpson_doubling
+from .quadrature import gauss_legendre_panels
 
 DEFAULT_PAIR_BUDGET = 400_000_000
 
@@ -212,18 +212,10 @@ def energy_integral(
 # Truncated Mattila integral
 # ---------------------------------------------------------------------------
 
-# Simpson controls of each log-t panel of the Mattila integral: first grid,
-# relative tolerance, node cap
-_T_NODES = 65
-_T_REL_TOL = 1e-7
-_MAX_T_NODES = 1 << 15
-
-
 @dataclass(frozen=True, eq=False)
 class MattilaEstimate:
-    """value = int_1^T sigma_w(t)^2 t^(d-1) dt; t_values are every evaluated
-    node once, increasing, and partial_values the running Simpson integral
-    there. t_grid_converged holds when every panel converged.
+    """value = int_1^T sigma_w(t)^2 t^(d-1) dt; t_values are the quadrature
+    nodes, increasing, and partial_values the running weighted sum there.
 
     Convergence of the full integral is diagnosed, never asserted: the
     integrand slope must drop below -1 and the doubling ratios
@@ -242,7 +234,12 @@ class MattilaEstimate:
     slope_stderr: float
     doubling_ratios: tuple[float, ...]
     t_nodes: int
-    t_grid_converged: bool
+
+    @property
+    def t_grid_converged(self) -> bool:
+        """Always True: the t rule is a-priori and refines nothing. Kept
+        read-only for the bench harness, which reads it."""
+        return True
 
 
 def mattila_truncated(
@@ -253,51 +250,35 @@ def mattila_truncated(
     """Evaluate the truncated Mattila integral, under the |sin theta| weight
     (|omega_d| for d >= 3) when weighted, else unweighted.
 
-    sigma_w(t) comes from the circular/spherical average. In tau = log t the
-    integrand is sigma(e^tau)^2 e^(d tau), one simpson_doubling call per
-    panel [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1 dropped), so
-    the doubling ratios are exact ratios of cumulative panel sums; a panel
-    at _MAX_T_NODES before _T_REL_TOL makes t_grid_converged False. Each
-    refinement's new nodes are one array of t for fourier._sigma_many (row
-    blocks, one real FFT each on d = 2, and on d >= 3 the product rule over
-    them), which gives each t its value alone.
+    sigma_w(t) is entire of exponential type 2 pi |diam| (|diam| the hypot
+    of the factor diameters), so the integrand has type 4 pi |diam| times
+    t^(d-1). Each of [1, T/8], [T/8, T/4], [T/4, T/2], [T/2, T] (ends <= 1
+    dropped) takes quadrature.gauss_legendre_panels of that type, all of
+    them budget-checked before one fourier._sigma_many call on every node
+    (which checks every t first and gives each t its value alone). No
+    refinement: the doubling ratios are ratios of the running sum at each
+    sub-interval's last node.
     """
     T = float(truncation)
     if not 1.0 < T < math.inf:
         raise ValidationError(f"truncation must be > 1 and finite, got {T}")
     require_under_cap(mu, T, f"truncation {T}")
     d = mu.dimension
-    weight = "sin_theta" if weighted else "none"
-    evaluated: list[tuple[np.ndarray, np.ndarray]] = []  # (tau, sigma) per call
-
-    def integrand_in_tau(tau: np.ndarray) -> np.ndarray:
-        sig = _sigma_many(mu, np.exp(tau), weight)[0]
-        evaluated.append((tau, sig))
-        return sig**2 * np.exp(d * tau)
-
-    ends = [math.log(c) for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0]
-    columns, ratios, total, converged = [], [], 0.0, True
-    for a, b in pairwise([0.0, *ends, math.log(T)]):
-        evaluated.clear()
-        panel, nodes, panel_converged = simpson_doubling(
-            integrand_in_tau, a, b, _T_NODES - 1, _T_REL_TOL, _MAX_T_NODES - 1)
-        tau, sig = (np.concatenate(c) for c in zip(*evaluated))
-        order = np.argsort(tau)
-        tau, sig = tau[order], sig[order]
-        partial = total + simpson_cumulative(sig**2 * np.exp(d * tau), (b - a) / (nodes - 1))
-        keep = slice(1 if columns else 0, None)  # a shared panel end is one node
-        columns.append((tau[keep], sig[keep], partial[keep]))
-        if total > 0.0:
-            ratios.append((total + panel) / total)
-        total += panel
-        converged = converged and panel_converged
-    tau, sig, partials = (np.concatenate(c) for c in zip(*columns))
-    ts = np.exp(tau)
+    tau = 4.0 * math.pi * math.hypot(*(f.diameter for f in mu.factors))
+    ends = [1.0, *(c for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0), T]
+    rules = [gauss_legendre_panels(a, b, tau, "Mattila t integral") for a, b in pairwise(ends)]
+    nodes = [(coarse[:, None] + fine).ravel() for coarse, fine, _, _ in rules]
+    hw = np.concatenate([np.tile(width * w, coarse.size) for coarse, _, w, width in rules])
+    ts = np.concatenate(nodes)
+    sig = _sigma_many(mu, ts, "sin_theta" if weighted else "none")[0]
     integ = sig**2 * ts ** (d - 1)
+    partials = np.cumsum(hw * integ)
+    at_ends = partials[np.cumsum([n.size for n in nodes]) - 1].tolist()
+    ratios = [cur / prev for prev, cur in pairwise(at_ends) if prev > 0.0]
     fit = loglog_fit(ts[integ > 0], integ[integ > 0])
     return MattilaEstimate(
         truncation=T,
-        value=total,
+        value=float(partials[-1]),
         weighted=bool(weighted),
         dimension=d,
         t_values=ts,
@@ -308,7 +289,6 @@ def mattila_truncated(
         slope_stderr=fit.stderr,
         doubling_ratios=tuple(ratios),
         t_nodes=int(ts.size),
-        t_grid_converged=converged,
     )
 
 

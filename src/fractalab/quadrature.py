@@ -1,13 +1,13 @@
 """Quadrature rules: a-priori Gauss-Legendre panels, and Simpson doubling.
 
 `gauss_legendre_panels`, for integrands of known exponential type, never
-refines and checks its node budget before any evaluation: the smoothed-energy
-Fourier side (also the angular majorant's moment) and the solid average.
-Only the Mattila t-grid refines: `converge`, the one refinement loop, takes
-`simpson_doubling` refinements until |new - old| <= max(rel_tol |new|,
-abs_tol) or a node cap and returns the converged flag its report carries;
-`simpson_cumulative` is the running integral. Callers fix their tolerance,
-cap or budget; none is an option.
+refines and checks its node budget before any evaluation. It is the library's
+one rule for band-limited integrals: the smoothed-energy Fourier side (also
+the angular majorant's moment), the solid average and the Mattila t
+integral. `converge`, `trapezoid_refinements` and `simpson_doubling` (Simpson
+doubling to |new - old| <= max(rel_tol |new|, abs_tol) or a node cap) have no
+caller in the library: they stay as the tests' refining oracles. Callers fix
+their tolerance, cap or budget; none is an option.
 """
 from __future__ import annotations
 
@@ -33,15 +33,18 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre_panels(a: float, b: float, tau: float, what: str):
-    """Panels for int_a^b f, f entire of exponential type tau times at most
-    a linear factor: P = ceil((b - a) tau / 24) panels of width H <= 24/tau,
-    24 nodes each. Mapped to [-1, 1] a panel has type <= 12, so on the
-    Bernstein ellipse E_rho, |f| <= M = exp(6 (rho - 1/rho)) (1 + rho/2)
-    sup|f|, and n = 24 nodes err by at most (64/15) M rho**(-2n) / (rho**2 -
-    1) H/2 (Trefethen, ATAP, Thm 19.3): 5e-24 sup|f| H/2 at rho = 4 +
-    sqrt(15). BudgetError naming `what` past 2**22 nodes, before the caller
-    evaluates anything. Returns (coarse, fine, w, H): nodes coarse[:, None] +
-    fine, coarse = a + H arange(P); the integral is H * sum(f * w)."""
+    """Panels for int_a^b f, f = g p with g entire of exponential type tau
+    and p a polynomial of degree k (the cutoff's linear factor, or t**(d - 1)
+    in the Mattila integral): P = ceil((b - a) tau / 24) panels of width
+    H <= 24/tau, 24 nodes each. Mapped to [-1, 1] a panel has type <= 12, so
+    on the Bernstein ellipse E_rho, |g| <= exp(6 (rho - 1/rho)) sup|g| and
+    |p| <= rho**k sup|p| (Bernstein's lemma), and n = 24 nodes err by at
+    most (64/15) M rho**(-2n) / (rho**2 - 1) H/2 for M the product of the two
+    (Trefethen, ATAP, Thm 19.3): 1.1e-24 rho**k sup|g| sup|p| H/2 at rho =
+    4 + sqrt(15), under 7e-23 of it for k <= 2. BudgetError naming `what`
+    past 2**22 nodes, before the caller evaluates anything. Returns (coarse,
+    fine, w, H): nodes coarse[:, None] + fine, coarse = a + H arange(P); the
+    integral is H * sum(f * w)."""
     panels = max(1, math.ceil((b - a) * tau / PANEL_NODES))
     if panels * PANEL_NODES > 1 << 22:
         raise BudgetError(f"{what} needs {panels * PANEL_NODES} Gauss-Legendre nodes, "
@@ -109,15 +112,3 @@ def simpson_doubling(
         for (coarse, _), (fine, nodes) in pairwise(trapezoid_refinements(f, a, b, n // 2))
     )
     return converge(simpsons, rel_tol, max_intervals + 1, abs_tol)
-
-
-def simpson_cumulative(fx: np.ndarray, h: float) -> np.ndarray:
-    """Running composite Simpson integral at every node of a uniform grid
-    with an even number of intervals of width h. It is the Simpson sum at
-    the end of each interval pair; at the odd node between, it adds
-    h/12 (5 f0 + 8 f1 - f2), the pair's quadratic over its first half."""
-    f0, f1, f2 = fx[:-2:2], fx[1:-1:2], fx[2::2]
-    out = np.empty(fx.size)
-    out[0::2] = np.concatenate(([0.0], np.cumsum(h / 3.0 * (f0 + 4.0 * f1 + f2))))
-    out[1::2] = out[:-2:2] + h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
-    return out

@@ -364,7 +364,12 @@ def _summary_stationary(results: dict, rel: str) -> list[str]:
 def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     cap = validity_cap(mu)
-    T = config.truncation if config.truncation is not None else min(100.0, cap)
+    T = config.truncation
+    if T is None:
+        T = min(100.0, cap)
+        if not T > 1.0:
+            raise ValidationError(f"truncation: the validity cap {cap:.6g} leaves no default "
+                                  "truncation above 1; deepen the level or pass --truncation")
     est = mattila_truncated(mu, T, config.weight == "sin_theta")
     rows = list(zip(est.t_values, est.sigma, est.integrand, est.partial_values))
     _write_csv(
@@ -386,18 +391,17 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
         "value": est.value,
         "integrand_slope": est.integrand_slope,
         "doubling_ratios": list(est.doubling_ratios),
-        "t_grid_converged": est.t_grid_converged,
+        "t_nodes": est.t_nodes,
     }
 
 
 def _summary_mattila(results: dict, rel: str) -> list[str]:
     conv = "integrand slope < -1: truncations converging" if results["integrand_slope"] < -1 else \
         "integrand slope >= -1: no convergence signal at this truncation"
-    t_grid = "" if results["t_grid_converged"] else "; t grid NOT converged: value taken at the node cap"
     return [
         f"mattila [{rel}]: value {results['value']:.6g} at T={results['truncation']}, "
         f"slope {results['integrand_slope']:.3f} ({conv}); a finite weighted integral "
-        f"implies a positive-measure distance set{t_grid}"
+        "implies a positive-measure distance set"
     ]
 
 

@@ -116,6 +116,35 @@ def space_side_sigma(mu, ts, kernel):
     return np.array([np.sum(mass * kernel(2.0 * np.pi * t * dist)) for t in np.ravel(ts)])
 
 
+def mattila_d3_oracle(mu, T):
+    """The unweighted d = 3 Mattila integral int_1^T sigma(t)^2 t^2 dt in
+    closed form. sigma(t) t = 4 pi [p_0 t + sum_{r > 0} p(r) sin(a t) / a],
+    a = 2 pi r, over the pair distances r, merged by their exact integer
+    r**2 / delta**2 (the factors share delta). Its square integrates term by
+    term: t**2, t sin(a t), and sin(a t) sin(b t), whose a = b limit is
+    (t - sin(2 a t) / (2 a)) / 2."""
+    delta = mu.factors[0].delta
+    assert mu.dimension == 3 and all(f.delta == delta for f in mu.factors)
+    r2, mass = np.zeros(1, dtype=np.int64), np.ones(1)
+    for f in mu.factors:
+        gaps = np.subtract.outer(f.indices, f.indices).ravel()
+        r2, inverse = np.unique(np.add.outer(r2, gaps * gaps).ravel(), return_inverse=True)
+        pair_mass = np.multiply.outer(mass, np.outer(f.weights, f.weights).ravel()).ravel()
+        mass = np.bincount(inverse, pair_mass)
+    assert r2[0] == 0  # the diagonal
+    p0, a = mass[0], 2.0 * np.pi * delta * np.sqrt(r2[1:])
+    c = mass[1:] / a
+    diff, total = np.subtract.outer(a, a), np.add.outer(a, a)
+
+    def antiderivative(t):
+        t_sin = np.sin(a * t) / a**2 - t * np.cos(a * t) / a
+        sin_diff = np.divide(np.sin(diff * t), diff, out=np.full(diff.shape, t), where=diff != 0.0)
+        sin_sin = 0.5 * (sin_diff - np.sin(total * t) / total)
+        return p0 * p0 * t**3 / 3.0 + 2.0 * p0 * (c @ t_sin) + c @ sin_sin @ c
+
+    return 16.0 * np.pi**2 * (antiderivative(T) - antiderivative(1.0))
+
+
 def sphere_kernel_3(u):
     """|S^2| sin(u)/u, the transform of the surface measure of S^2."""
     return 4.0 * np.pi * np.sinc(u / np.pi)

@@ -205,35 +205,37 @@ class TestRunner:
         csv = (tmp_path / "mattila.csv").read_text()
         assert f"# weighted={str(est.weighted).lower()}" in csv
 
-    def test_mattila_run_reports_its_unconverged_t_grid(self, tmp_path, monkeypatch):
-        # a node cap at the first grid leaves no room to refine any panel
-        monkeypatch.setattr(geometry, "_MAX_T_NODES", geometry._T_NODES)
+    def test_mattila_run_records_its_t_nodes(self, tmp_path):
+        # [1, 2], [2, 4], [4, 8] at type 4 pi hypot(80/81, 80/81) ~ 17.55:
+        # 1 + 2 + 3 panels of 24 nodes
         argv = ["mattila", *["--factor", "3:0,2:4"] * 2, "--truncation", "8"]
         assert cli_main([*argv, "--output", str(tmp_path)]) == 0
         results = json.loads((tmp_path / "results.json").read_text())
-        assert results["t_grid_converged"] is False
+        assert results["t_nodes"] == 6 * 24
+        assert "t_grid_converged" not in results
         rows = (tmp_path / "mattila.csv").read_text().splitlines()
-        assert sum(not r.startswith("#") for r in rows) == 1 + 3 * 65 - 2  # header, shared ends once
-        assert "t grid NOT converged" in fl.emit_report(tmp_path).read_text()
-
-    def test_emit_report_flags_unconverged_mattila_grid(self, tmp_path):
-        results = {
-            "kind": "mattila",
-            "d": 2,
-            "truncation": 100.0,
-            "weighted": True,
-            "value": 12.5,
-            "integrand_slope": -1.5,
-            "doubling_ratios": [1.01, 1.0],
-            "t_grid_converged": False,
-        }
-        (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
-        (tmp_path / "results.json").write_text(json.dumps(results))
+        assert sum(not r.startswith("#") for r in rows) == 1 + results["t_nodes"]  # and a header
         summary = fl.emit_report(tmp_path).read_text()
-        assert "t grid NOT converged" in summary
-        results["t_grid_converged"] = True
-        (tmp_path / "results.json").write_text(json.dumps(results))
-        assert "NOT converged" not in fl.emit_report(tmp_path).read_text()
+        assert "mattila [" in summary and "t grid" not in summary
+
+    def test_mattila_over_the_panel_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        # ~4.4e6 Gauss-Legendre nodes on [T/4, T/2], refused before any sigma
+        calls = []
+        monkeypatch.setattr(geometry, "_sigma_many", lambda *args: calls.append(args))
+        argv = ["mattila", *["--factor", "3:0,2:15"] * 2, "--truncation", "1e6"]
+        code = cli_main([*argv, "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "budget error: Mattila t integral needs" in err and "Traceback" not in err
+        assert calls == []
+
+    def test_mattila_default_truncation_under_a_low_cap_exits_two(self, tmp_path, capsys):
+        # level 1 caps t at 0.1 * 3 = 0.3, so the default min(100, cap) is no truncation
+        code = cli_main(["mattila", *["--factor", "3:0,2:1"] * 2, "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "validity cap 0.3 " in err and "deepen the level or pass --truncation" in err
+        assert "got 0.3" not in err and "Traceback" not in err
 
     def test_emit_report_rejects_unknown_kind(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import derive_delta_grid, gap_cells_oracle, space_side_sigma, sphere_kernel_3
+from conftest import (derive_delta_grid, gap_cells_oracle, mattila_d3_oracle, space_side_sigma,
+                      sphere_kernel_3)
 from fractalab import geometry
 from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
@@ -385,9 +386,9 @@ class TestMattila:
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
         est = fl.mattila_truncated(mu, 10.0, weighted=False)
-        assert est.value == pytest.approx(2.0 * np.pi**2 * 99.0, rel=1e-6)
+        assert est.value == pytest.approx(2.0 * np.pi**2 * 99.0, rel=1e-12)
         est_w = fl.mattila_truncated(mu, 10.0, weighted=True)
-        assert est_w.value == pytest.approx(8.0 * 99.0, rel=1e-6)
+        assert est_w.value == pytest.approx(8.0 * 99.0, rel=1e-12)
 
     def test_third_positional_argument_is_weighted(self):
         pm = fl.point_mass()
@@ -398,19 +399,15 @@ class TestMattila:
         with pytest.raises(TypeError):
             fl.mattila_truncated(mu, 10.0, False, None)  # no quadrature argument
 
-    def test_value_nondecreasing_in_truncation(self, monkeypatch):
+    def test_value_nondecreasing_in_truncation(self):
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm], [0.0, 0.0])
-        monkeypatch.setattr(geometry, "_T_REL_TOL", 1e-4)  # for speed
-        monkeypatch.setattr(geometry, "_MAX_T_NODES", 300)
         v = [fl.mattila_truncated(mu, T, weighted=True).value for T in (4.0, 8.0, 16.0)]
         assert v[0] < v[1] < v[2]
 
-    def test_middle_thirds_diagnostics(self, monkeypatch):
+    def test_middle_thirds_diagnostics(self):
         nu = fl.build_cantor(fl.middle_thirds(6))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        monkeypatch.setattr(geometry, "_T_NODES", 33)  # for speed
-        monkeypatch.setattr(geometry, "_MAX_T_NODES", 300)
         est = fl.mattila_truncated(mu, 3.0**3, weighted=True)
         # s = 2 alpha < 4/3: no convergence asserted, diagnostics only
         assert est.value > 0.0
@@ -427,7 +424,6 @@ class TestMattila:
         f = sigma_w(t) ** 2 * t
         reference = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
         est = fl.mattila_truncated(mu, T, weighted=True)
-        assert est.t_grid_converged
         assert abs(est.value - reference) <= 1e-6 * reference
 
     @pytest.mark.parametrize(
@@ -442,13 +438,16 @@ class TestMattila:
         assert np.all(np.diff(est.t_values) > 0.0)  # no duplicate panel end
         assert est.t_nodes == len(est.t_values)
         assert np.all(np.diff(est.partial_values) >= 0.0)
-        assert est.partial_values[-1] == pytest.approx(est.value, rel=1e-12, abs=0.0)
+        assert est.partial_values[-1] == est.value
+        # the running sum at each sub-interval's last node, the node below its end
         marks = [c for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0] + [T]
-        at = [est.partial_values[np.argmin(np.abs(est.t_values - c))] for c in marks]
+        last = [np.searchsorted(est.t_values, c) - 1 for c in marks]
+        assert last[-1] == est.t_nodes - 1
+        at = est.partial_values[last].tolist()
         assert len(est.doubling_ratios) == len(marks) - 1
         for ratio, prev, cur in zip(est.doubling_ratios, at, at[1:]):
             assert type(ratio) is float
-            assert ratio == pytest.approx(cur / prev, rel=1e-12, abs=0.0)
+            assert ratio == cur / prev
 
     def test_point_mass_matches_spec_less_point_mass_bit_for_bit(self):
         # point_mass() is now the level-0 Cantor measure; the spec-less atom
@@ -481,14 +480,14 @@ class TestMattila:
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
         est = fl.mattila_truncated(mu, 5.0, weighted=False)
-        assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-6)
+        assert est.value == pytest.approx(16.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-12)
 
     def test_d3_point_mass_weighted(self):
         # sigma_w = 2 pi = 2 |B^2|, integrand 4 pi^2 t^2: value = 4 pi^2 (T^3 - 1)/3
         pm = fl.point_mass()
         mu = fl.build_product([pm, pm, pm], [0.0] * 3)
         est = fl.mattila_truncated(mu, 5.0, weighted=True)
-        assert est.value == pytest.approx(4.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-6)
+        assert est.value == pytest.approx(4.0 * np.pi**2 * (125.0 - 1.0) / 3.0, rel=1e-12)
 
     def test_d3_cantor_matches_the_space_side_oracle(self):
         # sigma = 4 pi sum w_x w_y sinc(2 t |x - y|) (np.sinc), and the
@@ -505,6 +504,13 @@ class TestMattila:
         est = fl.mattila_truncated(mu, T, weighted=False)
         assert est.value == pytest.approx(oracle, rel=1e-6)
 
+    def test_d3_cantor_matches_the_exact_oracle(self):
+        nu = fl.build_cantor(fl.middle_thirds(3))
+        mu = fl.build_product([nu] * 3, [ALPHA_MT] * 3)
+        exact = mattila_d3_oracle(mu, 2.5)
+        est = fl.mattila_truncated(mu, 2.5, weighted=False)
+        assert abs(est.value - exact) <= 1e-12 * exact
+
 
 class TestMattilaBatches:
     @pytest.mark.parametrize("weighted", [False, True])
@@ -518,10 +524,8 @@ class TestMattilaBatches:
         ],
         ids=["3:0,2:4^2", "spec-less^2", "3:0,2:3^3"],
     )
-    def test_each_refinement_is_one_batch_of_the_per_t_values(self, monkeypatch, factors, T, weighted):
+    def test_the_integral_is_one_batch_of_the_per_t_values(self, monkeypatch, factors, T, weighted):
         mu = fl.build_product(factors(), [0.5] * len(factors()))
-        monkeypatch.setattr(geometry, "_T_REL_TOL", 1e-6)  # for speed
-        monkeypatch.setattr(geometry, "_MAX_T_NODES", 600)
         batches = []
         many = geometry._sigma_many
 
@@ -531,12 +535,7 @@ class TestMattilaBatches:
 
         monkeypatch.setattr(geometry, "_sigma_many", recording)
         est = fl.mattila_truncated(mu, T, weighted)
-        panels = 1 + sum(c > 1.0 for c in (T / 8.0, T / 4.0, T / 2.0))
-        # per panel, Simpson's coarse trapezoid grid, then one batch of
-        # midpoints per doubling
-        assert batches[0] == geometry._T_NODES // 2 + 1
-        assert sum(batches) == est.t_nodes + panels - 1  # shared panel ends twice
-        assert len(batches) < est.t_nodes / 8
+        assert batches == [est.t_nodes]
         weight = "sin_theta" if weighted else "none"
         alone = [fl.spherical_average_detailed(mu, t, weight)[0] for t in est.t_values]
         assert est.sigma.tolist() == alone

@@ -1,17 +1,18 @@
+import ast
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fractalab as fl
-from fractalab import fourier
+from fractalab import fourier, geometry
 from fractalab.errors import BudgetError, ValidationError
 from conftest import require_converged
 from fractalab.quadrature import (
     converge,
-    simpson_cumulative,
     simpson_doubling,
     trapezoid_refinements,
 )
@@ -65,13 +66,6 @@ class TestRules:
         # after the first grid, each call adds exactly as many nodes as it had
         sizes = [c.size for c in f.calls]
         assert all(later == sum(sizes[:k + 1]) - 1 for k, later in enumerate(sizes[1:]))
-
-    def test_cumulative_simpson_is_exact_on_quadratics_at_every_node(self):
-        # the pair sums and the half-pair rule both integrate the
-        # interpolating quadratic, so x^2 gives x^3 / 3 at even and odd nodes
-        x = np.linspace(0.0, 2.0, 17)
-        cumulative = simpson_cumulative(x**2, x[1] - x[0])
-        np.testing.assert_allclose(cumulative, x**3 / 3.0, rtol=0.0, atol=1e-14)
 
     def test_cap_reached_reports_not_converged(self):
         f = CountingIntegrand(lambda x: np.cos(200.0 * x))
@@ -139,6 +133,20 @@ class TestNonConvergenceRaises:
         assert nodes > 1 << 22 and nodes % 24 == 0
         assert calls == []
 
+    def test_mattila_t_integral(self, monkeypatch):
+        # every sub-interval's panels are budgeted before any sigma: at T = 1e6
+        # the type 4 pi hypot(diam, diam) ~ 17.8 needs ~4.4e6 nodes on
+        # [T/4, T/2] (~8.9e6 on [T/2, T]), past 2**22, while the circle sum
+        # at T, 2 pi T |diam| ~ 8.9e6, stays under its 2**24 samples
+        nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 15))
+        mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
+        assert fl.validity_cap(mu) > 1e6
+        calls = []
+        monkeypatch.setattr(geometry, "_sigma_many", lambda *args: calls.append(args))
+        with pytest.raises(BudgetError, match=r"Mattila t integral needs (\d+) .*2\*\*22.*lower t"):
+            fl.mattila_truncated(mu, 1e6)
+        assert calls == []
+
     def test_angular_decomposition_past_the_sample_cap(self, monkeypatch):
         # the sectors are one circle sum, refused before any power spectrum:
         # at t = 1e7, 2 pi t hypot(1/2, 0) ~ 3.1e7 needs over 2**24 samples
@@ -183,3 +191,21 @@ class TestNonConvergenceRaises:
         value, nodes = fl.spherical_average_detailed(mu, 5.0, "none")
         assert value == pytest.approx(2.0 * np.pi, rel=1e-12)
         assert nodes == 128 == 2 * fourier._circle_samples(0.0)
+
+
+def test_only_quadrature_names_the_refining_rules():
+    # every library integral takes an a-priori rule; the refining ones are
+    # the tests' oracles, so no other module imports, calls or names them
+    refining = {"simpson_doubling", "converge", "trapezoid_refinements"}
+    for path in sorted(Path(fl.__file__).parent.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name, node.asname))
+        assert not named & refining, f"{path.name} names {sorted(named & refining)}"
