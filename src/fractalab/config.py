@@ -143,6 +143,9 @@ class ExperimentConfig:
             raise ValidationError("dims: thresholds experiment needs dims or factors")
         if self.kind == "stationary" and not self.gaps:
             raise ValidationError("gaps: stationary experiment needs at least one gap vector")
+        for k, gap in enumerate(self.gaps):
+            if not 0.0 < math.hypot(*gap) < math.inf:
+                raise ValidationError(f"gaps[{k}]: must be nonzero with a finite norm, got {list(gap)}")
 
     def to_dict(self) -> dict:
         return to_plain(self)

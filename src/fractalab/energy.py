@@ -270,6 +270,8 @@ def _cantor_energies(spec: CantorSpec, rs) -> list[float]:
 def _energies(nu: GridMeasure, rs) -> list[float]:
     """E(r) for each r: the digit DP for a build_cantor measure, the sumset
     window for any other."""
+    if not nu.delta > 0.0:
+        raise ValidationError(f"factors: the grid step {nu.base}**-{nu.level} underflows to 0; lower the level")
     if nu.spec is not None:
         return _cantor_energies(nu.spec, rs)
     return _energy_from_sumset(sumset_autocorrelation(nu).values, nu.delta, rs)

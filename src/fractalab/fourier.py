@@ -138,7 +138,8 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     factors (Atkinson-Han 2012, a product rule on the sphere). The t sharing
     n take n // 2 + 1 Gauss-Legendre nodes in theta, in blocks, each block's
     inner sigma one call on all its t cos theta; the node count is the sum of
-    the inner ones. A t past n_theta^(d-2) n = 2**24 raises BudgetError."""
+    the inner ones. A t past n_theta^(d-2) n = 2**24 raises BudgetError, and
+    then so does a batch whose sum of that work (n on d = 2) passes 2**27."""
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
     d = mu.dimension
@@ -150,6 +151,14 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
         require_under_cap(mu, t.max(), f"t={t.max()}")
     diam = math.hypot(*(f.diameter for f in mu.factors))
     counts = _circle_samples(2.0 * np.pi * t * diam)
+    polar = counts // 2 + 1
+    work = polar.astype(float) ** (d - 2) * counts
+    over = work > 1 << 24
+    if over.any():
+        raise BudgetError(f"sphere rule at t={t[over][0]} needs over 2**24 nodes in d = {d}; lower t")
+    if work.sum() > 1 << 27:
+        raise BudgetError(f"sigma at {t.size} values of t needs {work.sum():.3g} circle samples, "
+                          "past its 2**27 budget; lower t")
     values, nodes = np.empty(t.size), np.empty(t.size, dtype=int)
     if d == 2:
         fa, fb = mu.factors
@@ -158,11 +167,6 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
             for idx in np.split(group, range(rows, group.size, rows)):
                 values[idx] = _circle_sum(_quadrant_modes(fa, fb, t[idx, None], n), weight)
         return values, 2 * counts
-    polar = counts // 2 + 1
-    over = polar.astype(float) ** (d - 2) * counts > 1 << 24
-    if over.any():
-        raise BudgetError(
-            f"sphere rule at t={t[over][0]} needs over 2**24 nodes in d = {d}; lower t")
     head, last = ProductMeasure(mu.factors[:-1], mu.dims[:-1]), mu.factors[-1]
     for n in np.unique(polar).tolist():
         cos_t, sin_t, w = _theta_rule(n)

@@ -10,8 +10,8 @@ rationals whenever the inputs are rational.
 Pair functionals sum over the product of the factors' folded gap pmfs, never
 over pairs of product atoms. Every route and oracle bins a pair the same way:
 c_j = |gap index| * delta_j on each axis, then sqrt(sum_j c_j**2), then / h,
-floored (left-closed bins), in chunks of >= _BLOCK cells, each built by rows
-(head cells broadcast against the last axis). pair_budget bounds three
+floored (left-closed bins), in chunks of whole rows of >= _BLOCK cells
+(head cells broadcast against the last axis's gaps). pair_budget bounds three
 counts, each checked before the work or memory it bounds: distance_measure's
 bins int(max distance / h) + 2, every factor's atom pairs N_j**2, the gap cells.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import pairwise
 from typing import Sequence
 
@@ -106,49 +105,29 @@ def _gap_pmf(nu: GridMeasure, pair_budget: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _gap_cells(factors: Sequence[GridMeasure], pair_budget: int, block: int):
-    """Chunks of `block` cells of the product of the factors' gap pmfs, in C
-    order: a function forming the last axis's coordinates (only the weighted
-    distance measure reads them), distances sqrt(sum_j c_j**2) and masses.
-    Head cells (over the first d - 1 axes) get their sums of squares and
-    mass products once per chunk, broadcast against the last axis, so each
-    sum and product runs left to right over the axes, as cell by cell. The
-    first cell is the diagonal."""
+    """The product of the factors' gap pmfs in C order, in chunks of whole
+    rows (a row runs over the last axis) of at least `block` cells, or of one
+    row when a row is wider: the last axis's coordinates (one row, which
+    broadcasts; only the weighted distance measure reads them), and (rows,
+    width) arrays of distances sqrt(sum_j c_j**2) and masses. Head cells
+    (over the first d - 1 axes) get their sums of squares and mass products
+    once per chunk, broadcast against the last axis, so each sum and product
+    runs left to right over the axes, as cell by cell. The first cell is the
+    diagonal."""
     pmfs = [_gap_pmf(f, pair_budget) for f in factors]
     shape = tuple(gaps.size for gaps, _ in pmfs)
     cells = math.prod(shape)
     _check_budget(f"the per-axis gap pmfs give {cells:.3g} cells", cells, pair_budget)
     last_gaps, last_masses = pmfs[-1]
     last_sq = last_gaps * last_gaps
-    width = last_gaps.size
-    for start in range(0, cells, block):
-        stop = min(start + block, cells)
-        rows = np.arange(start // width, -(-stop // width))
+    heads, step = cells // last_gaps.size, -(-block // last_gaps.size)
+    for start in range(0, heads, step):
+        rows = np.arange(start, min(start + step, heads))
         ids = np.unravel_index(rows, shape[:-1]) if len(shape) > 1 else ()
         head_sq = sum((gaps[i] * gaps[i] for (gaps, _), i in zip(pmfs, ids)), np.zeros(rows.size))
         head_mass = math.prod((masses[i] for (_, masses), i in zip(pmfs, ids)),
                               start=np.ones(rows.size))
-        cut = (start % width, stop - start)
-        dist = np.sqrt(_by_rows(np.add, head_sq, last_sq, *cut))
-        mass = _by_rows(np.multiply, head_mass, last_masses, *cut)
-        yield partial(_by_rows, _take_last, head_sq, last_gaps, *cut), dist, mass
-
-
-def _take_last(head, last, out):
-    np.copyto(out, last)
-
-
-def _by_rows(fill, head, last, skip, n):
-    """n cells of the row-major table fill(head[:, None], last), from column
-    `skip` of row 0: the rest of row 0, then whole rows, then the start of
-    one more, each one broadcast fill into its stretch of the output."""
-    out = np.empty(n)
-    width = last.size
-    first = min(width - skip, n)
-    full, rest = divmod(n - first, width)
-    fill(head[0], last[skip : skip + first], out=out[:first])
-    fill(head[1 : full + 1, None], last, out=out[first : n - rest].reshape(full, width))
-    fill(head[full + 1 :], last[:rest], out=out[n - rest :])
-    return out
+        yield last_gaps, np.sqrt(head_sq[:, None] + last_sq), head_mass[:, None] * last_masses
 
 
 def distance_measure(
@@ -172,10 +151,11 @@ def distance_measure(
     cells = _gap_cells(mu.factors, pair_budget, max(_BLOCK, acc.size))
     for k, (last, dist, mass) in enumerate(cells):
         if weighted:  # d = 2: the last axis is the second
-            mass = mass * np.divide(last(), dist, out=np.zeros_like(dist), where=dist > 0.0)
+            mass = mass * np.divide(last, dist, out=np.zeros_like(dist), where=dist > 0.0)
         if k == 0:
-            diagonal = float(mass[0])  # the first cell; zero once weighted
-        acc += np.bincount((dist / h).astype(np.int64), weights=mass, minlength=acc.size)
+            diagonal = float(mass[0, 0])  # the first cell; zero once weighted
+        acc += np.bincount((dist / h).astype(np.int64).ravel(), weights=mass.ravel(),
+                           minlength=acc.size)
     return DistanceMeasure(
         bin_width=float(h),
         masses=acc,
@@ -204,7 +184,7 @@ def energy_integral(
     total = 0.0
     for k, (_, dist, mass) in enumerate(_gap_cells(factors, pair_budget, _BLOCK)):
         off = slice(1 if k == 0 else 0, None)  # the first cell is the diagonal
-        total += float(np.sum(mass[off] * dist[off] ** (-s)))
+        total += float(np.sum(mass.ravel()[off] * dist.ravel()[off] ** (-s)))
     return total
 
 

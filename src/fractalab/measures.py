@@ -20,11 +20,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .fitting import loglog_fit
 
 _MASS_TOL = 1e-12
 _CHUNK = 1 << 22  # complex entries per phase table or product block
+_MAX_ATOMS = 1 << 24  # atoms of one build_cantor measure
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,11 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_cantor(spec: CantorSpec) -> GridMeasure:
     """Realize a CantorSpec as a GridMeasure: atoms are the level-k digit
-    expansions over the kept digits, each carrying equal weight."""
+    expansions over the kept digits, each carrying equal weight. Past
+    2**24 atoms, BudgetError before any allocation."""
+    if len(spec.digits) ** min(spec.level, 25) > _MAX_ATOMS:  # two digits pass it by level 25
+        raise BudgetError(f"factor {spec.base}:{','.join(map(str, spec.digits))}:{spec.level} has "
+                          f"{len(spec.digits)}**{spec.level} atoms, past the 2**24 budget; lower the level")
     digits = np.asarray(spec.digits, dtype=np.int64)
     indices = np.zeros(1, dtype=np.int64)
     for _ in range(spec.level):

@@ -4,16 +4,17 @@
 refines and checks its node budget before any evaluation. It is the library's
 one rule for band-limited integrals: the smoothed-energy Fourier side (also
 the angular majorant's moment), the solid average and the Mattila t
-integral. `converge`, `trapezoid_refinements` and `simpson_doubling` (Simpson
-doubling to |new - old| <= max(rel_tol |new|, abs_tol) or a node cap) have no
-caller in the library: they stay as the tests' refining oracles. Callers fix
-their tolerance, cap or budget; none is an option.
+integral. Its nodes and weights (and the d >= 3 sphere rule's polar ones)
+come from Newton's method on the Legendre three-term recurrence.
+`simpson_doubling` (Simpson doubling to |new - old| <= max(rel_tol |new|,
+abs_tol) or a node cap) has no caller in the library: it stays as the
+tests' refining oracle. Callers fix their tolerance, cap or budget; none is
+an option.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import pairwise
 
 import numpy as np
 
@@ -22,11 +23,30 @@ from .errors import BudgetError, ValidationError
 PANEL_NODES = 24  # Gauss-Legendre nodes per panel; 2**22 nodes per integral at most
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n Gauss-Legendre nodes and weights on [0, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    rule = (x + 1.0) / 2.0, w / 2.0
+    """n Gauss-Legendre nodes and weights on [0, 1], read-only. Newton's
+    method on P_n from x_k = -cos(pi (k + 3/4) / (n + 1/2)) runs until no
+    node moves by 1e-14 (quadratic convergence leaves it at rounding); the
+    nodes are then made odd-symmetric, and the weights 2 / ((1 - x**2)
+    P_n'(x)**2) taken at them."""
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        step = np.divide(*_legendre(n, x))
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    x = (x - x[::-1]) / 2.0
+    dp = _legendre(n, x)[1]
+    rule = (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
     for a in rule:
         a.setflags(write=False)
     return rule
@@ -42,45 +62,17 @@ def gauss_legendre_panels(a: float, b: float, tau: float, what: str):
     most (64/15) M rho**(-2n) / (rho**2 - 1) H/2 for M the product of the two
     (Trefethen, ATAP, Thm 19.3): 1.1e-24 rho**k sup|g| sup|p| H/2 at rho =
     4 + sqrt(15), under 7e-23 of it for k <= 2. BudgetError naming `what`
-    past 2**22 nodes, before the caller evaluates anything. Returns (coarse,
-    fine, w, H): nodes coarse[:, None] + fine, coarse = a + H arange(P); the
-    integral is H * sum(f * w)."""
-    panels = max(1, math.ceil((b - a) * tau / PANEL_NODES))
-    if panels * PANEL_NODES > 1 << 22:
-        raise BudgetError(f"{what} needs {panels * PANEL_NODES} Gauss-Legendre nodes, "
-                          "past its 2**22 budget; lower t")
+    past 2**22 nodes (an infinite or NaN count included), before the caller
+    evaluates anything. Returns (coarse, fine, w, H): nodes coarse[:, None]
+    + fine, coarse = a + H arange(P); the integral is H * sum(f * w)."""
+    panels = (b - a) * tau / PANEL_NODES
+    if not panels <= (1 << 22) // PANEL_NODES:  # ceil(panels) * 24 > 2**22, or inf, or NaN
+        need = PANEL_NODES * math.ceil(panels) if panels < 2**53 else panels * PANEL_NODES
+        raise BudgetError(f"{what} needs {need} Gauss-Legendre nodes, past its 2**22 budget; lower t")
+    panels = max(1, math.ceil(panels))
     x, w = _panel_rule(PANEL_NODES)
     width = (b - a) / panels
     return a + width * np.arange(panels), width * x, w, width
-
-
-def converge(refinements, rel_tol: float, max_nodes: float, abs_tol: float = 0.0):
-    """Take refinements while nodes < max_nodes until the stopping test
-    passes. Returns (value, nodes, converged); when the cap comes first,
-    converged is False and value is the last refinement."""
-    value, nodes = next(refinements)
-    while nodes < max_nodes:
-        new_value, nodes = next(refinements)
-        if abs(new_value - value) <= max(rel_tol * abs(new_value), abs_tol):
-            return new_value, nodes, True
-        value = new_value
-    return value, nodes, False
-
-
-def trapezoid_refinements(f, a: float, b: float, intervals: int):
-    """Endless trapezoid sums on [a, b] over intervals, 2 intervals, ...;
-    each refinement evaluates f only at the new midpoints. Yields
-    (value, nodes evaluated so far)."""
-    n = int(intervals)
-    h = (b - a) / n
-    fx = np.asarray(f(np.linspace(a, b, n + 1)), dtype=float)
-    total = 0.5 * float(fx[0] + fx[-1]) + float(np.sum(fx[1:-1]))
-    yield h * total, n + 1
-    while True:
-        total += float(np.sum(f(a + (np.arange(n) + 0.5) * h)))
-        n *= 2
-        h /= 2.0
-        yield h * total, n + 1
 
 
 def simpson_doubling(
@@ -94,12 +86,13 @@ def simpson_doubling(
 ) -> tuple[float, int, bool]:
     """Composite Simpson on [a, b] with interval doubling and node reuse.
 
-    Simpson on 2n intervals is (4 T_2n - T_n) / 3 of the trapezoid sums, so
-    it rides on trapezoid_refinements; abs_tol is the absolute floor of the
-    stopping test. An initial grid finer than max_intervals is clamped to its
-    even part (at least 4), so at most max_intervals + 1 nodes are evaluated
-    before the result is reported unconverged. Returns (value, node_count,
-    converged).
+    Simpson on 2m intervals is (4 T_2m - T_m) / 3 of the trapezoid sums, and
+    each doubling evaluates f only at the new midpoints, on one uniform grid
+    per call. The run stops once |new - old| <= max(rel_tol |new|, abs_tol)
+    for successive Simpson sums, or at the first grid of at least
+    max_intervals + 1 nodes, where the last sum is reported unconverged. An
+    initial grid finer than max_intervals is clamped to its even part (at
+    least 4). Returns (value, node_count, converged).
     """
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
@@ -107,8 +100,18 @@ def simpson_doubling(
     n += n % 2
     if n > max_intervals:
         n = max(4, int(max_intervals) - int(max_intervals) % 2)
-    simpsons = (
-        ((4.0 * fine - coarse) / 3.0, nodes)
-        for (coarse, _), (fine, nodes) in pairwise(trapezoid_refinements(f, a, b, n // 2))
-    )
-    return converge(simpsons, rel_tol, max_intervals + 1, abs_tol)
+    m = n // 2
+    h = (b - a) / m
+    fx = np.asarray(f(np.linspace(a, b, m + 1)), dtype=float)
+    total = 0.5 * float(fx[0] + fx[-1]) + float(np.sum(fx[1:-1]))
+    coarse, value = h * total, math.nan  # NaN: the first Simpson sum passes no test
+    while True:
+        total += float(np.sum(f(a + (np.arange(m) + 0.5) * h)))
+        m, h = 2 * m, h / 2.0
+        fine = h * total
+        new_value = (4.0 * fine - coarse) / 3.0
+        if abs(new_value - value) <= max(rel_tol * abs(new_value), abs_tol):
+            return new_value, m + 1, True
+        if m >= max_intervals:
+            return new_value, m + 1, False
+        coarse, value = fine, new_value

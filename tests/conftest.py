@@ -183,16 +183,19 @@ def upsample_pmf(spec, signs):
 
 
 def gap_cells_oracle(factors, pair_budget, block):
-    """geometry._gap_cells cell by cell: every cell of a chunk unravelled to
-    its per-axis gap ids, then gathered per axis. Yields per-axis
-    coordinates, distances sqrt(sum_j c_j**2) and cell masses."""
+    """geometry._gap_cells cell by cell: chunks of whole rows (a row runs
+    over the last axis) of at least `block` cells, or of one row when a row
+    is wider, every cell unravelled to its per-axis gap ids, then gathered
+    per axis. Yields per-axis coordinates, distances sqrt(sum_j c_j**2) and
+    cell masses, each a (rows, width) array."""
     pmfs = [_gap_pmf(f, pair_budget) for f in factors]
     shape = tuple(gaps.size for gaps, _ in pmfs)
-    cells = math.prod(shape)
-    for start in range(0, cells, block):
-        ids = np.unravel_index(np.arange(start, min(start + block, cells)), shape)
-        coords = [gaps[i] for (gaps, _), i in zip(pmfs, ids)]
-        mass = math.prod(masses[i] for (_, masses), i in zip(pmfs, ids))
+    cells, width = math.prod(shape), shape[-1]
+    chunk = -(-block // width) * width
+    for start in range(0, cells, chunk):
+        ids = np.unravel_index(np.arange(start, min(start + chunk, cells)), shape)
+        coords = [gaps[i].reshape(-1, width) for (gaps, _), i in zip(pmfs, ids)]
+        mass = math.prod(masses[i] for (_, masses), i in zip(pmfs, ids)).reshape(-1, width)
         yield coords, np.sqrt(sum(c * c for c in coords)), mass
 
 

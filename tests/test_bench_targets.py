@@ -1,12 +1,17 @@
 """Every function the traced benchmark wraps exists in fractalab under that
-name, and every config its CLI workload writes still loads.
+name, every config its CLI workload writes still loads, and the benchmark's
+own smoke test passes.
 
-Without these checks a renamed or deleted target, or a dropped config
-field, breaks only the benchmark run and its smoke test. The tests read
-bench/tracing.py and bench/workloads.py and install nothing.
+Without these checks a renamed or deleted target, a dropped config field or
+a changed result breaks only the benchmark run. The tests read
+bench/tracing.py and bench/workloads.py, run bench/smoke.py on a copy of the
+checkout, and install nothing.
 """
 import importlib
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +51,14 @@ def test_cli_workload_configs_load(tmp_path, reduced):
     for name, (kind, config) in workloads._cli_configs(reduced).items():
         payload = {**config, "seed": 7, "output_dir": str(tmp_path / name), "kind": kind}
         assert fl.ExperimentConfig.from_dict(payload).kind == kind
+
+
+def test_bench_smoke_passes(tmp_path):
+    # on a copy, so the checkout's .bench_out/ is untouched
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    smoke = subprocess.run([sys.executable, "bench/smoke.py"], cwd=tmp_path, capture_output=True,
+                           text=True, timeout=600)
+    assert smoke.returncode == 0, smoke.stdout + smoke.stderr
+    assert smoke.stdout.splitlines()[-1] == "smoke: ok"

@@ -296,11 +296,6 @@ class TestCli:
         assert "energy.csv" in out
         assert (tmp_path / "manifest.json").exists()
 
-    def test_validation_error_exits_two(self, tmp_path, capsys):
-        code = cli_main(["energy", "--factor", "3:0,9:6", "--output", str(tmp_path)])
-        assert code == 2
-        assert "validation error" in capsys.readouterr().err
-
     @pytest.mark.parametrize("kind", ["spherical", "mattila"])
     def test_negative_seed_exits_two_naming_seed(self, tmp_path, capsys, kind):
         code = cli_main([kind, *["--factor", "3:0,2:3"] * 3, "--sweep", "1:2.5:3",
@@ -310,33 +305,32 @@ class TestCli:
         assert "validation error: seed: must be >= 0, got -1" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_budget_error_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, code, message", [
+        (["energy", "--factor", "3:0,9:6"], 2, "factors[0]: digits must lie in [0, base)"),
         # ((3**10 + 1) / 2)**2 ~ 8.7e8 folded gap cells, over the default 4e8
-        code = cli_main(
-            ["distance", "--factor", "3:0,2:10", "--factor", "3:0,2:10", "--output", str(tmp_path)]
-        )
-        assert code == 3
-        assert "budget error" in capsys.readouterr().err
-
-    def test_distance_bins_over_budget_exit_three(self, tmp_path, capsys):
+        (["distance", *["--factor", "3:0,2:10"] * 2], 3, "gap pmfs give 8.72e+08 cells"),
         # 1.36e9 bins at h = 1e-9 (a 10.1 GiB histogram), over the default 4e8
+        (["distance", *["--factor", "3:0,2:3"] * 2, "--bin-width", "1e-9"], 3, "widen the bin width"),
+        (["stationary", "--gap", "0:1", "--sweep", "1e8:2e8:3"], 3, "2**24 samples; lower t"),
+        (["stationary", "--gap", "0:0"], 2, "gaps[0]: must be nonzero"),
+        (["energy", "--factor", "3:0:700", "--sweep", "0.1:0.4:3"], 2,
+         "factors: the grid step 3**-700 underflows to 0"),
+        (["solid", "--factor", "3:0,2:6", "--interval=-1e308:1e308"], 3,
+         "solid average needs inf Gauss-Legendre nodes"),
+        (["cantor", "--factor", "2:0,1:34"], 3, "factor 2:0,1:34 has 2**34 atoms"),
+        # 88,896 t nodes of 3.0e9 circle samples in all, each t under 2**24
+        (["mattila", *["--factor", "3:0,2:12"] * 2, "--truncation", "5000"], 3,
+         "needs 3e+09 circle samples, past its 2**27 budget"),
+    ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
+            "infinite-interval", "atoms", "sigma-work"])
+    def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
+        # each refused before the work it bounds, with no traceback
         start = time.perf_counter()
-        code = cli_main(
-            ["distance", "--factor", "3:0,2:3", "--factor", "3:0,2:3", "--bin-width", "1e-9",
-             "--output", str(tmp_path)]
-        )
+        assert cli_main([*argv, "--output", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert "budget error" in err and "widen the bin width" in err and "Traceback" not in err
-
-    def test_stationary_over_the_circle_cap_exits_three(self, tmp_path, capsys):
-        code = cli_main(
-            ["stationary", "--gap", "0:1", "--sweep", "1e8:2e8:3", "--output", str(tmp_path)]
-        )
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "budget error" in err and "lower t" in err and "Traceback" not in err
+        assert err.startswith({2: "validation error: ", 3: "budget error: "}[code])
+        assert message in err and "Traceback" not in err
 
     def test_distance_level_eight_fits_the_budget(self, tmp_path):
         # ((3**8 + 1) / 2)**2 ~ 1.1e7 gap cells; the 4.3e9 atom pairs are never formed

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -275,26 +276,29 @@ class TestCircularAverageRoute:
                 assert sizes == [n]
                 assert nodes == 2 * n
 
-    def test_no_simpson_on_the_circle(self, monkeypatch):
+    def test_no_simpson_on_the_circle(self):
         # sigma on d = 2 products takes the band-limited sum, alone or inside
         # the Mattila integral, whose t integral takes Gauss-Legendre panels:
-        # no trapezoid sum, on which every Simpson run rides, is taken
+        # no frame of simpson_doubling runs, however it was imported
         assert not hasattr(fourier, "simpson_doubling")
-        calls = []
-        trapezoid = quadrature.trapezoid_refinements
+        simpson, calls = quadrature.simpson_doubling.__code__, []
 
-        def recording(f, a, b, intervals):
-            calls.append((a, b))
-            return trapezoid(f, a, b, intervals)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is simpson:
+                calls.append(frame.f_locals.copy())
 
-        monkeypatch.setattr(quadrature, "trapezoid_refinements", recording)
         nu = fl.build_cantor(fl.middle_thirds(5))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        for weight in ("none", "sin_theta"):
-            fl.spherical_average_series(mu, [2.0, 6.0, 18.0], weight)
-        for weighted in (False, True):
-            fl.mattila_truncated(mu, 20.0, weighted)
-        assert calls == []
+        sys.setprofile(profile)
+        try:
+            for weight in ("none", "sin_theta"):
+                fl.spherical_average_series(mu, [2.0, 6.0, 18.0], weight)
+            for weighted in (False, True):
+                fl.mattila_truncated(mu, 20.0, weighted)
+            simpson_doubling(np.cos, 0.0, 1.0)  # the profile sees a call
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1 and calls[0]["f"] is np.cos
 
 
 def spec_less_measure(seed, atoms, base, level):

@@ -302,7 +302,8 @@ def oracle_pair_functionals(mu, h: float, s: float) -> dict:
             if weighted:
                 mass = mass * np.divide(coords[1], dist, out=np.zeros_like(dist), where=dist > 0.0)
             diagonal += float(np.sum(mass[dist == 0.0]))
-            acc += np.bincount((dist / width).astype(np.int64), weights=mass, minlength=acc.size)
+            acc += np.bincount((dist / width).astype(np.int64).ravel(), weights=mass.ravel(),
+                               minlength=acc.size)
         out[key] = (acc.tobytes(), float(np.sum(acc)), diagonal)
     total = 0.0
     for _, dist, mass in gap_cells_oracle(mu.factors, budget, geometry._BLOCK):
@@ -315,8 +316,8 @@ def oracle_pair_functionals(mu, h: float, s: float) -> dict:
 class TestGapCellChunks:
     """The row-broadcast cells against the cell-by-cell oracle, bit for bit."""
 
-    # 97 cells end chunks inside rows of 365 or more gaps, and span rows of
-    # 14 (d = 3) or 1 (a point-mass last axis)
+    # 97 cells are under one row of 365 or more gaps (a chunk is one row),
+    # and 7 rows of 14 (d = 3) or 97 rows of 1 (a point-mass last axis)
     @pytest.mark.parametrize("name", sorted(CELL_CASES))
     @pytest.mark.parametrize("block", [97, 1000, geometry._BLOCK])
     def test_chunks_are_the_oracle_chunks(self, name, block):
@@ -326,7 +327,8 @@ class TestGapCellChunks:
         expected = list(gap_cells_oracle(factors, budget, block))
         assert len(got) == len(expected)
         for (last, dist, mass), (coords, oracle_dist, oracle_mass) in zip(got, expected):
-            assert last().tobytes() == coords[-1].tobytes()
+            assert dist.shape == mass.shape == oracle_dist.shape
+            assert np.broadcast_to(last, dist.shape).tobytes() == coords[-1].tobytes()
             assert dist.tobytes() == oracle_dist.tobytes()
             assert mass.tobytes() == oracle_mass.tobytes()
 
