@@ -40,12 +40,6 @@ class CutoffFunction:
         """Half-width of the transform support."""
         return float(self.scale)
 
-    @property
-    def half_height_window(self) -> float:
-        """c such that psi >= 1/2 on [-c, c] (first half-height crossing)."""
-        # sinc(u)^2 = 1/2 at u ~= 0.442946470689452; rescale by `scale`
-        return 0.442946470689452 / self.scale
-
     def transform_min_on_unit_interval(self) -> float:
         """min of psi_hat over [-1, 1]; positive only when scale > 1."""
         return float(self.transform(1.0))

@@ -74,10 +74,6 @@ class SumsetDistribution:
         return {int(s): float(self.values[s]) for s in nz}
 
     @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    @property
     def total_mass(self) -> float:
         return float(np.sum(self.values))
 

@@ -14,19 +14,19 @@ A level-k grid only emulates the continuum transform for frequencies well
 below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
-Every d = 2 circle integral is one band-limited Fourier sum (the modes of
-one real FFT of equispaced samples of [0, pi), exact to rounding, capped at
-2**24 samples; it never refines): the circular average sigma(t) under each
-weight, the stationary-phase circle integral, and the three angular
-sectors, each an exact integral of the same modes as sigma's. sigma for
-d >= 3 is one product rule: Gauss-Legendre in the polar angle of the last
-axis over sigma of the first d - 1 factors, which ends in the d = 2 circle
-sum; it is exact to rounding too and never refines. sigma is evaluated on
-arrays of t (_sigma_many: one t, a sweep, or every node of a Mattila
-integral) in row blocks of at most energy._BLOCK samples or polar nodes. The
-solid average and the majorant's smoothed moments take a-priori
-Gauss-Legendre panels (quadrature.gauss_legendre_panels); nothing here
-refines.
+Every d = 2 circle integral is a band-limited sum of n equispaced samples of
+[0, pi), exact to rounding, capped at 2**24 samples, never refined: sigma(t)
+under each weight and the stationary-phase integral are one dot of samples
+on [0, pi/2] with a weight vector built once per n of a call (_half_weights),
+the angular sectors exact integrals of the modes of one real FFT of sigma's
+samples. sigma for d >= 3 is one product rule, Gauss-Legendre in the polar
+angle of the last axis over sigma of the first d - 1 factors, ending in the
+d = 2 sum.
+sigma is evaluated on arrays of t (_sigma_many: one t, a sweep, or every node
+of a Mattila integral) in row blocks of at most energy._BLOCK samples or
+polar nodes. The solid average and the majorant's smoothed moments take
+a-priori Gauss-Legendre panels (quadrature.gauss_legendre_panels); nothing
+here refines.
 """
 from __future__ import annotations
 
@@ -86,28 +86,35 @@ def _circle_modes(f: np.ndarray) -> np.ndarray:
     """Modes c_k, k = 0..n/2, of F from f = F(pi m / n), m = 0..n-1, along
     the last axis, for F pi-periodic and even with no mode past n/2 that
     shows: the trapezoid rule, one real FFT, gives them exactly up to
-    rounding (Trefethen-Weideman 2014)."""
+    rounding (Trefethen-Weideman 2014). Only the angular sectors need them."""
     return np.fft.rfft(f).real / f.shape[-1]
 
 
-def _quadrant_modes(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) -> np.ndarray:
-    """_circle_modes of |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2,
-    a row per t of the column tr; even about pi/2, so [0, pi/2] mirrored."""
-    half = np.pi * np.arange(n // 2 + 1) / n
-    f = fa.power_spectrum(tr * np.cos(half)) * fb.power_spectrum(tr * np.sin(half))
-    return _circle_modes(np.concatenate((f, f[:, -2:0:-1]), axis=1))
+def _quadrant_samples(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) -> np.ndarray:
+    """F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 at
+    theta_m = pi m / n, m = 0..n/2, a row per t of the column tr. sin theta_m
+    is read as cos theta_(n/2 - m), the same angle, so one cosine table
+    serves both factors; when fb is fa, or both carry the same CantorSpec,
+    fb's values are fa's reversed and the Riesz product runs once."""
+    cos_h = np.cos(np.pi * np.arange(n // 2 + 1) / n)
+    fa_values = fa.power_spectrum(tr * cos_h)
+    if fb is fa or (fb.spec is not None and fb.spec == fa.spec):
+        return fa_values * fa_values[:, ::-1]
+    return fa_values * fb.power_spectrum(tr * cos_h[::-1])
 
 
-def _circle_sum(c: np.ndarray, weight: str) -> np.ndarray:
-    """int_0^{2pi} F(theta) w(theta) dtheta from the modes c of F along the
-    last axis. Weight 'none' gives 2 pi c_0; |sin theta| = 2/pi - (4/pi)
-    sum_k cos(2k theta)/(4k^2 - 1) gives 4 c_0 - 8 sum_k c_k/(4k^2 - 1): one
-    dot per row (a stack of 1 x k by k x 1 products)."""
-    if weight == "none":
-        return 2.0 * np.pi * c[..., 0]
-    k = np.arange(1, c.shape[-1], dtype=float)
-    coef = 1.0 / (4.0 * k * k - 1.0)
-    return 4.0 * c[..., 0] - 8.0 * (c[..., None, 1:] @ coef[:, None])[..., 0, 0]
+def _half_weights(n: int, weight: str) -> np.ndarray:
+    """H_m, m = 0..n/2: int_0^{2pi} F w = sum_m H_m F(pi m / n) for F
+    pi-periodic, symmetric about pi/2 and with no mode past n/2 that shows.
+    Over all n samples the weights are K = irfft(W), W_k = int_0^{2pi}
+    cos(2k theta) w: 2 pi at k = 0 for 'none', -4/(4k^2 - 1) for |sin theta|;
+    F(pi - theta) = F(theta) folds them onto H_m = 2 K_m between the ends.
+    Callers build it once per distinct n of a call and keep nothing."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    moments = -4.0 / (4.0 * k * k - 1.0) if weight == "sin_theta" else np.where(k == 0, 2.0 * np.pi, 0.0)
+    h = np.fft.irfft(moments, n)[: n // 2 + 1]
+    h[1:-1] *= 2.0
+    return h
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +137,8 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     d = 2: F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 is
     a sum of cos(2 pi t g . omega) over gap vectors g, so it is pi-periodic,
     even, symmetric about pi/2 and band-limited at R; the t sharing n go in
-    blocks, one _circle_sum per block, on 2n nodes.
+    blocks, one _quadrant_samples per block, each row's value one dot in a
+    fixed order with _half_weights(n), built once per n, on 2n nodes.
     d >= 3: omega = (cos theta omega', sin theta) and evenness in omega_d give
     sigma_d(t) = 2 int_0^{pi/2} cos^(d-2) theta |nu_d_hat(t sin theta)|^2
     sigma_{d-1}(t cos theta) dtheta, times sin theta = |omega_d| under
@@ -163,9 +171,10 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     if d == 2:
         fa, fb = mu.factors
         for n in np.unique(counts).tolist():
+            h = _half_weights(n, weight)
             group, rows = np.flatnonzero(counts == n), max(1, _BLOCK // (n // 2 + 1))
             for idx in np.split(group, range(rows, group.size, rows)):
-                values[idx] = _circle_sum(_quadrant_modes(fa, fb, t[idx, None], n), weight)
+                values[idx] = np.einsum("ij,j->i", _quadrant_samples(fa, fb, t[idx, None], n), h)
         return values, 2 * counts
     head, last = ProductMeasure(mu.factors[:-1], mu.dims[:-1]), mu.factors[-1]
     for n in np.unique(polar).tolist():
@@ -254,7 +263,8 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
         raise ValidationError(f"interval must be finite, got {interval}")
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
-    coarse, fine, w, width = gauss_legendre_panels(a, b, 2.0 * np.pi * t * nu.diameter, "solid average")
+    coarse, fine, w, width = gauss_legendre_panels(
+        a, b, 2.0 * np.pi * t * nu.diameter, "solid average", "lower t or narrow --interval")
     return width * float(np.sum(nu.power_spectrum(t * (coarse[:, None] + fine)) * w))
 
 
@@ -262,20 +272,23 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
 # Stationary phase on the circle
 # ---------------------------------------------------------------------------
 
-def _circle_phase_integral(gap: np.ndarray, t: float) -> complex:
+def _turns(u: np.ndarray) -> np.ndarray:
+    """2 pi (u - rint(u)): the angle of u cycles, reduced mod 1 exactly."""
+    return (2.0 * np.pi) * (u - np.rint(u))
+
+
+def _circle_phase_integral(gap: np.ndarray, t: float, h: np.ndarray) -> complex:
     """int_0^{2pi} exp(2 pi i t (gap . omega)) |sin theta| dtheta, within
-    1e-12 absolute (the imaginary part is 0): _circle_sum of
-    F = cos(2 pi t gap . omega), which is pi-periodic and band-limited at
-    x = 2 pi t|gap|, on _circle_samples(x) points of [0, pi)."""
-    x = 2.0 * np.pi * t * float(np.hypot(gap[0], gap[1]))
-    n = _circle_samples(x)
-    # [0, pi/2] mirrored: half the trigonometry, and reflected gaps permute the samples
-    half = np.pi * np.arange(n // 2 + 1) / n
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    cos_t = np.concatenate((cos_h, -cos_h[-2:0:-1]))
-    sin_t = np.concatenate((sin_h, sin_h[-2:0:-1]))
-    f = np.cos(2.0 * np.pi * t * (gap[0] * cos_t + gap[1] * sin_t))
-    return complex(_circle_sum(_circle_modes(f), "sin_theta"))
+    1e-12 absolute (the imaginary part is 0), for h = _half_weights(n,
+    'sin_theta') with n = _circle_samples(2 pi t|gap|). F_g = cos(2 pi t g .
+    omega) is pi-periodic, band-limited at 2 pi t|g|, and F_g(pi - theta) =
+    F_g'(theta), g' = (-g_x, g_y): the integral is (1/2) sum_m H_m (F_g +
+    F_g')(theta_m), each phase reduced mod 1 exactly before its cosine."""
+    n = 2 * (h.size - 1)
+    cos_h = np.cos(np.pi * np.arange(n // 2 + 1) / n)
+    ux, uy = (t * gap[0]) * cos_h, (t * gap[1]) * cos_h[::-1]
+    f = np.cos(_turns(uy + ux)) + np.cos(_turns(uy - ux))
+    return complex(0.5 * np.dot(f, h))
 
 
 def _check_gap(gap) -> tuple[np.ndarray, float]:
@@ -323,7 +336,9 @@ def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     g, norm = _check_gap(gap)
     ts = [float(t) for t in t_values]
     main = [float(stationary_phase_main_term(g, t)) for t in ts]  # checks each t first
-    exact = [_circle_phase_integral(g, t) for t in ts]
+    counts = _circle_samples(2.0 * np.pi * np.array(ts) * norm).tolist()
+    weights = {n: _half_weights(n, "sin_theta") for n in set(counts)}
+    exact = [_circle_phase_integral(g, t, weights[n]) for t, n in zip(ts, counts)]
     resid = [e - m for e, m in zip(exact, main)]
     xs = [t * norm for t in ts]
     lo, hi = FIT_WINDOW
@@ -366,19 +381,15 @@ class AngularDecomposition:
     cs_constant: float
     cs_bound: float
 
-    @property
-    def quadrant_total(self) -> float:
-        return self.near_zero + self.near_half_pi + self.middle
-
 
 def angular_decomposition(
     mu: ProductMeasure, t: float, gamma0: float, cutoff: CutoffFunction
 ) -> AngularDecomposition:
     """Decompose the quadrant average at angular cut eps = t^(-gamma0).
 
-    Each sector is exact from the modes of sigma's circle sum
-    (_quadrant_modes): int_a^b F = c_0 (b - a) + sum_k c'_k (sin 2kb -
-    sin 2ka) / (2k).
+    Each sector is exact from the modes of sigma's circle samples
+    (_quadrant_samples mirrored, then _circle_modes): int_a^b F = c_0 (b - a)
+    + sum_k c'_k (sin 2kb - sin 2ka) / (2k).
 
     The middle sector obeys middle <= C t^gamma0 sqrt(I * II) with
     C = (pi/2) / min_{[-1,1]} psi_hat: Cauchy-Schwarz in theta, then the
@@ -418,7 +429,8 @@ def angular_decomposition(
     factors = {id(f): f for f in sorted((fa, fb), key=lambda f: -f.diameter)}
     moments = {key: _fourth_moment_quadrature(f, t, cutoff) for key, f in factors.items()}
     moment_a, moment_b = moments[id(fa)], moments[id(fb)]
-    c = _quadrant_modes(fa, fb, np.array([[t]]), n)[0]
+    f = _quadrant_samples(fa, fb, np.array([[t]]), n)[0]
+    c = _circle_modes(np.concatenate((f, f[-2:0:-1])))
     # F = c_0 + sum_k c'_k cos(2k theta), c'_k = 2 c_k with the Nyquist mode once
     cp, k2 = 2.0 * c[1:], 2.0 * np.arange(1, c.size)
     cp[-1] = c[-1]

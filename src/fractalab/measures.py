@@ -185,9 +185,10 @@ class GridMeasure:
         prod_{k=1..level} P(xi base**-k) with P(x) = |mean_d e(-d x)|^2 =
         1/|D| + (2/|D|^2) sum_{g>0} c_g cos(2 pi g x), c_g the number of digit
         pairs (d, d') with d - d' = g: one cosine per distinct digit gap and
-        level, levels multiplied in order k = 1..level, no FFT. Each level
-        factor is clamped at 0 against rounding (a no-op for two digits), so
-        the result is never negative. Every other measure returns
+        level, levels multiplied in order k = 1..level, no FFT; each cycle
+        count xi g base**-k is reduced mod 1 exactly before its cosine. Each
+        level factor is clamped at 0 against rounding (a no-op for two
+        digits), so the result is never negative. Every other measure returns
         abs(transform(xi))**2. Oracle: abs(transform)**2, the dense sum over
         the same atoms, within 2e-11 for |xi| up to 1e4.
         """
@@ -199,14 +200,19 @@ class GridMeasure:
             n = len(spec.digits)
             diffs = np.subtract.outer(spec.digits, spec.digits)
             pairs = np.bincount(diffs[diffs > 0])  # c_g at index g
-            gaps = np.flatnonzero(pairs)
+            gaps = np.flatnonzero(pairs).tolist()
             out = np.ones(xi_arr.shape)
+            phase, whole = np.empty(xi_arr.shape), np.empty(xi_arr.shape)
             for k in range(1, spec.level + 1):
-                level = 1.0 / n
+                level = np.full(xi_arr.shape, 1.0 / n)
                 for g in gaps:
-                    phase = (2.0 * np.pi) * (xi_arr * (g / spec.base**k))
-                    level = level + (2.0 * pairs[g] / n**2) * np.cos(phase)
-                out *= np.maximum(level, 0.0)
+                    np.multiply(xi_arr, g / spec.base**k, out=phase)
+                    phase -= np.rint(phase, out=whole)
+                    phase *= 2.0 * np.pi
+                    np.cos(phase, out=phase)
+                    phase *= 2.0 * pairs[g] / n**2
+                    level += phase
+                out *= np.maximum(level, 0.0, out=level)
         return float(out) if xi_arr.ndim == 0 else out
 
     def transform_on_grid(self, coarse, fine) -> np.ndarray:
@@ -314,10 +320,6 @@ class ProductMeasure:
     def dimension(self) -> int:
         """Ambient dimension d (number of factors)."""
         return len(self.factors)
-
-    @property
-    def total_dim(self) -> float:
-        return float(sum(self.dims))
 
     @property
     def atom_count(self) -> int:

@@ -316,7 +316,7 @@ class TestCli:
         (["energy", "--factor", "3:0:700", "--sweep", "0.1:0.4:3"], 2,
          "factors: the grid step 3**-700 underflows to 0"),
         (["solid", "--factor", "3:0,2:6", "--interval=-1e308:1e308"], 3,
-         "solid average needs inf Gauss-Legendre nodes"),
+         "solid average needs inf Gauss-Legendre nodes, past its 2**22 budget; lower t or narrow --interval"),
         (["cantor", "--factor", "2:0,1:34"], 3, "factor 2:0,1:34 has 2**34 atoms"),
         # 88,896 t nodes of 3.0e9 circle samples in all, each t under 2**24
         (["mattila", *["--factor", "3:0,2:12"] * 2, "--truncation", "5000"], 3,

@@ -81,7 +81,7 @@ class TestSumset:
         nu = fl.build_cantor(fl.middle_thirds(2))
         q = fl.sumset_autocorrelation(nu)
         oracle = sumset_oracle(nu)
-        assert q.support_size == 9
+        assert np.count_nonzero(q.values) == 9
         assert set(q.entries) == set(oracle)
         for s, v in oracle.items():
             assert q.entries[s] == pytest.approx(v, rel=1e-14)
@@ -713,7 +713,7 @@ class TestSmoothedEnergy:
         # psi >= 1/2 on [-c, c] and psi <= 1/2 beyond, so the smoothed moment
         # is at most the sharp energy at scale c/t plus the tail supremum
         cut = fl.CutoffFunction("fejer", 1.0)
-        c = cut.half_height_window
+        c = 0.442946470689452 / cut.scale  # sinc(u)^2 = 1/2 at u ~= 0.442946470689452
         tail = 0.5 + 1e-9
         rng = np.random.default_rng(31)
         for _ in range(10):

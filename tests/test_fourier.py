@@ -244,6 +244,32 @@ class TestCircleSamples:
         assert str(array.value) == str(scalar.value)
 
 
+def weight_series(c, weight):
+    """Test oracle: int_0^{2pi} F w from F's trapezoid modes c_k, k = 0..n/2:
+    2 pi c_0 unweighted; for |sin theta| = 2/pi - (4/pi) sum_k cos(2k
+    theta)/(4k^2 - 1), 4 c_0 - 8 sum_{0<k<n/2} c_k/(4k^2 - 1) - 4 c_{n/2}/
+    (n^2 - 1), the Nyquist mode once, summed by math.fsum."""
+    if weight == "none":
+        return 2.0 * math.pi * c[0]
+    k = np.arange(1, c.size, dtype=float)
+    coef = -8.0 / (4.0 * k * k - 1.0)
+    coef[-1] /= 2.0
+    return math.fsum([4.0 * c[0], *(coef * c[1:]).tolist()])
+
+
+class TestCircleWeights:
+    @pytest.mark.parametrize("weight", ["none", "sin_theta"])
+    def test_half_grid_dot_matches_the_modes_and_weight_series(self, weight):
+        # random samples symmetric about pi/2, so no mode is small: the
+        # identity holds for any samples, not only band-limited ones
+        rng = np.random.default_rng(11)
+        for n in [1 << k for k in range(6, 18)]:
+            half = rng.uniform(0.5, 1.5, n // 2 + 1)
+            oracle = weight_series(fourier._circle_modes(np.concatenate((half, half[-2:0:-1]))), weight)
+            value = float(np.dot(half, fourier._half_weights(n, weight)))
+            assert abs(value - oracle) <= 1e-14 * abs(oracle)
+
+
 class TestCircularAverageRoute:
     @settings(max_examples=40, deadline=None)
     @given(circle_factor_st, circle_factor_st, st.floats(0.0, 1.0),
@@ -255,15 +281,21 @@ class TestCircularAverageRoute:
         oracle = simpson_sigma(mu, t, weight)
         assert abs(value - oracle) <= 1e-9 * oracle
 
-    def test_one_rfft_of_the_band_limit_sample_count(self, monkeypatch):
+    def test_one_weight_vector_of_the_band_limit_sample_count(self, monkeypatch):
         sizes = []
-        rfft = np.fft.rfft
+        weights, samples = fourier._half_weights, fourier._quadrant_samples
 
-        def recording(a, *args, **kwargs):
-            sizes.append(a.shape[-1])  # the sample count of each row
-            return rfft(a, *args, **kwargs)
+        def recording_weights(n, weight):
+            sizes.append(n)  # the sample count of the block
+            return weights(n, weight)
 
-        monkeypatch.setattr(np.fft, "rfft", recording)
+        def recording_samples(fa, fb, tr, n):
+            f = samples(fa, fb, tr, n)
+            assert f.shape[-1] == n // 2 + 1  # the half grid of n samples
+            return f
+
+        monkeypatch.setattr(fourier, "_half_weights", recording_weights)
+        monkeypatch.setattr(fourier, "_quadrant_samples", recording_samples)
         # a second factor of another diameter, with validity cap 409.6
         b = fl.GridMeasure(base=2, level=12, indices=np.array([0, 1000]), weights=np.array([0.5, 0.5]))
         for spec, t in CIRCLE_CASES:
@@ -275,6 +307,26 @@ class TestCircularAverageRoute:
                 n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
                 assert sizes == [n]
                 assert nodes == 2 * n
+
+    @pytest.mark.parametrize("second", ["same object", "same spec", "other spec", "spec-less"])
+    def test_mirrored_quadrant_matches_two_explicit_evaluations(self, monkeypatch, second):
+        # sin theta_m is read as cos theta_(n/2 - m); a second factor with the
+        # first's spec reuses the first's values reversed, in one Riesz product
+        a = fl.build_cantor(fl.CantorSpec(3, (0, 2), 7))
+        b = {"same object": a, "same spec": fl.build_cantor(fl.CantorSpec(3, (0, 2), 7)),
+             "other spec": fl.build_cantor(fl.CantorSpec(5, (0, 1, 4), 4)),
+             "spec-less": spec_less_measure(3, 11, 3, 5)}[second]
+        n, tr = 1024, np.array([[0.0], [3.3], [57.25], [200.0]])
+        theta = np.pi * np.arange(n // 2 + 1) / n
+        explicit = a.power_spectrum(tr * np.cos(theta)) * b.power_spectrum(tr * np.sin(theta))
+        calls = []
+        spectrum = fl.GridMeasure.power_spectrum
+        monkeypatch.setattr(fl.GridMeasure, "power_spectrum",
+                            lambda self, xi: calls.append(self) or spectrum(self, xi))
+        mirrored = fourier._quadrant_samples(a, b, tr, n)
+        assert calls == ([a] if second.startswith("same") else [a, b])
+        assert mirrored.shape == explicit.shape
+        assert np.max(np.abs(mirrored - explicit)) <= 1e-13 * np.max(explicit)
 
     def test_no_simpson_on_the_circle(self):
         # sigma on d = 2 products takes the band-limited sum, alone or inside
@@ -341,13 +393,13 @@ class TestSigmaBatch:
         assert len(set(counts)) == 3
         alone = [fourier._sigma_many(mu, [t], weight)[0][0] for t in ts]
         rows = []
-        rfft = np.fft.rfft
+        samples = fourier._quadrant_samples
 
-        def recording(x, *args, **kwargs):
-            rows.append(x.shape[0])
-            return rfft(x, *args, **kwargs)
+        def recording(fa, fb, tr, n):
+            rows.append(tr.shape[0])
+            return samples(fa, fb, tr, n)
 
-        monkeypatch.setattr(np.fft, "rfft", recording)
+        monkeypatch.setattr(fourier, "_quadrant_samples", recording)
         for size in (2, 3, 4, 5, 17):
             rows.clear()
             for n in set(counts):  # consecutive t of one count: one block of `size` rows
@@ -382,13 +434,13 @@ class TestSigmaBatch:
 
     def test_blocks_keep_to_the_row_bound(self, monkeypatch):
         shapes = []
-        rfft = np.fft.rfft
+        samples = fourier._quadrant_samples
 
-        def recording(x, *args, **kwargs):
-            shapes.append(x.shape)
-            return rfft(x, *args, **kwargs)
+        def recording(fa, fb, tr, n):
+            shapes.append((tr.shape[0], n))  # (rows, sample count) of a block
+            return samples(fa, fb, tr, n)
 
-        monkeypatch.setattr(np.fft, "rfft", recording)
+        monkeypatch.setattr(fourier, "_quadrant_samples", recording)
         nu = fl.build_cantor(fl.CantorSpec(3, (0, 2), 6))
         mu = fl.build_product([nu, nu], [0.5, 0.5])
         # 2500 t of 64 samples span three blocks of 32768 // 33 = 992 rows
@@ -404,7 +456,7 @@ class TestSigmaBatch:
 
     def test_over_budget_t_raises_before_any_block(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append("rfft"))
+        monkeypatch.setattr(fourier, "_half_weights", lambda *a: calls.append("weights"))
         spectrum = fl.GridMeasure.power_spectrum
         monkeypatch.setattr(fl.GridMeasure, "power_spectrum",
                             lambda self, xi: calls.append("spectrum") or spectrum(self, xi))
@@ -641,15 +693,16 @@ class TestStationaryPhase:
             fl.stationary_phase_check(gap, [10.0])
 
     def test_circle_integral_sample_count(self, monkeypatch):
-        # one real FFT per t on the smallest power of two >= R + 10 R^(1/3) + 40
+        # one integral per t on the half grid of n samples, n the smallest
+        # power of two >= R + 10 R^(1/3) + 40
         sizes = []
-        rfft = np.fft.rfft
+        integral = fourier._circle_phase_integral
 
-        def recording(a, *args, **kwargs):
-            sizes.append(len(a))
-            return rfft(a, *args, **kwargs)
+        def recording(gap, t, h):
+            sizes.append(2 * (h.size - 1))
+            return integral(gap, t, h)
 
-        monkeypatch.setattr(np.fft, "rfft", recording)
+        monkeypatch.setattr(fourier, "_circle_phase_integral", recording)
         ts = [0.001, 100.0, 101.37, 148.79081175884915, 10137.0]
         fl.stationary_phase_check((0.0, 1.0), ts)
         assert len(sizes) == len(ts)
@@ -690,8 +743,25 @@ def simpson_circle_integral(gap, t):
     return 2.0 * value
 
 
+def bessel_even(x, count):
+    """Test oracle: J_0(x), J_2(x), ..., J_{2(count - 1)}(x) by Miller's
+    backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1}, started well past
+    both x and the last order and rescaled against overflow, then normalized
+    by J_0 + 2 sum_k J_2k = 1. Within 3e-13 of scipy's jv for x up to 6e4."""
+    top = 2 * (int(x + 20.0 * x ** (1.0 / 3.0) + 60.0) // 2 + count)
+    j = np.zeros(top + 2)
+    j[top] = 1e-300
+    for n in range(top, 0, -1):
+        j[n - 1] = (2.0 * n / x) * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:
+            j[n - 1 :] *= 1e-250
+    even = j[0::2]
+    return (even / (even[0] + 2.0 * math.fsum(even[1:].tolist())))[:count]
+
+
 def circle_integral(gap, t):
-    return fourier._circle_phase_integral(np.asarray(gap, dtype=float), t)
+    n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(*gap))
+    return fourier._circle_phase_integral(np.asarray(gap, dtype=float), t, fourier._half_weights(n, "sin_theta"))
 
 
 class TestCirclePhaseIntegral:
@@ -716,6 +786,20 @@ class TestCirclePhaseIntegral:
             r = 2.0 * math.pi * x
             value = circle_integral(gap, x / math.hypot(*gap))
             assert abs(value.real - 4.0 * math.sin(r) / r) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [(0.0, 1.0), (1.0, 1.0), (3.0, -2.0)])
+    def test_matches_the_bessel_series(self, gap):
+        # I = 4 J_0(R) - 8 sum_k (-1)^k cos(2k theta_g) J_2k(R) / (4k^2 - 1)
+        theta_g = math.atan2(gap[1], gap[0])
+        for x in (0.01, 0.37, 3.7, 41.0, 150.0, 1024.5, 3000.0):
+            r = 2.0 * math.pi * x
+            j = bessel_even(r, int(r + 20.0 * r ** (1.0 / 3.0) + 40.0) // 2)
+            k = np.arange(1, j.size)
+            terms = (-1.0) ** k * np.cos(2.0 * k * theta_g) * j[1:] / (4.0 * k * k - 1.0)
+            series = 4.0 * j[0] - 8.0 * math.fsum(terms.tolist())
+            value = circle_integral(gap, x / math.hypot(*gap))
+            assert value.imag == 0.0
+            assert abs(value.real - series) <= 1e-12
 
     def test_doubling_the_samples_changes_nothing(self, monkeypatch):
         # the modes past the sample count are below 1e-17; above t|g| ~ 5e3
@@ -784,7 +868,7 @@ class TestAngularDecomposition:
         eps = 16.0**-0.2
         assert dec.near_zero == pytest.approx(eps, rel=1e-10)
         assert dec.near_half_pi == pytest.approx(eps, rel=1e-10)
-        assert dec.quadrant_total == pytest.approx(np.pi / 2.0, rel=1e-10)
+        assert dec.near_zero + dec.near_half_pi + dec.middle == pytest.approx(np.pi / 2.0, rel=1e-10)
         # integrand is identically 1, so I = II = smoothed moment of a point
         assert dec.smoothed_moment_a == pytest.approx(1.0, abs=1e-12)
         assert dec.cs_bound == pytest.approx(dec.cs_constant * 16.0**0.2, rel=1e-12)

@@ -398,7 +398,7 @@ class TestBuildProduct:
     def test_total_dimension_is_sum(self):
         a = fl.build_cantor(fl.middle_thirds(3))
         mu = fl.build_product([a, a], [a.dimension_hint, a.dimension_hint])
-        assert mu.total_dim == pytest.approx(2 * math.log(2) / math.log(3))
+        assert sum(mu.dims) == pytest.approx(2 * math.log(2) / math.log(3))
 
     def test_three_factors(self):
         a = fl.build_cantor(fl.middle_thirds(2))
