@@ -5,27 +5,45 @@ exponent, and the Cauchy-Schwarz majorant of the middle sector.
 For a self-similar product, sample t along powers of the construction base
 (other frequencies sit in deep transform valleys and make slope fits
 meaningless) and compare the fitted near-zero slope with the bound exponent
--gamma0*(1-alpha) - alpha.
+-gamma0*(1-alpha) - alpha. Exit codes are the fractalab CLI's: 2 on a
+validation error (gamma0 outside (0, 1/2), fewer than 3 points, a bad digit
+set, fewer than 3 usable frequencies), 3 on a budget error.
 """
 import argparse
+import sys
 
 import numpy as np
 
 import fractalab as fl
+from fractalab import cli
 
 
-def main() -> None:
+def digits(text: str) -> tuple[int, ...]:
+    return tuple(int(d) for d in text.split(","))
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--base", type=int, default=3)
-    ap.add_argument("--digits", default="0,2")
+    ap.add_argument("--digits", type=digits, default=(0, 2))
     ap.add_argument("--level", type=int, default=9)
     ap.add_argument("--gamma0", type=float, default=0.1)
     ap.add_argument("--cutoff-scale", type=float, default=2.0)
     ap.add_argument("--points", type=int, default=4)
     args = ap.parse_args()
+    try:
+        sweep(args)
+    except (fl.ValidationError, fl.BudgetError) as exc:
+        return cli.refused(exc)
+    return cli.EXIT_OK
 
-    digits = tuple(int(d) for d in args.digits.split(","))
-    nu = fl.build_cantor(fl.CantorSpec(args.base, digits, args.level))
+
+def sweep(args: argparse.Namespace) -> None:
+    if not 0.0 < args.gamma0 < 0.5:
+        raise fl.ValidationError(f"--gamma0 must lie in (0, 1/2), got {args.gamma0}")
+    if args.points < 3:
+        raise fl.ValidationError(f"--points must be >= 3 for a slope fit, got {args.points}")
+    nu = fl.build_cantor(fl.CantorSpec(args.base, args.digits, args.level))
     alpha = nu.dimension_hint
     mu = fl.build_product([nu, nu], [alpha, alpha])
     cap = fl.validity_cap(mu)
@@ -37,7 +55,7 @@ def main() -> None:
             ts.append(t)
         t *= args.base
     if len(ts) < 3:
-        raise SystemExit(
+        raise fl.ValidationError(
             f"need 3 usable frequencies above {t_min:.1f} and below the cap {cap:.1f}; "
             "raise --level or --gamma0"
         )
@@ -60,4 +78,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,7 @@
 One subcommand per experiment kind, with the flags that ExperimentConfig's
 field metadata declares. Values come from an optional JSON config file
 (--config); any flag given on the command line overrides the file.
-Exit codes: 0 success, 2 validation error, 3 budget error.
+Exit codes: 0 success, 2 validation error, 3 budget error (refused()).
 """
 from __future__ import annotations
 
@@ -86,18 +86,22 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(payload)
 
 
+def refused(exc: ValidationError | BudgetError) -> int:
+    """Print a refused input to stderr as 'validation error: ' or 'budget
+    error: ' and its message, with no traceback; return its exit code."""
+    budget = isinstance(exc, BudgetError)
+    print(f"{'budget' if budget else 'validation'} error: {exc}", file=sys.stderr)
+    return EXIT_BUDGET if budget else EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = _config_from_args(args)
         files = run_experiment(config)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (ValidationError, BudgetError) as exc:
+        return refused(exc)
     for name in sorted(files):
         print(files[name])
     return EXIT_OK

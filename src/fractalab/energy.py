@@ -69,11 +69,6 @@ class SumsetDistribution:
         return float(self.base) ** (-self.level)
 
     @property
-    def entries(self) -> dict[int, float]:
-        nz = np.nonzero(self.values)[0]
-        return {int(s): float(self.values[s]) for s in nz}
-
-    @property
     def total_mass(self) -> float:
         return float(np.sum(self.values))
 
@@ -322,10 +317,6 @@ class EnergyProfile:
     fitted_exponent: float
     stderr: float
     alpha_ref: float
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.r_values, self.energies))
 
     @property
     def excess_over_alpha(self) -> float:

@@ -16,12 +16,12 @@ over the coarsest factor); past it, discretization artifacts dominate.
 
 Every d = 2 circle integral is a band-limited sum of n equispaced samples of
 [0, pi), exact to rounding, capped at 2**24 samples, never refined: sigma(t)
-under each weight and the stationary-phase integral are one dot of samples
-on [0, pi/2] with a weight vector built once per n of a call (_half_weights),
-the angular sectors exact integrals of the modes of one real FFT of sigma's
-samples. sigma for d >= 3 is one product rule, Gauss-Legendre in the polar
-angle of the last axis over sigma of the first d - 1 factors, ending in the
-d = 2 sum.
+under each weight, the stationary-phase integral and the three angular
+sectors are each one dot of samples on [0, pi/2] with a weight vector folded
+from the weight's cosine moments (_fold), built once per n of a call; no
+FFT of the samples is taken. sigma for d >= 3 is one product rule,
+Gauss-Legendre in the polar angle of the last axis over sigma of the first
+d - 1 factors, ending in the d = 2 sum.
 sigma is evaluated on arrays of t (_sigma_many: one t, a sweep, or every node
 of a Mattila integral) in row blocks of at most energy._BLOCK samples or
 polar nodes. The solid average and the majorant's smoothed moments take
@@ -82,14 +82,6 @@ def _circle_samples(x):
     return 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int)
 
 
-def _circle_modes(f: np.ndarray) -> np.ndarray:
-    """Modes c_k, k = 0..n/2, of F from f = F(pi m / n), m = 0..n-1, along
-    the last axis, for F pi-periodic and even with no mode past n/2 that
-    shows: the trapezoid rule, one real FFT, gives them exactly up to
-    rounding (Trefethen-Weideman 2014). Only the angular sectors need them."""
-    return np.fft.rfft(f).real / f.shape[-1]
-
-
 def _quadrant_samples(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) -> np.ndarray:
     """F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 at
     theta_m = pi m / n, m = 0..n/2, a row per t of the column tr. sin theta_m
@@ -103,18 +95,33 @@ def _quadrant_samples(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) 
     return fa_values * fb.power_spectrum(tr * cos_h[::-1])
 
 
-def _half_weights(n: int, weight: str) -> np.ndarray:
-    """H_m, m = 0..n/2: int_0^{2pi} F w = sum_m H_m F(pi m / n) for F
-    pi-periodic, symmetric about pi/2 and with no mode past n/2 that shows.
-    Over all n samples the weights are K = irfft(W), W_k = int_0^{2pi}
-    cos(2k theta) w: 2 pi at k = 0 for 'none', -4/(4k^2 - 1) for |sin theta|;
-    F(pi - theta) = F(theta) folds them onto H_m = 2 K_m between the ends.
-    Callers build it once per distinct n of a call and keep nothing."""
-    k = np.arange(n // 2 + 1, dtype=float)
-    moments = -4.0 / (4.0 * k * k - 1.0) if weight == "sin_theta" else np.where(k == 0, 2.0 * np.pi, 0.0)
+def _fold(moments: np.ndarray) -> np.ndarray:
+    """H_m, m = 0..n/2 with n = 2 (moments.size - 1): int_0^{2pi} F w =
+    sum_m H_m F(pi m / n) for F pi-periodic, even and with no mode past n/2
+    that shows, from w's cosine moments W_k = int_0^{2pi} cos(2k theta) w,
+    k = 0..n/2. Over all n samples the weights are K = irfft(W); F(pi -
+    theta) = F(theta) folds them onto H_m = 2 K_m between the ends."""
+    n = 2 * (moments.size - 1)
     h = np.fft.irfft(moments, n)[: n // 2 + 1]
     h[1:-1] *= 2.0
     return h
+
+
+def _half_weights(n: int, weight: str) -> np.ndarray:
+    """_fold of w = 1 (W_0 = 2 pi) or |sin theta| (W_k = -4/(4k^2 - 1)) for n
+    samples, built once per distinct n of a call; nothing is kept."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    moments = -4.0 / (4.0 * k * k - 1.0) if weight == "sin_theta" else np.where(k == 0, 2.0 * np.pi, 0.0)
+    return _fold(moments)
+
+
+def _sector_weights(n: int, eps: float) -> np.ndarray:
+    """Half-grid weights of [0, eps], [pi/2 - eps, pi/2], [eps, pi/2 - eps]:
+    h = _fold of W_0 = eps, W_k = sin(2k eps)/(2k); h reversed, theta_m ->
+    theta_(n/2 - m) being theta -> pi/2 - theta; _half_weights(n, 'none') / 4 less both."""
+    k2 = 2.0 * np.arange(1, n // 2 + 1)
+    h = _fold(np.concatenate(([eps], np.sin(k2 * eps) / k2)))
+    return np.stack((h, h[::-1], _half_weights(n, "none") / 4.0 - h - h[::-1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,9 +394,8 @@ def angular_decomposition(
 ) -> AngularDecomposition:
     """Decompose the quadrant average at angular cut eps = t^(-gamma0).
 
-    Each sector is exact from the modes of sigma's circle samples
-    (_quadrant_samples mirrored, then _circle_modes): int_a^b F = c_0 (b - a)
-    + sum_k c'_k (sin 2kb - sin 2ka) / (2k).
+    Each sector is one dot of sigma's half-grid samples (_quadrant_samples)
+    with a row of _sector_weights, exact to rounding.
 
     The middle sector obeys middle <= C t^gamma0 sqrt(I * II) with
     C = (pi/2) / min_{[-1,1]} psi_hat: Cauchy-Schwarz in theta, then the
@@ -430,13 +436,7 @@ def angular_decomposition(
     moments = {key: _fourth_moment_quadrature(f, t, cutoff) for key, f in factors.items()}
     moment_a, moment_b = moments[id(fa)], moments[id(fb)]
     f = _quadrant_samples(fa, fb, np.array([[t]]), n)[0]
-    c = _circle_modes(np.concatenate((f, f[-2:0:-1])))
-    # F = c_0 + sum_k c'_k cos(2k theta), c'_k = 2 c_k with the Nyquist mode once
-    cp, k2 = 2.0 * c[1:], 2.0 * np.arange(1, c.size)
-    cp[-1] = c[-1]
-    a, b = np.array([[0.0, eps], [np.pi / 2.0 - eps, np.pi / 2.0], [eps, np.pi / 2.0 - eps]]).T
-    sines = (np.sin(k2 * b[:, None]) - np.sin(k2 * a[:, None])) / k2
-    near_zero, near_half_pi, middle = (c[0] * (b - a) + np.einsum("ij,j->i", sines, cp)).tolist()
+    near_zero, near_half_pi, middle = np.einsum("ij,j->i", _sector_weights(n, eps), f).tolist()
     cs_constant = (np.pi / 2.0) / psi_hat_min
     cs_bound = cs_constant * t**gamma0 * math.sqrt(moment_a * moment_b)
     return AngularDecomposition(

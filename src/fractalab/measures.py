@@ -137,10 +137,6 @@ class GridMeasure:
         return int(self.indices.size)
 
     @property
-    def atoms(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.weights.tolist()))
-
-    @property
     def diameter(self) -> float:
         return float((self.indices[-1] - self.indices[0]) * self.delta)
 

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,27 @@ def require_converged(result, rule, rel_tol):
         raise BudgetError(
             f"{rule} did not converge to rel_tol {rel_tol:g} before its node cap ({nodes} nodes)")
     return value
+
+
+def in_capped_child(func, *args):
+    """func(*args) in a child interpreter whose address space is capped at
+    512 MiB (RLIMIT_AS, set in the child only) and which may run 10 s,
+    so a refusal whose guard is lost fails within seconds, by MemoryError or
+    the timeout, instead of allocating until an out-of-memory kill. func is
+    a module-level function of a test module, and args and its value are
+    JSON; returns (value, the child's stderr), or fails the calling test
+    with the child's traceback."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])))
+    code = ("import importlib, json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            f"func = getattr(importlib.import_module({func.__module__!r}), {func.__name__!r})\n"
+            "print(json.dumps(func(*json.loads(sys.argv[1]))))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(args)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
 def random_grid_measure(rng, max_atoms=40, min_atoms=1, max_level=7, bases=(2, 3, 4, 5)):

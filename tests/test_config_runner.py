@@ -8,6 +8,7 @@ from dataclasses import fields
 import pytest
 
 import fractalab as fl
+from conftest import in_capped_child
 from fractalab.cli import _build_parser, _config_from_args
 from fractalab.cli import main as cli_main
 from fractalab import geometry, runner
@@ -288,6 +289,13 @@ class TestRunner:
         assert str(stale / "results.json") in err and "'fitted_exponent'" in err
 
 
+def timed_cli(argv):
+    """The CLI's exit code on argv and the seconds cli.main took."""
+    start = time.perf_counter()
+    code = cli_main(argv)
+    return code, time.perf_counter() - start
+
+
 class TestCli:
     def test_energy_exit_zero(self, tmp_path, capsys):
         code = cli_main(["energy", "--factor", "3:0,2:6", "--output", str(tmp_path)])
@@ -324,11 +332,15 @@ class TestCli:
     ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
             "infinite-interval", "atoms", "sigma-work"])
     def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
-        # each refused before the work it bounds, with no traceback
-        start = time.perf_counter()
-        assert cli_main([*argv, "--output", str(tmp_path / "out")]) == code
-        err = capsys.readouterr().err
-        assert time.perf_counter() - start < 1.0
+        # each refused before the work it bounds, with no traceback; a budget
+        # refusal runs in a child under a 512 MiB address-space cap, where a
+        # lost guard fails with MemoryError instead of being OOM-killed
+        argv = [*argv, "--output", str(tmp_path / "out")]
+        if code == 3:
+            (got, seconds), err = in_capped_child(timed_cli, argv)
+        else:
+            (got, seconds), err = timed_cli(argv), capsys.readouterr().err
+        assert got == code and seconds < 1.0
         assert err.startswith({2: "validation error: ", 3: "budget error: "}[code])
         assert message in err and "Traceback" not in err
 

@@ -55,8 +55,8 @@ class TestProductFt:
             mu = fl.build_product([a, b], [0.5, 0.5])
             xi = rng.uniform(-3.0, 3.0, size=2)
             oracle = 0.0 + 0.0j
-            for i, wi in a.atoms:
-                for j, wj in b.atoms:
+            for i, wi in zip(a.indices.tolist(), a.weights.tolist()):
+                for j, wj in zip(b.indices.tolist(), b.weights.tolist()):
                     phase = a.delta * i * xi[0] + b.delta * j * xi[1]
                     oracle += wi * wj * np.exp(-2j * np.pi * phase)
             assert product_ft(mu, xi) == pytest.approx(oracle, abs=1e-12)
@@ -244,6 +244,24 @@ class TestCircleSamples:
         assert str(array.value) == str(scalar.value)
 
 
+def circle_modes(f):
+    """Test oracle: modes c_k, k = 0..n/2, of F from f = F(pi m / n), m =
+    0..n-1, for F pi-periodic and even with no mode past n/2 that shows:
+    the trapezoid rule, one real FFT, gives them exactly up to rounding
+    (Trefethen-Weideman 2014)."""
+    return np.fft.rfft(f).real / f.size
+
+
+def sector_series(c, a, b):
+    """Test oracle: int_a^b F from F's trapezoid modes c_k, k = 0..n/2,
+    c_0 (b - a) + sum_k c'_k (sin 2kb - sin 2ka)/(2k) with c'_k = 2 c_k and
+    the Nyquist mode once, summed by math.fsum."""
+    k2 = 2.0 * np.arange(1, c.size)
+    cp = 2.0 * c[1:]
+    cp[-1] = c[-1]
+    return math.fsum([c[0] * (b - a), *(cp * (np.sin(k2 * b) - np.sin(k2 * a)) / k2).tolist()])
+
+
 def weight_series(c, weight):
     """Test oracle: int_0^{2pi} F w from F's trapezoid modes c_k, k = 0..n/2:
     2 pi c_0 unweighted; for |sin theta| = 2/pi - (4/pi) sum_k cos(2k
@@ -265,9 +283,21 @@ class TestCircleWeights:
         rng = np.random.default_rng(11)
         for n in [1 << k for k in range(6, 18)]:
             half = rng.uniform(0.5, 1.5, n // 2 + 1)
-            oracle = weight_series(fourier._circle_modes(np.concatenate((half, half[-2:0:-1]))), weight)
+            oracle = weight_series(circle_modes(np.concatenate((half, half[-2:0:-1]))), weight)
             value = float(np.dot(half, fourier._half_weights(n, weight)))
             assert abs(value - oracle) <= 1e-14 * abs(oracle)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, math.pi / 4.0 - 1e-3])
+    def test_sector_rows_match_the_modes_and_sector_series(self, eps):
+        rng = np.random.default_rng(12)
+        for n in [1 << k for k in range(6, 18)]:
+            half = rng.uniform(0.5, 1.5, n // 2 + 1)
+            c = circle_modes(np.concatenate((half, half[-2:0:-1])))
+            quadrant = sector_series(c, 0.0, math.pi / 2.0)
+            oracle = [sector_series(c, a, b) for a, b in
+                      ((0.0, eps), (math.pi / 2.0 - eps, math.pi / 2.0), (eps, math.pi / 2.0 - eps))]
+            value = np.einsum("ij,j->i", fourier._sector_weights(n, eps), half)
+            assert np.abs(value - oracle).max() <= 1e-14 * quadrant
 
 
 class TestCircularAverageRoute:
@@ -859,6 +889,17 @@ class TestAngularDecomposition:
         if spec == "point":  # F = 1
             eps = t**-gamma0
             assert got == pytest.approx((eps, eps, np.pi / 2.0 - 2.0 * eps), rel=1e-14)
+
+    @pytest.mark.parametrize("spec, t, gamma0", SECTOR_CASES, ids=str)
+    def test_sectors_sum_to_the_quadrant_of_sigma(self, spec, t, gamma0):
+        # the middle row is the quadrant's less the other two, so the sum is
+        # sigma's own unweighted sum up to rounding; A x A is its own mirror
+        mu = sector_product(spec)
+        dec = fl.angular_decomposition(mu, t, gamma0, fl.CutoffFunction("fejer", 2.0))
+        quadrant = fl.spherical_average(mu, t, "none") / 4.0
+        assert abs(dec.near_zero + dec.near_half_pi + dec.middle - quadrant) <= 1e-14 * quadrant
+        if spec != "spec-less":
+            assert abs(dec.near_zero - dec.near_half_pi) <= 1e-14 * dec.near_zero
 
     def test_point_mass_factors_partition_the_quadrant(self):
         pm = fl.point_mass()

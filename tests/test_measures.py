@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import dense_copy, exact_phase_transform, product_ft, random_grid_measure
+from conftest import dense_copy, exact_phase_transform, in_capped_child, product_ft, random_grid_measure
 from fractalab import measures
 from fractalab.errors import BudgetError, ValidationError
 
@@ -62,7 +62,7 @@ class TestCantorSpec:
 class TestBuildCantor:
     def test_one_step_middle_thirds(self):
         nu = fl.build_cantor(fl.middle_thirds(1))
-        assert nu.atoms == [(0, 0.5), (2, 0.5)]
+        assert list(zip(nu.indices.tolist(), nu.weights.tolist())) == [(0, 0.5), (2, 0.5)]
         assert nu.delta == pytest.approx(1.0 / 3.0)
 
     def test_two_step_indices_match_enumeration(self):
@@ -99,17 +99,23 @@ class TestBuildCantor:
         mask = (tri.indices >= 2 * 5**5) & (tri.indices < 3 * 5**5)
         assert float(tri.weights[mask].sum()) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    def test_atom_budget_is_checked_before_any_allocation(self, monkeypatch):
-        with pytest.raises(BudgetError, match=r"factor 2:0,1:34 has 2\*\*34 atoms, past the 2\*\*24"):
-            fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=34))
-        with pytest.raises(BudgetError, match=r"2\*\*1000000000 atoms"):  # no 2**1e9 is formed
-            fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=10**9))
-        assert fl.build_cantor(fl.CantorSpec(base=3, digits=(0,), level=100)).atom_count == 1
-        # the budget is inclusive: under a budget of 3**6 atoms, 4:0,1,2:6 builds and level 7 is refused
-        monkeypatch.setattr(measures, "_MAX_ATOMS", 3**6)
-        assert fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=6)).atom_count == 3**6
-        with pytest.raises(BudgetError, match=r"factor 4:0,1,2:7 has 3\*\*7 atoms"):
-            fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=7))
+    def test_atom_budget_is_checked_before_any_allocation(self):
+        # under a 512 MiB address-space cap: a lost guard fails, not OOM-killed
+        in_capped_child(atom_budget_case)
+
+
+def atom_budget_case():
+    """TestBuildCantor's budget checks, run in a capped child process."""
+    with pytest.raises(BudgetError, match=r"factor 2:0,1:34 has 2\*\*34 atoms, past the 2\*\*24"):
+        fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=34))
+    with pytest.raises(BudgetError, match=r"2\*\*1000000000 atoms"):  # no 2**1e9 is formed
+        fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=10**9))
+    assert fl.build_cantor(fl.CantorSpec(base=3, digits=(0,), level=100)).atom_count == 1
+    # the budget is inclusive: under a budget of 3**6 atoms, 4:0,1,2:6 builds and level 7 is refused
+    measures._MAX_ATOMS = 3**6  # the child exits after the case
+    assert fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=6)).atom_count == 3**6
+    with pytest.raises(BudgetError, match=r"factor 4:0,1,2:7 has 3\*\*7 atoms"):
+        fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=7))
 
 
 # Cantor specs on grids of at most 3**8 points, which keeps every test

@@ -258,19 +258,30 @@ class TestNonConvergenceRaises:
         assert nodes == 128 == 2 * fourier._circle_samples(0.0)
 
 
+def names(path):
+    """Every identifier a module names: names, attributes and imports."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update((node.name, node.asname))
+    return named
+
+
 def test_only_quadrature_names_the_refining_rule():
     # every library integral takes an a-priori rule; the refining one is the
     # tests' oracle, so no other module imports, calls or names it
     refining = {"simpson_doubling"}
     for path in sorted(Path(fl.__file__).parent.glob("*.py")):
-        if path.name == "quadrature.py":
-            continue
-        named = set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.update((node.name, node.asname))
-        assert not named & refining, f"{path.name} names {sorted(named & refining)}"
+        if path.name != "quadrature.py":
+            assert not names(path) & refining, f"{path.name} names {sorted(names(path) & refining)}"
+
+
+def test_fourier_takes_no_fft_of_samples():
+    # every d = 2 circle integral is one dot with a weight vector folded from
+    # the weight's moments; the one transform left is the irfft that folds them
+    named = names(Path(fourier.__file__))
+    assert "irfft" in named and not named & {"rfft", "rfftn", "_circle_modes"}
