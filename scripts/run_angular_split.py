@@ -6,8 +6,9 @@ For a self-similar product, sample t along powers of the construction base
 (other frequencies sit in deep transform valleys and make slope fits
 meaningless) and compare the fitted near-zero slope with the bound exponent
 -gamma0*(1-alpha) - alpha. Exit codes are the fractalab CLI's: 2 on a
-validation error (gamma0 outside (0, 1/2), fewer than 3 points, a bad digit
-set, fewer than 3 usable frequencies), 3 on a budget error.
+validation error (gamma0 outside (0, 1/2), fewer than 3 points, a cutoff
+scale of 1 or less, a bad digit set, fewer than 3 usable frequencies), 3 on
+a budget error; either before any output.
 """
 import argparse
 import sys
@@ -43,6 +44,11 @@ def sweep(args: argparse.Namespace) -> None:
         raise fl.ValidationError(f"--gamma0 must lie in (0, 1/2), got {args.gamma0}")
     if args.points < 3:
         raise fl.ValidationError(f"--points must be >= 3 for a slope fit, got {args.points}")
+    cut = fl.CutoffFunction("fejer", args.cutoff_scale)
+    if not cut.transform_min_on_unit_interval() > 0.0:
+        raise fl.ValidationError(
+            f"--cutoff-scale must be > 1 so the cutoff transform is positive on [-1, 1], "
+            f"got {args.cutoff_scale}")
     nu = fl.build_cantor(fl.CantorSpec(args.base, args.digits, args.level))
     alpha = nu.dimension_hint
     mu = fl.build_product([nu, nu], [alpha, alpha])
@@ -60,7 +66,6 @@ def sweep(args: argparse.Namespace) -> None:
             "raise --level or --gamma0"
         )
 
-    cut = fl.CutoffFunction("fejer", args.cutoff_scale)
     print(f"alpha = {alpha:.4f}, gamma0 = {args.gamma0}, cutoff scale {args.cutoff_scale}")
     print(f"{'t':>10} {'near_zero':>12} {'middle':>12} {'cs_bound':>12} {'middle/cs':>10}")
     rows = []

@@ -6,7 +6,7 @@ distance set: the mixed two-factor margin 3*alpha - 2, the product-sum
 margin 2*alpha - 4/3, and the regular-set route alpha > 2/3 - delta with
 delta derived from the energy-improvement exponent at the given C_nu, K.
 Exit codes are the fractalab CLI's: 2 on a validation error (C_nu below 1, no
-steps), 3 on a budget error.
+steps), 3 on a budget error; either before any output.
 """
 import argparse
 import sys
@@ -35,12 +35,11 @@ def main() -> int:
 def scan(args: argparse.Namespace) -> None:
     if not args.steps >= 1:
         raise fl.ValidationError(f"--steps must be >= 1, got {args.steps}")
+    alphas = [float(a) for a in np.linspace(args.alpha_min, args.alpha_max, args.steps)]
+    reports = [fl.threshold_report([a, a], alpha=a, c_nu=args.c_nu, k=args.dz_k) for a in alphas]
     print(f"C_nu = {args.c_nu}, K = {args.dz_k}")
     print(f"{'alpha':>8} {'mixed':>9} {'prod-sum':>9} {'delta':>11} {'routes':>32}")
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
-        report = fl.threshold_report(
-            [float(alpha), float(alpha)], alpha=float(alpha), c_nu=args.c_nu, k=args.dz_k
-        )
+    for alpha, report in zip(alphas, reports):
         routes = ",".join(report.applicable) if report.applicable else "-"
         print(
             f"{alpha:>8.4f} {float(report.mixed_margin):>+9.4f} "

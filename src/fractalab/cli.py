@@ -11,13 +11,14 @@ import argparse
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .config import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     non_null,
     read_config_file,
+    type_hints,
 )
 from .errors import BudgetError, ValidationError
 from .runner import run_experiment
@@ -30,14 +31,19 @@ _FLAGGED = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
 def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand, with flags only on ``kind`` (on all when None)."""
+    """The subcommand ``kind`` alone when it names one, else all ten, with
+    flags on all only when kind is None; the usage line and error texts are
+    the same either way."""
     parser = argparse.ArgumentParser(
         prog="fractalab",
         description="Desk-scale experiments on Cantor-type measures: Fourier decay, "
         "additive energy, distance sets.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for name in EXPERIMENT_KINDS:
+    lean = kind in EXPERIMENT_KINDS
+    # the usage line names all ten kinds; with no metavar, an unknown kind's error says 'kind'
+    metavar = "{" + ",".join(EXPERIMENT_KINDS) + "}" if lean else None
+    sub = parser.add_subparsers(dest="kind", required=True, metavar=metavar)
+    for name in [kind] if lean else EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         if kind not in (None, name):
             continue
@@ -58,7 +64,7 @@ def _from_text(tp, text: str, f) -> object:
     if get_origin(tp) is list or (get_origin(tp) is tuple and get_args(tp)[-1] is Ellipsis):
         return [_from_text(get_args(tp)[0], x, f) for x in text.split(",") if x]
     if get_origin(tp) is tuple or is_dataclass(tp):
-        hints = get_type_hints(tp) if is_dataclass(tp) else None
+        hints = type_hints(tp) if is_dataclass(tp) else None
         types = list(hints.values()) if hints else get_args(tp)
         texts = text.split(":")
         if len(texts) != len(types):
@@ -74,7 +80,7 @@ def _from_text(tp, text: str, f) -> object:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     payload = read_config_file(args.config) if args.config is not None else {}
     payload["kind"] = args.kind
-    types = get_type_hints(ExperimentConfig)
+    types = type_hints(ExperimentConfig)
     for f in _FLAGGED:
         value = getattr(args, f.metadata["flag"][2:].replace("-", "_"))
         if isinstance(value, list):  # a repeatable flag

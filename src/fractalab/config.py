@@ -18,6 +18,7 @@ canonical JSON.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -31,6 +32,9 @@ import numpy as np
 from .errors import ValidationError
 from .fourier import _WEIGHTS
 from .measures import CantorSpec
+
+# annotations are static: each record class's hints once per process, shared, read only
+type_hints = functools.cache(get_type_hints)
 
 # Every experiment kind, with the fewest Cantor factors it runs on.
 EXPERIMENT_KINDS = {
@@ -218,7 +222,7 @@ def _load(tp, value, path: str):
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValidationError(f"{path or 'config'}: expected an object, got {value!r}")
-        hints = get_type_hints(tp)
+        hints = type_hints(tp)
         unknown = set(value) - set(hints)
         if unknown:
             raise ValidationError(f"unknown {path or 'config'} fields: {sorted(unknown)}")

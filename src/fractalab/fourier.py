@@ -17,11 +17,11 @@ over the coarsest factor); past it, discretization artifacts dominate.
 Every d = 2 circle integral is a band-limited sum of n equispaced samples of
 [0, pi), exact to rounding, capped at 2**24 samples, never refined: sigma(t)
 under each weight, the stationary-phase integral and the three angular
-sectors are each one dot of samples on [0, pi/2] with a weight vector folded
-from the weight's cosine moments (_fold), built once per n of a call; no
-FFT of the samples is taken. sigma for d >= 3 is one product rule,
-Gauss-Legendre in the polar angle of the last axis over sigma of the first
-d - 1 factors, ending in the d = 2 sum.
+sectors are each one dot of samples on [0, pi/2] with a weight vector, built
+once per n of a call: folded from the weight's cosine moments (_fold), but w =
+1 in closed form; no FFT of the samples is taken. sigma for d >= 3 is one
+product rule, Gauss-Legendre in the polar angle of the last axis over sigma
+of the first d - 1 factors, ending in the d = 2 sum.
 sigma is evaluated on arrays of t (_sigma_many: one t, a sweep, or every node
 of a Mattila integral) in row blocks of at most energy._BLOCK samples or
 polar nodes. The solid average and the majorant's smoothed moments take
@@ -108,11 +108,15 @@ def _fold(moments: np.ndarray) -> np.ndarray:
 
 
 def _half_weights(n: int, weight: str) -> np.ndarray:
-    """_fold of w = 1 (W_0 = 2 pi) or |sin theta| (W_k = -4/(4k^2 - 1)) for n
-    samples, built once per distinct n of a call; nothing is kept."""
+    """_fold of |sin theta| (W_k = -4/(4k^2 - 1)), or w = 1 in closed form
+    (H_0 = H_(n/2) = 2 pi/n, H_m = 4 pi/n, bitwise _fold of W_0 = 2 pi), for
+    n samples, built once per distinct n of a call; nothing is kept."""
+    if weight == "none":
+        h = np.full(n // 2 + 1, 4.0 * np.pi / n)
+        h[0] = h[-1] = 2.0 * np.pi / n
+        return h
     k = np.arange(n // 2 + 1, dtype=float)
-    moments = -4.0 / (4.0 * k * k - 1.0) if weight == "sin_theta" else np.where(k == 0, 2.0 * np.pi, 0.0)
-    return _fold(moments)
+    return _fold(-4.0 / (4.0 * k * k - 1.0))
 
 
 def _sector_weights(n: int, eps: float) -> np.ndarray:
@@ -284,18 +288,21 @@ def _turns(u: np.ndarray) -> np.ndarray:
     return (2.0 * np.pi) * (u - np.rint(u))
 
 
-def _circle_phase_integral(gap: np.ndarray, t: float, h: np.ndarray) -> complex:
+def _circle_phase_integral(gap: np.ndarray, t: float, cos_h: np.ndarray, h: np.ndarray) -> complex:
     """int_0^{2pi} exp(2 pi i t (gap . omega)) |sin theta| dtheta, within
     1e-12 absolute (the imaginary part is 0), for h = _half_weights(n,
-    'sin_theta') with n = _circle_samples(2 pi t|gap|). F_g = cos(2 pi t g .
-    omega) is pi-periodic, band-limited at 2 pi t|g|, and F_g(pi - theta) =
-    F_g'(theta), g' = (-g_x, g_y): the integral is (1/2) sum_m H_m (F_g +
-    F_g')(theta_m), each phase reduced mod 1 exactly before its cosine."""
-    n = 2 * (h.size - 1)
-    cos_h = np.cos(np.pi * np.arange(n // 2 + 1) / n)
-    ux, uy = (t * gap[0]) * cos_h, (t * gap[1]) * cos_h[::-1]
-    f = np.cos(_turns(uy + ux)) + np.cos(_turns(uy - ux))
-    return complex(0.5 * np.dot(f, h))
+    'sin_theta') and cos_h = cos(pi m / n), m = 0..n/2, n = _circle_samples(2
+    pi t|gap|). F_g = cos(2 pi t g . omega) is pi-periodic, band-limited at 2
+    pi t|g|, and F_g(pi - theta) = F_g'(theta), g' = (-g_x, g_y): the integral
+    is (1/2) sum_m H_m (F_g + F_g')(theta_m), F_g + F_g' = 2 cos(2 pi t g_x cos
+    theta) cos(2 pi t g_y sin theta), each phase reduced mod 1 exactly before
+    its cosine; when g_x = 0 or |g_x| = |g_y| one cosine per sample serves."""
+    cx = np.cos(_turns((t * gap[0]) * cos_h)) if gap[0] else 1.0
+    if abs(gap[0]) == abs(gap[1]):
+        cy = cx[::-1]
+    else:
+        cy = np.cos(_turns((t * gap[1]) * cos_h[::-1])) if gap[1] else 1.0
+    return complex(np.dot(cx * cy, h))
 
 
 def _check_gap(gap) -> tuple[np.ndarray, float]:
@@ -345,7 +352,10 @@ def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     main = [float(stationary_phase_main_term(g, t)) for t in ts]  # checks each t first
     counts = _circle_samples(2.0 * np.pi * np.array(ts) * norm).tolist()
     weights = {n: _half_weights(n, "sin_theta") for n in set(counts)}
-    exact = [_circle_phase_integral(g, t, weights[n]) for t, n in zip(ts, counts)]
+    # one cosine table at the largest n; its stride top // n is n's, bitwise
+    top = max(counts, default=2)
+    cos_h = np.cos(np.pi * np.arange(top // 2 + 1) / top)
+    exact = [_circle_phase_integral(g, t, cos_h[:: top // n], weights[n]) for t, n in zip(ts, counts)]
     resid = [e - m for e, m in zip(exact, main)]
     xs = [t * norm for t in ts]
     lo, hi = FIT_WINDOW

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import time
+import typing
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ import fractalab as fl
 from conftest import in_capped_child
 from fractalab.cli import _build_parser, _config_from_args
 from fractalab.cli import main as cli_main
-from fractalab import geometry, runner
+from fractalab import config, geometry, runner
 from fractalab.errors import ValidationError
 
 
@@ -516,17 +517,71 @@ class TestConfigFields:
             options = {s for a in sub._actions for s in a.option_strings}
             assert options - {"-h", "--help"} == set(FLAG_CASES) | {"--config"}
 
-    @pytest.mark.parametrize("argv", [["--help"], *([k, "--help"] for k in fl.EXPERIMENT_KINDS)])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], *([k, "--help"] for k in fl.EXPERIMENT_KINDS),
+         ["spherical", "--bogus"], ["nokind"], [], ["spherical", "--weight", "cos"]],
+    )
     def test_help_matches_the_full_parser(self, argv, capsys, monkeypatch):
-        # main builds only the chosen subcommand's flags
+        # main builds only the chosen subcommand; its help and error texts
+        # are the full parser's, byte for byte
         monkeypatch.setenv("COLUMNS", "80")
-        texts = []
+        outcomes = []
         for parse in (cli_main, _build_parser().parse_args):
             with pytest.raises(SystemExit) as exc:
                 parse(argv)
-            assert exc.value.code == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1] and "usage: fractalab" in texts[0]
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert code == (0 if "--help" in argv else 2)
+        assert "usage: fractalab" in (out if code == 0 else err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nokind"], "argument kind: invalid choice: 'nokind'"),
+        ([], "the following arguments are required: kind"),
+    ])
+    def test_a_missing_or_unknown_kind_is_named_kind(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, built", [
+        *(([k, "--help"], [k]) for k in fl.EXPERIMENT_KINDS),
+        *((argv, list(fl.EXPERIMENT_KINDS)) for argv in (["--help"], [], ["nokind"])),
+    ])
+    def test_main_adds_only_the_chosen_subparser(self, argv, built, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        with pytest.raises(SystemExit):
+            cli_main(argv)
+        assert names == built
+
+    @pytest.mark.parametrize("kind", fl.EXPERIMENT_KINDS)
+    def test_lean_subparser_has_the_full_options(self, kind):
+        def options(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return [(a.option_strings, a.dest, a.default, a.choices, a.nargs, a.const, a.type,
+                     a.metavar, a.help, type(a)) for a in sub.choices[kind]._actions]
+
+        assert options(_build_parser(kind)) == options(_build_parser())
+
+    def test_type_hints_resolve_once_per_record_class(self, tmp_path):
+        # the annotations are static: two runs call get_type_hints once per
+        # record class (a cache miss each), and the hints are unchanged
+        config.type_hints.cache_clear()
+        argv = ["solid", "--factor", "3:0,2:4", "--sweep", "1:4:3", "--interval=-1:1"]
+        for k in range(2):
+            assert cli_main([*argv, "--output", str(tmp_path / str(k))]) == 0
+        info = config.type_hints.cache_info()
+        assert info.misses == info.currsize == 3 and info.hits > 0
+        for cls in (fl.ExperimentConfig, fl.CantorSpec, config.GeometricSweep):
+            assert config.type_hints(cls) == typing.get_type_hints(cls)
 
     @pytest.mark.parametrize("flag", sorted(FLAG_CASES))
     def test_flag_sets_its_field(self, flag):

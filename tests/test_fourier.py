@@ -287,6 +287,20 @@ class TestCircleWeights:
             value = float(np.dot(half, fourier._half_weights(n, weight)))
             assert abs(value - oracle) <= 1e-14 * abs(oracle)
 
+    def test_uniform_weight_is_the_fold_of_its_one_moment(self):
+        # the closed form H_0 = H_(n/2) = 2 pi/n, H_m = 4 pi/n, bitwise
+        for n in [1 << k for k in range(4, 18)]:
+            moments = np.zeros(n // 2 + 1)
+            moments[0] = 2.0 * np.pi
+            assert np.array_equal(fourier._half_weights(n, "none"), fourier._fold(moments))
+
+    def test_strided_cosine_table_is_the_direct_one(self):
+        # a stationary-phase sweep reads every n's table from its largest n's
+        for top in [1 << k for k in range(4, 18)]:
+            table = half_grid_cosines(top)
+            for n in [1 << k for k in range(4, top.bit_length())]:
+                assert np.array_equal(table[:: top // n], half_grid_cosines(n))
+
     @pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, math.pi / 4.0 - 1e-3])
     def test_sector_rows_match_the_modes_and_sector_series(self, eps):
         rng = np.random.default_rng(12)
@@ -724,13 +738,14 @@ class TestStationaryPhase:
 
     def test_circle_integral_sample_count(self, monkeypatch):
         # one integral per t on the half grid of n samples, n the smallest
-        # power of two >= R + 10 R^(1/3) + 40
+        # power of two >= R + 10 R^(1/3) + 40, with n's own cosine table
         sizes = []
         integral = fourier._circle_phase_integral
 
-        def recording(gap, t, h):
+        def recording(gap, t, cos_h, h):
             sizes.append(2 * (h.size - 1))
-            return integral(gap, t, h)
+            assert np.array_equal(cos_h, half_grid_cosines(sizes[-1]))
+            return integral(gap, t, cos_h, h)
 
         monkeypatch.setattr(fourier, "_circle_phase_integral", recording)
         ts = [0.001, 100.0, 101.37, 148.79081175884915, 10137.0]
@@ -789,9 +804,15 @@ def bessel_even(x, count):
     return (even / (even[0] + 2.0 * math.fsum(even[1:].tolist())))[:count]
 
 
+def half_grid_cosines(n):
+    """cos(pi m / n), m = 0..n/2."""
+    return np.cos(np.pi * np.arange(n // 2 + 1) / n)
+
+
 def circle_integral(gap, t):
     n = fourier._circle_samples(2.0 * math.pi * t * math.hypot(*gap))
-    return fourier._circle_phase_integral(np.asarray(gap, dtype=float), t, fourier._half_weights(n, "sin_theta"))
+    return fourier._circle_phase_integral(
+        np.asarray(gap, dtype=float), t, half_grid_cosines(n), fourier._half_weights(n, "sin_theta"))
 
 
 class TestCirclePhaseIntegral:
@@ -817,7 +838,7 @@ class TestCirclePhaseIntegral:
             value = circle_integral(gap, x / math.hypot(*gap))
             assert abs(value.real - 4.0 * math.sin(r) / r) <= 1e-12
 
-    @pytest.mark.parametrize("gap", [(0.0, 1.0), (1.0, 1.0), (3.0, -2.0)])
+    @pytest.mark.parametrize("gap", [(0.0, 1.0), (1.0, 1.0), (3.0, -2.0), (-2.0, 2.0), (0.0, -3.0)])
     def test_matches_the_bessel_series(self, gap):
         # I = 4 J_0(R) - 8 sum_k (-1)^k cos(2k theta_g) J_2k(R) / (4k^2 - 1)
         theta_g = math.atan2(gap[1], gap[0])

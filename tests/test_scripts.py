@@ -36,17 +36,20 @@ def test_middle_thirds_suite_too_shallow_level_exits_two(tmp_path):
     ("run_angular_split.py", ["--gamma0", "0.7"], 2, "--gamma0 must lie in (0, 1/2), got 0.7"),
     ("run_angular_split.py", ["--gamma0", "-0.1"], 2, "--gamma0 must lie in (0, 1/2), got -0.1"),
     ("run_angular_split.py", ["--points", "2"], 2, "--points must be >= 3 for a slope fit, got 2"),
+    ("run_angular_split.py", ["--cutoff-scale", "0.5"], 2, "--cutoff-scale must be > 1"),
     ("run_angular_split.py", ["--digits", "0,5"], 2, "digits must lie in [0, base)"),
     ("run_angular_split.py", ["--level", "3"], 2, "need 3 usable frequencies"),
     ("run_angular_split.py", ["--level", "30"], 3, "factor 3:0,2:30 has 2**30 atoms"),
     ("run_threshold_scan.py", ["--c-nu", "0.5"], 2, "C_nu must be >= 1"),
     ("run_threshold_scan.py", ["--steps", "-3"], 2, "--steps must be >= 1, got -3"),
-], ids=["gamma0-zero", "gamma0-high", "gamma0-negative", "points", "digit", "shallow", "atoms",
-        "c-nu", "steps"])
+], ids=["gamma0-zero", "gamma0-high", "gamma0-negative", "points", "cutoff-scale", "digit",
+        "shallow", "atoms", "c-nu", "steps"])
 def test_refused_input_exits_two_or_three(tmp_path, script, args, code, message):
     # the fractalab CLI's exit codes and stderr prefixes, with no traceback
+    # and nothing printed before the refusal
     proc = _run_script(tmp_path, script, args)
     assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
     assert proc.stderr.startswith({2: "validation error: ", 3: "budget error: "}[code])
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
