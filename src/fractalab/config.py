@@ -29,12 +29,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ValidationError
-from .fourier import _WEIGHTS
+from .errors import ValidationError, over_budget
+from .fourier import _MAX_BATCH, _WEIGHTS
 from .measures import CantorSpec
 
 # annotations are static: each record class's hints once per process, shared, read only
 type_hints = functools.cache(get_type_hints)
+_MAX_SWEEP = _MAX_BATCH // 64  # sweep points: the most t one sigma batch admits at 64 samples each
 
 # Every experiment kind, with the fewest Cantor factors it runs on.
 EXPERIMENT_KINDS = {
@@ -64,6 +65,7 @@ class GeometricSweep:
             )
         if self.count < 3:
             raise ValidationError(f"sweep needs at least 3 points, got {self.count}")
+        over_budget(f"sweep of {self.count} points", self.count, _MAX_SWEEP, "lower the --sweep count")
 
     def values(self) -> list[float]:
         return [float(v) for v in np.geomspace(self.start, self.stop, self.count)]

@@ -41,13 +41,14 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoff import CutoffFunction
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 from .fitting import loglog_fit
 from .measures import CantorSpec, GridMeasure
 from .quadrature import gauss_legendre_panels
 
 BRUTEFORCE_ATOM_LIMIT = 200
 _MAX_GRID = 1 << 24  # dense sumset arrays beyond this are refused
+_MAX_DP_KEYS = 1 << 53  # magnitudes 0..bound of the digit DP keys, exact in floats below it
 _BLOCK = 1 << 15  # entries per streamed block: 256 KiB of floats, well inside L2
 
 
@@ -71,13 +72,6 @@ class SumsetDistribution:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.values))
-
-
-def _check_grid(nu: GridMeasure) -> None:
-    if nu.grid_size > _MAX_GRID:
-        raise BudgetError(
-            f"sumset grid 2*{nu.grid_size} too large for a dense convolution; coarsen the level"
-        )
 
 
 def _digit_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
@@ -144,7 +138,7 @@ def sumset_autocorrelation(nu: GridMeasure) -> SumsetDistribution:
     bytes) of one scatter over the upper triangle in row-major order.
     Neither route uses transform arithmetic: repeated runs are bitwise equal.
     """
-    _check_grid(nu)
+    over_budget(f"sumset grid of {nu.grid_size} points", nu.grid_size, _MAX_GRID, "lower the level")
     if nu.spec is not None:
         q = _digit_expansion_pmf(nu.spec, (1, 1))
         return SumsetDistribution(base=nu.base, level=nu.level, values=q)
@@ -237,8 +231,7 @@ def _cantor_energies(spec: CantorSpec, rs) -> list[float]:
     e = np.flatnonzero(pmf)
     p, e = pmf[e], e - 2 * (base - 1)
     bounds = [int(e[-1]) * (base**m - 1) // (base - 1) for m in range(spec.level + 1)]
-    if bounds[-1] >= 1 << 53:
-        raise BudgetError(f"energy digit DP bound {bounds[-1]} past 2**53; coarsen the level")
+    over_budget(f"energy digit DP bound {bounds[-1]}", bounds[-1] + 1, _MAX_DP_KEYS, "lower the level")
     k = np.array([_strict_window_gap(float(base) ** -spec.level, r, bounds[-1]) for r in rs])
     lo, hi, steps = -k, k, []
     for bound in reversed(bounds):
@@ -270,10 +263,7 @@ def _energies(nu: GridMeasure, rs) -> list[float]:
 
 def _energy_bruteforce(nu: GridMeasure, r: float) -> float:
     n = nu.atom_count
-    if n > BRUTEFORCE_ATOM_LIMIT:
-        raise BudgetError(
-            f"bruteforce energy is O(N^4); refusing {n} atoms (limit {BRUTEFORCE_ATOM_LIMIT})"
-        )
+    over_budget(f"bruteforce energy is O(N^4) on {n} atoms", n, BRUTEFORCE_ATOM_LIMIT, "lower the level")
     idx = nu.indices
     w = nu.weights
     sums = (idx[:, None] + idx[None, :]).ravel()
@@ -384,7 +374,7 @@ def _gap_correlation(nu: GridMeasure) -> tuple[np.ndarray, int]:
     sumset by an FFT (the smoothed moments tolerate 1e-12 rounding; the
     scale-r energy path never touches this)."""
     if nu.spec is not None:
-        _check_grid(nu)
+        over_budget(f"sumset grid of {nu.grid_size} points", nu.grid_size, _MAX_GRID, "lower the level")
         c = _digit_expansion_pmf(nu.spec, (1, 1, -1, -1))
         return c, c.size // 2
     q = sumset_autocorrelation(nu).values
@@ -432,7 +422,7 @@ def _fourth_moment_quadrature(nu: GridMeasure, t: float, cutoff: CutoffFunction)
     2 for a build_cantor measure, one transform_on_grid for any other."""
     coarse, fine, w, width = gauss_legendre_panels(
         0.0, cutoff.transform_support * t, 4.0 * math.pi * nu.diameter,
-        "smoothed-energy Fourier side")
+        "smoothed-energy Fourier side", "lower t")
     eta = coarse[:, None] + fine
     if nu.spec is not None:
         power = nu.power_spectrum(eta) ** 2

@@ -1,6 +1,8 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the one work-size guard.
 
 The CLI maps ValidationError to exit code 2 and BudgetError to exit code 3.
+Every BudgetError comes from over_budget, so every refusal reads "<what>,
+past its <cap> budget; <remedy>", with the remedy named by the caller.
 """
 
 
@@ -23,3 +25,12 @@ class ValidityCapError(ValidationError):
 class BudgetError(FractalabError, RuntimeError):
     """Work-size guard tripped (pair counts, brute-force sizes, grid sizes,
     circle samples, quadrature nodes), before the work it guards."""
+
+
+def over_budget(what: str, need, cap: int, remedy: str) -> None:
+    """BudgetError "<what>, past its <cap> budget; <remedy>" unless need <= cap
+    (NaN and inf are refused); cap reads 2**k if a power of two, else %.3g."""
+    if not need <= cap:
+        k = cap.bit_length() - 1 if isinstance(cap, int) else -1
+        shown = f"2**{k}" if k > 0 and cap == 1 << k else f"{cap:.3g}"
+        raise BudgetError(f"{what}, past its {shown} budget; {remedy}")

@@ -15,7 +15,7 @@ below the grid scale, so angular averages refuse t above 0.1/delta (taken
 over the coarsest factor); past it, discretization artifacts dominate.
 
 Every d = 2 circle integral is a band-limited sum of n equispaced samples of
-[0, pi), exact to rounding, capped at 2**24 samples, never refined: sigma(t)
+[0, pi), exact to rounding, never refined, refused past _MAX_SAMPLES: sigma(t)
 under each weight, the stationary-phase integral and the three angular
 sectors are each one dot of samples on [0, pi/2] with a weight vector, built
 once per n of a call: folded from the weight's cosine moments (_fold), but w =
@@ -38,13 +38,15 @@ import numpy as np
 
 from .cutoff import CutoffFunction
 from .energy import _BLOCK, _fourth_moment_quadrature
-from .errors import BudgetError, ValidationError, ValidityCapError
+from .errors import ValidationError, ValidityCapError, over_budget
 from .fitting import loglog_fit
 from .measures import GridMeasure, ProductMeasure
 from .quadrature import _panel_rule, gauss_legendre_panels
 
 # the angular weights: 1, and |sin theta| (|omega_d| for d >= 3)
 _WEIGHTS = ("none", "sin_theta")
+_MAX_SAMPLES = 1 << 24  # circle samples (d = 2) or sphere nodes (d >= 3) of one t
+_MAX_BATCH = 1 << 27  # that work summed over the t of one _sigma_many call
 
 
 def validity_cap(mu: ProductMeasure | GridMeasure) -> float:
@@ -74,10 +76,9 @@ def _circle_samples(x):
     """The smallest power of two >= x + 10 x^(1/3) + 40 (so at least 64):
     past that mode, |J_2k(x)| < 1e-17 and the samples alias nothing that
     shows. Elementwise on an array of x."""
-    need = x + 10.0 * x ** (1.0 / 3.0) + 40.0
-    over = np.ravel(x)[~(np.ravel(need) <= 1 << 24)]  # t|g| above about 2.6e6
-    if over.size:
-        raise BudgetError(f"circle integral at 2 pi t|gap| = {over[0]:.6g} needs over 2**24 samples; lower t")
+    need = x + 10.0 * x ** (1.0 / 3.0) + 40.0  # past the cap at t|g| above about 2.6e6
+    first = np.append(np.ravel(need)[~(np.ravel(need) <= _MAX_SAMPLES)], 0.0)[0]  # the first past it, or 0
+    over_budget(f"a circle sum needs {first:.6g} samples", first, _MAX_SAMPLES, "lower t")
     # frexp's exponent of an integer m >= 1 is m.bit_length()
     return 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int)
 
@@ -157,8 +158,8 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     factors (Atkinson-Han 2012, a product rule on the sphere). The t sharing
     n take n // 2 + 1 Gauss-Legendre nodes in theta, in blocks, each block's
     inner sigma one call on all its t cos theta; the node count is the sum of
-    the inner ones. A t past n_theta^(d-2) n = 2**24 raises BudgetError, and
-    then so does a batch whose sum of that work (n on d = 2) passes 2**27."""
+    the inner ones. over_budget refuses a t whose work n_theta^(d-2) n
+    passes _MAX_SAMPLES, then a batch whose summed work passes _MAX_BATCH."""
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
     d = mu.dimension
@@ -171,13 +172,11 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     diam = math.hypot(*(f.diameter for f in mu.factors))
     counts = _circle_samples(2.0 * np.pi * t * diam)
     polar = counts // 2 + 1
-    work = polar.astype(float) ** (d - 2) * counts
-    over = work > 1 << 24
-    if over.any():
-        raise BudgetError(f"sphere rule at t={t[over][0]} needs over 2**24 nodes in d = {d}; lower t")
-    if work.sum() > 1 << 27:
-        raise BudgetError(f"sigma at {t.size} values of t needs {work.sum():.3g} circle samples, "
-                          "past its 2**27 budget; lower t")
+    work = polar.astype(float) ** (d - 2) * counts  # nondecreasing in t: the largest t works most
+    over_budget(f"sphere rule at t={t.max(initial=0.0)} needs {work.max(initial=0.0):.3g} nodes in d = {d}",
+                work.max(initial=0.0), _MAX_SAMPLES, "lower t")
+    over_budget(f"sigma at {t.size} values of t needs {work.sum():.3g} circle samples", work.sum(),
+                _MAX_BATCH, "lower t")
     values, nodes = np.empty(t.size), np.empty(t.size, dtype=int)
     if d == 2:
         fa, fb = mu.factors
@@ -213,7 +212,7 @@ def spherical_average_detailed(
     by 1. Returns (value, node_count) of _sigma_many on the one t: d = 2 is
     the exact band-limited sum, 2n nodes for n samples of [0, pi); d >= 3
     the product rule over it, whose node count is the points it evaluates.
-    Past its node cap either raises BudgetError.
+    Past either budget of _sigma_many, BudgetError.
     """
     values, nodes = _sigma_many(mu, [t], weight)
     return float(values[0]), int(nodes[0])
@@ -265,8 +264,8 @@ def solid_average(nu: GridMeasure, t: float, interval: tuple[float, float] = (-1
     refinement: |nu_hat(t u)|^2 = sum_g p(g) cos(2 pi t u g) over the gap
     pmf p has type 2 pi t diam in u and sup 1, so P = ceil((b - a) 2 pi t
     diam / 24) panels err by at most 5e-24 (b - a) / 2. Measured, within
-    4.4e-15 of the exact gap sum. Past 2**22 nodes (t diam (b - a) about
-    6.7e5), BudgetError before any evaluation."""
+    4.4e-15 of the exact gap sum. Past the panels' node budget (t diam (b -
+    a) about 6.7e5), BudgetError before any evaluation."""
     a, b = float(interval[0]), float(interval[1])
     if not 1.0 <= t < math.inf:
         raise ValidationError(f"t must be >= 1 and finite, got {t}")
@@ -346,7 +345,7 @@ class StationaryPhaseReport:
 def stationary_phase_check(gap, t_values) -> StationaryPhaseReport:
     """Compare the oscillatory circle integral with its main term across a
     t sweep and fit the residual decay inside the declared window. The
-    circle integral is exact to 1e-12; t|g| past ~2.6e6 raises BudgetError."""
+    circle integral is exact to 1e-12, refused past t|g| ~2.6e6 (_MAX_SAMPLES)."""
     g, norm = _check_gap(gap)
     ts = [float(t) for t in t_values]
     main = [float(stationary_phase_main_term(g, t)) for t in ts]  # checks each t first
@@ -415,10 +414,9 @@ def angular_decomposition(
     must exceed 1 so psi_hat is bounded below on [-1, 1]. I and II are the
     Fourier side of smoothed_energy (energy._fourth_moment_quadrature: about
     8 pi t diam nodes, no gap table), within 3.4e-15 of its space side.
-    Checked before any power_spectrum, past either cap BudgetError: 2**24
-    circle samples (t hypot(diam_a, diam_b) about 2.6e6) and 2**22 panel
-    nodes (t diam about 1.7e5 at Fejer scale 2, where the space side refused
-    any level whose sumset grid passed 2**24).
+    Both budgets are checked before any power_spectrum: _MAX_SAMPLES (t
+    hypot(diam_a, diam_b) about 2.6e6) and the panels' nodes (t diam about
+    1.7e5 at Fejer scale 2).
     """
     if mu.dimension != 2:
         raise ValidationError("angular decomposition is defined for d = 2 products")

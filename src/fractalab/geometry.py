@@ -12,8 +12,9 @@ over pairs of product atoms. Every route and oracle bins a pair the same way:
 c_j = |gap index| * delta_j on each axis, then sqrt(sum_j c_j**2), then / h,
 floored (left-closed bins), in chunks of whole rows of >= _BLOCK cells
 (head cells broadcast against the last axis's gaps). pair_budget bounds three
-counts, each checked before the work or memory it bounds: distance_measure's
-bins int(max distance / h) + 2, every factor's atom pairs N_j**2, the gap cells.
+counts, each by over_budget before the work or memory it bounds:
+distance_measure's bins int(max distance / h) + 2, every factor's N_j**2 atom
+pairs, the gap cells.
 
 The truncated Mattila integral takes sigma from fourier._sigma_many, an exact
 rule in every dimension (the circle sum for d = 2, a product rule over it for
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import _BLOCK, dz_beta
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 from .fitting import loglog_fit
 from .fourier import _sigma_many, require_under_cap
 from .measures import GridMeasure, ProductMeasure
@@ -50,12 +51,6 @@ def product_atoms(mu: ProductMeasure) -> tuple[np.ndarray, np.ndarray]:
     for wa in w_axes[1:]:
         weights = np.multiply.outer(weights, wa)
     return positions, weights.ravel()
-
-
-def _check_budget(what: str, count: int, pair_budget: int,
-                  remedy: str = "coarsen the factor levels") -> None:
-    if count > pair_budget:
-        raise BudgetError(f"{what}, over the budget {pair_budget:.3g}; {remedy}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +87,7 @@ def _gap_pmf(nu: GridMeasure, pair_budget: int) -> tuple[np.ndarray, np.ndarray]
     pairs, times delta, with masses sum w_i w_j. Row blocks merge as they
     come, so memory is the distinct gaps plus one block, not the grid."""
     n = nu.atom_count
-    _check_budget(f"{n} atoms give {n * n:.3g} pairs on one axis", n * n, pair_budget)
+    over_budget(f"{n} atoms give {n * n:.3g} pairs on one axis", n * n, pair_budget, "lower the level")
     idx, w = nu.indices, nu.weights
     rows = max(1, (1 << 21) // n)
     gaps, masses = np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -117,7 +112,7 @@ def _gap_cells(factors: Sequence[GridMeasure], pair_budget: int, block: int):
     pmfs = [_gap_pmf(f, pair_budget) for f in factors]
     shape = tuple(gaps.size for gaps, _ in pmfs)
     cells = math.prod(shape)
-    _check_budget(f"the per-axis gap pmfs give {cells:.3g} cells", cells, pair_budget)
+    over_budget(f"the per-axis gap pmfs give {cells:.3g} cells", cells, pair_budget, "lower the level")
     last_gaps, last_masses = pmfs[-1]
     last_sq = last_gaps * last_gaps
     heads, step = cells // last_gaps.size, -(-block // last_gaps.size)
@@ -144,8 +139,7 @@ def distance_measure(
     # a factor's diameter is its largest gap, by the cells' own expression
     max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
     bins = int(min(max_dist / h, pair_budget)) + 2  # min first: a subnormal h gives inf
-    _check_budget(f"bin width {h:g} gives {max_dist / h + 2:.3g} bins", bins, pair_budget,
-                  "widen the bin width")
+    over_budget(f"bin width {h:g} gives {max_dist / h + 2:.3g} bins", bins, pair_budget, "widen --bin-width")
     acc = np.zeros(bins)
     # chunks of at least the bin count keep each bincount's cost within its cells
     cells = _gap_cells(mu.factors, pair_budget, max(_BLOCK, acc.size))
@@ -246,7 +240,8 @@ def mattila_truncated(
     d = mu.dimension
     tau = 4.0 * math.pi * math.hypot(*(f.diameter for f in mu.factors))
     ends = [1.0, *(c for c in (T / 8.0, T / 4.0, T / 2.0) if c > 1.0), T]
-    rules = [gauss_legendre_panels(a, b, tau, "Mattila t integral") for a, b in pairwise(ends)]
+    rules = [gauss_legendre_panels(a, b, tau, "Mattila t integral", "lower --truncation")
+             for a, b in pairwise(ends)]
     nodes = [(coarse[:, None] + fine).ravel() for coarse, fine, _, _ in rules]
     hw = np.concatenate([np.tile(width * w, coarse.size) for coarse, _, w, width in rules])
     ts = np.concatenate(nodes)

@@ -20,12 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 from .fitting import loglog_fit
 
 _MASS_TOL = 1e-12
 _CHUNK = 1 << 22  # complex entries per phase table or product block
 _MAX_ATOMS = 1 << 24  # atoms of one build_cantor measure
+_MAX_INDICES = 1 << 63  # int64 atom indices 0 .. 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -259,11 +260,13 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_cantor(spec: CantorSpec) -> GridMeasure:
     """Realize a CantorSpec as a GridMeasure: atoms are the level-k digit
-    expansions over the kept digits, each carrying equal weight. Past
-    2**24 atoms, BudgetError before any allocation."""
-    if len(spec.digits) ** min(spec.level, 25) > _MAX_ATOMS:  # two digits pass it by level 25
-        raise BudgetError(f"factor {spec.base}:{','.join(map(str, spec.digits))}:{spec.level} has "
-                          f"{len(spec.digits)}**{spec.level} atoms, past the 2**24 budget; lower the level")
+    expansions over the kept digits, each carrying equal weight. Past 2**24
+    atoms or int64 indices, BudgetError before any allocation."""
+    name, k = f"factor {spec.base}:{','.join(map(str, spec.digits))}:{spec.level}", len(spec.digits)
+    b, top = spec.base, spec.digits[-1]  # exponents clamped: k**25 > 2**24 for k > 1, b**64 > 2**63
+    over_budget(f"{name} has {k}**{spec.level} atoms", k ** min(spec.level, 25), _MAX_ATOMS, "lower the level")
+    over_budget(f"{name} has indices up to {top}*({b}**{spec.level} - 1)/{b - 1}",
+                top * (b ** min(spec.level, 64) - 1) // (b - 1) + 1, _MAX_INDICES, "lower the level")
     digits = np.asarray(spec.digits, dtype=np.int64)
     indices = np.zeros(1, dtype=np.int64)
     for _ in range(spec.level):

@@ -18,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 
-PANEL_NODES = 24  # Gauss-Legendre nodes per panel; 2**22 nodes per integral at most
+PANEL_NODES = 24  # Gauss-Legendre nodes per panel
+_MAX_NODES = 1 << 22  # Gauss-Legendre nodes of one integral
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,7 +53,7 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def gauss_legendre_panels(a: float, b: float, tau: float, what: str, remedy: str = "lower t"):
+def gauss_legendre_panels(a: float, b: float, tau: float, what: str, remedy: str):
     """Panels for int_a^b f, f = g p with g entire of exponential type tau
     and p a polynomial of degree k (the cutoff's linear factor, or t**(d - 1)
     in the Mattila integral): P = ceil((b - a) tau / 24) panels of width
@@ -61,16 +62,15 @@ def gauss_legendre_panels(a: float, b: float, tau: float, what: str, remedy: str
     |p| <= rho**k sup|p| (Bernstein's lemma), and n = 24 nodes err by at
     most (64/15) M rho**(-2n) / (rho**2 - 1) H/2 for M the product of the two
     (Trefethen, ATAP, Thm 19.3): 1.1e-24 rho**k sup|g| sup|p| H/2 at rho =
-    4 + sqrt(15), under 7e-23 of it for k <= 2. BudgetError naming `what`
-    and the caller's `remedy` past 2**22 nodes (an infinite or NaN count
-    included), before the caller evaluates anything. Returns (coarse, fine,
-    w, H): nodes coarse[:, None] + fine, coarse = a + H arange(P); the
+    4 + sqrt(15), under 7e-23 of it for k <= 2. Past _MAX_NODES (an
+    infinite or NaN count included), over_budget names `what` and the
+    caller's `remedy` before the caller evaluates anything. Returns (coarse,
+    fine, w, H): nodes coarse[:, None] + fine, coarse = a + H arange(P); the
     integral is H * sum(f * w)."""
     panels = (b - a) * tau / PANEL_NODES
-    if not panels <= (1 << 22) // PANEL_NODES:  # ceil(panels) * 24 > 2**22, or inf, or NaN
-        need = PANEL_NODES * math.ceil(panels) if panels < 2**53 else panels * PANEL_NODES
-        raise BudgetError(f"{what} needs {need} Gauss-Legendre nodes, past its 2**22 budget; {remedy}")
-    panels = max(1, math.ceil(panels))
+    need = PANEL_NODES * math.ceil(panels) if panels < 2**53 else panels * PANEL_NODES  # or inf, NaN
+    over_budget(f"{what} needs {need} Gauss-Legendre nodes", need, _MAX_NODES, remedy)
+    panels = max(1, need // PANEL_NODES)
     x, w = _panel_rule(PANEL_NODES)
     width = (b - a) / panels
     return a + width * np.arange(panels), width * x, w, width

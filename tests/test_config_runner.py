@@ -319,19 +319,25 @@ class TestCli:
         # ((3**10 + 1) / 2)**2 ~ 8.7e8 folded gap cells, over the default 4e8
         (["distance", *["--factor", "3:0,2:10"] * 2], 3, "gap pmfs give 8.72e+08 cells"),
         # 1.36e9 bins at h = 1e-9 (a 10.1 GiB histogram), over the default 4e8
-        (["distance", *["--factor", "3:0,2:3"] * 2, "--bin-width", "1e-9"], 3, "widen the bin width"),
-        (["stationary", "--gap", "0:1", "--sweep", "1e8:2e8:3"], 3, "2**24 samples; lower t"),
+        (["distance", *["--factor", "3:0,2:3"] * 2, "--bin-width", "1e-9"], 3, "widen --bin-width"),
+        (["stationary", "--gap", "0:1", "--sweep", "1e8:2e8:3"], 3, "past its 2**24 budget; lower t"),
         (["stationary", "--gap", "0:0"], 2, "gaps[0]: must be nonzero"),
         (["energy", "--factor", "3:0:700", "--sweep", "0.1:0.4:3"], 2,
          "factors: the grid step 3**-700 underflows to 0"),
         (["solid", "--factor", "3:0,2:6", "--interval=-1e308:1e308"], 3,
          "solid average needs inf Gauss-Legendre nodes, past its 2**22 budget; lower t or narrow --interval"),
         (["cantor", "--factor", "2:0,1:34"], 3, "factor 2:0,1:34 has 2**34 atoms"),
+        # its largest index, 1.1e19, would wrap int64 into negative atoms
+        (["cantor", "--factor", "10:0,1:20"], 3,
+         "factor 10:0,1:20 has indices up to 1*(10**20 - 1)/9, past its 2**63 budget; lower the level"),
+        # 1e9 t values would be an 8 GB geomspace before any sigma
+        (["spherical", *["--factor", "3:0,2:3"] * 2, "--sweep", "1:2:1000000000"], 3,
+         "sweep of 1000000000 points, past its 2**21 budget; lower the --sweep count"),
         # 88,896 t nodes of 3.0e9 circle samples in all, each t under 2**24
         (["mattila", *["--factor", "3:0,2:12"] * 2, "--truncation", "5000"], 3,
          "needs 3e+09 circle samples, past its 2**27 budget"),
     ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
-            "infinite-interval", "atoms", "sigma-work"])
+            "infinite-interval", "atoms", "index", "sweep", "sigma-work"])
     def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
         # each refused before the work it bounds, with no traceback; a budget
         # refusal runs in a child under a 512 MiB address-space cap, where a

@@ -320,8 +320,8 @@ class TestCantorDigitDP:
             fl.energy_profile(dense_copy(nu), fl.dyadic_r_sweep(nu), 0.5)
 
     def test_refuses_bounds_past_exact_floats(self):
-        # base 1000 at level 7: |N_7| reaches 1998 (1000**7 - 1) / 999 > 2**53
-        nu = fl.build_cantor(fl.CantorSpec(1000, (0, 999), 7))
+        # base 100 at level 9: |N_9| reaches 198 (100**9 - 1) / 99 ~ 2e18 > 2**53
+        nu = fl.build_cantor(fl.CantorSpec(100, (0, 99), 9))
         with pytest.raises(BudgetError, match=r"2\*\*53"):
             fl.additive_energy(nu, 0.25)
 

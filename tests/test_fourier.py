@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import (measure_ft, product_ft, random_grid_measure, simpson_sectors,
+from conftest import (in_capped_child, measure_ft, product_ft, random_grid_measure, simpson_sectors,
                       solid_average_oracle, space_side_sigma, sphere_kernel_3)
 from test_acceptance import CS_SWEEPS
 from fractalab import energy, fourier, measures, quadrature
@@ -632,7 +633,8 @@ class TestSphereRule:
                               weights=np.array([0.5, 0.5]))
         mu = fl.build_product([wide] * 3, [0.0] * 3)
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=r"sphere rule at t=1000.0 needs over 2\*\*24"):
+        with pytest.raises(BudgetError, match=r"sphere rule at t=1000.0 needs 1.34e\+08 nodes in d = 3, "
+                                              r"past its 2\*\*24 budget; lower t"):
             fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta")
         assert calls == []
         assert time.perf_counter() - start < 1.0
@@ -766,10 +768,19 @@ class TestStationaryPhase:
             fl.stationary_phase_main_term((0.0, 1.0), t)
 
     def test_circle_budget_guard(self):
-        start = time.perf_counter()
-        with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
-            fl.stationary_phase_check((0.0, 1.0), [1e8])
-        assert time.perf_counter() - start < 1.0
+        # t|g| = 1e8 would take 2**30 samples; under a 512 MiB address-space
+        # cap a lost guard fails, not OOM-killed
+        (message, seconds), _ = in_capped_child(circle_budget_refusal, [0.0, 1.0], 1e8)
+        assert re.search(r"2\*\*24.*lower t", message) and seconds < 1.0
+
+
+def circle_budget_refusal(gap, t):
+    """stationary_phase_check's refusal at one t, run in a capped child:
+    (message, seconds to refuse)."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        fl.stationary_phase_check(tuple(gap), [t])
+    return str(info.value), time.perf_counter() - start
 
 
 def simpson_circle_integral(gap, t):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractalab as fl
-from conftest import (derive_delta_grid, gap_cells_oracle, mattila_d3_oracle, space_side_sigma,
-                      sphere_kernel_3)
+from conftest import (derive_delta_grid, gap_cells_oracle, in_capped_child, mattila_d3_oracle,
+                      space_side_sigma, sphere_kernel_3)
 from fractalab import geometry
 from fractalab.quadrature import simpson_doubling
 from fractalab.errors import BudgetError, ValidationError, ValidityCapError
@@ -80,7 +80,7 @@ class TestDistanceMeasure:
     def test_pair_budget(self):
         nu = fl.build_cantor(fl.middle_thirds(5))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
-        with pytest.raises(BudgetError, match="coarsen"):
+        with pytest.raises(BudgetError, match="past its 1e\\+03 budget; lower the level"):
             fl.distance_measure(mu, 0.01, pair_budget=1000)
 
     def test_degenerate_second_coordinate_has_zero_weighted_mass(self):
@@ -242,25 +242,34 @@ class TestGapRouteOracle:
     def test_budget_bounds_axis_pairs_then_cells(self):
         # 3:0,2:6 has 64 atoms (4096 axis pairs) and 365 folded gaps per axis
         mu = _cantor_product(3, (0, 2), 6)
-        with pytest.raises(BudgetError, match="4.1e\\+03 pairs on one axis.*coarsen"):
+        with pytest.raises(BudgetError, match="4.1e\\+03 pairs on one axis, past its 4.1e\\+03 budget; lower the level"):
             fl.distance_measure(mu, 0.01, pair_budget=4095)
-        with pytest.raises(BudgetError, match="1.33e\\+05 cells.*coarsen"):
+        with pytest.raises(BudgetError, match="1.33e\\+05 cells, past its 1.33e\\+05 budget; lower the level"):
             fl.energy_integral(mu, 0.5, pair_budget=365**2 - 1)
         assert fl.distance_measure(mu, 0.01, pair_budget=365**2).total_mass == pytest.approx(1.0)
 
     @pytest.mark.parametrize("h", [1e-9, 5e-324])
     def test_budget_bounds_bins_before_allocation(self, h):
-        # 3:0,2:3^2 at h = 1e-9 would be a 10.1 GiB histogram; a subnormal h gives inf bins
+        # 3:0,2:3^2 at h = 1e-9 would be a 10.1 GiB histogram; a subnormal h gives inf bins.
+        # Under a 512 MiB address-space cap a lost guard fails, not OOM-killed
+        (message, seconds), _ = in_capped_child(bins_refusal, h)
+        assert "bins, past its 4e+08 budget; widen --bin-width" in message and seconds < 1.0
         mu = _cantor_product(3, (0, 2), 3)
-        start = time.perf_counter()
-        with pytest.raises(BudgetError, match="bins, over the budget 4e\\+08; widen the bin width"):
-            fl.distance_measure(mu, h)
-        assert time.perf_counter() - start < 1.0
         max_dist = float(np.sqrt(sum(f.diameter * f.diameter for f in mu.factors)))
         bins = int(max_dist / 1e-3) + 2
         assert fl.distance_measure(mu, 1e-3, pair_budget=bins).masses.size == bins
-        with pytest.raises(BudgetError, match="widen the bin width"):
+        with pytest.raises(BudgetError, match="widen --bin-width"):
             fl.distance_measure(mu, 1e-3, pair_budget=bins - 1)
+
+
+def bins_refusal(h):
+    """The refusal of bin width h on 3:0,2:3^2, run in a capped child:
+    (message, seconds to refuse)."""
+    mu = _cantor_product(3, (0, 2), 3)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        fl.distance_measure(mu, h)
+    return str(info.value), time.perf_counter() - start
 
 
 def _with_point_mass(point_mass_first: bool):

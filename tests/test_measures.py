@@ -103,10 +103,14 @@ class TestBuildCantor:
         # under a 512 MiB address-space cap: a lost guard fails, not OOM-killed
         in_capped_child(atom_budget_case)
 
+    def test_indices_past_int64_are_refused(self):
+        # in a capped child too: without its guard, 2:1:10**9 loops a billion levels
+        in_capped_child(index_budget_case)
+
 
 def atom_budget_case():
     """TestBuildCantor's budget checks, run in a capped child process."""
-    with pytest.raises(BudgetError, match=r"factor 2:0,1:34 has 2\*\*34 atoms, past the 2\*\*24"):
+    with pytest.raises(BudgetError, match=r"factor 2:0,1:34 has 2\*\*34 atoms, past its 2\*\*24"):
         fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=34))
     with pytest.raises(BudgetError, match=r"2\*\*1000000000 atoms"):  # no 2**1e9 is formed
         fl.build_cantor(fl.CantorSpec(base=2, digits=(0, 1), level=10**9))
@@ -116,6 +120,22 @@ def atom_budget_case():
     assert fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=6)).atom_count == 3**6
     with pytest.raises(BudgetError, match=r"factor 4:0,1,2:7 has 3\*\*7 atoms"):
         fl.build_cantor(fl.CantorSpec(base=4, digits=(0, 1, 2), level=7))
+
+
+def index_budget_case():
+    """build_cantor's int64 index checks, run in a capped child process."""
+    # one atom at index 2**63 - 1 (digit 1 at every level) builds; a level more is refused
+    assert int(fl.build_cantor(fl.CantorSpec(2, (1,), 63)).indices[0]) == 2**63 - 1
+    for level in (64, 10**9):  # no 2**1e9 is formed
+        with pytest.raises(BudgetError, match=rf"factor 2:1:{level} has indices up to "
+                                              rf"1\*\(2\*\*{level} - 1\)/1, past its 2\*\*63 budget"):
+            fl.build_cantor(fl.CantorSpec(2, (1,), level))
+    # 10:0,1:19 keeps its exact largest index; 10:0,9:19's 10**19 - 1 used to wrap to a
+    # diameter of -0.845
+    nu = fl.build_cantor(fl.CantorSpec(10, (0, 1), 19))
+    assert int(nu.indices[-1]) == (10**19 - 1) // 9 and nu.diameter > 0.0
+    with pytest.raises(BudgetError, match=r"factor 10:0,9:19 has indices up to 9\*\(10\*\*19 - 1\)/9"):
+        fl.build_cantor(fl.CantorSpec(10, (0, 9), 19))
 
 
 # Cantor specs on grids of at most 3**8 points, which keeps every test

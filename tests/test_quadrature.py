@@ -170,7 +170,7 @@ class TestGaussLegendreRule:
                                            (0.0, math.inf, 0.0), (0.0, 1.0, math.nan)])
     def test_an_infinite_or_nan_node_count_is_refused(self, a, b, tau):
         with pytest.raises(BudgetError, match=r"x needs (inf|nan) Gauss-Legendre nodes"):
-            quadrature.gauss_legendre_panels(a, b, tau, "x")
+            quadrature.gauss_legendre_panels(a, b, tau, "x", "lower t")
 
 
 class TestNonConvergenceRaises:
@@ -196,7 +196,7 @@ class TestNonConvergenceRaises:
         assert fl.validity_cap(mu) > 1e6
         calls = []
         monkeypatch.setattr(geometry, "_sigma_many", lambda *args: calls.append(args))
-        with pytest.raises(BudgetError, match=r"Mattila t integral needs (\d+) .*2\*\*22.*lower t"):
+        with pytest.raises(BudgetError, match=r"Mattila t integral needs (\d+) .*2\*\*22.*lower --truncation"):
             fl.mattila_truncated(mu, 1e6)
         assert calls == []
 
