@@ -470,9 +470,10 @@ def dz_beta(alpha: float, c_nu: float, k: float = 1.0) -> DZParams:
     Strictly positive in exact arithmetic, strictly decreasing in C_nu and
     in K; singular as alpha -> 1, hence the open-interval requirement. The
     double exponential underflows float64 to 0.0 once the inner argument
-    exceeds ~6.57; callers feeding the result onward (derive_delta) reject
-    beta = 0, so underflow surfaces as a validation error, not as a wrong
-    number.
+    exceeds ~6.57 (it is clamped at 709 before the inner exp, which would
+    overflow past ~709.8; beta is 0.0 either way); callers feeding the
+    result onward (derive_delta) reject beta = 0, so underflow surfaces as a
+    validation error, not as a wrong number.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -481,5 +482,5 @@ def dz_beta(alpha: float, c_nu: float, k: float = 1.0) -> DZParams:
     if not 0 < k < math.inf:
         raise ValidationError(f"K must be positive and finite, got {k}")
     inner = k * math.sqrt(1.0 + math.log(c_nu)) / math.sqrt(1.0 - alpha)
-    beta = alpha * math.exp(-math.exp(inner))
+    beta = alpha * math.exp(-math.exp(min(inner, 709.0)))
     return DZParams(alpha=float(alpha), c_nu=float(c_nu), k=float(k), beta=beta)

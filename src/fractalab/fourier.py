@@ -141,7 +141,7 @@ def _theta_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.ndarray]:
+def _sigma_many(mu: ProductMeasure, ts, weight: str, remedy: str) -> tuple[np.ndarray, np.ndarray]:
     """sigma_w at every t of ts, checked before any is evaluated: (values,
     node counts), each t's value the same to the bit in any batch. Every t
     has a band limit R = 2 pi t |diam|, |diam| the hypot of the factor
@@ -159,7 +159,8 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     n take n // 2 + 1 Gauss-Legendre nodes in theta, in blocks, each block's
     inner sigma one call on all its t cos theta; the node count is the sum of
     the inner ones. over_budget refuses a t whose work n_theta^(d-2) n
-    passes _MAX_SAMPLES, then a batch whose summed work passes _MAX_BATCH."""
+    passes _MAX_SAMPLES, then a batch whose summed work passes _MAX_BATCH,
+    each with the caller's remedy (the knob that sets its t)."""
     if weight not in _WEIGHTS:
         raise ValidationError(f"unknown weight {weight!r}; expected one of {_WEIGHTS}")
     d = mu.dimension
@@ -174,9 +175,9 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
     polar = counts // 2 + 1
     work = polar.astype(float) ** (d - 2) * counts  # nondecreasing in t: the largest t works most
     over_budget(f"sphere rule at t={t.max(initial=0.0)} needs {work.max(initial=0.0):.3g} nodes in d = {d}",
-                work.max(initial=0.0), _MAX_SAMPLES, "lower t")
+                work.max(initial=0.0), _MAX_SAMPLES, remedy)
     over_budget(f"sigma at {t.size} values of t needs {work.sum():.3g} circle samples", work.sum(),
-                _MAX_BATCH, "lower t")
+                _MAX_BATCH, remedy)
     values, nodes = np.empty(t.size), np.empty(t.size, dtype=int)
     if d == 2:
         fa, fb = mu.factors
@@ -193,7 +194,7 @@ def _sigma_many(mu: ProductMeasure, ts, weight: str) -> tuple[np.ndarray, np.nda
         group, rows = np.flatnonzero(polar == n), max(1, _BLOCK // n)
         for idx in np.split(group, range(rows, group.size, rows)):
             tr = t[idx, None]
-            inner, inner_nodes = _sigma_many(head, (tr * cos_t).ravel(), "none")
+            inner, inner_nodes = _sigma_many(head, (tr * cos_t).ravel(), "none", remedy)
             f = inner.reshape(idx.size, n) * last.power_spectrum(tr * sin_t)
             values[idx] = np.einsum("ij,j->i", f, kernel)  # a fixed order per row
             nodes[idx] = inner_nodes.reshape(idx.size, n).sum(axis=1)
@@ -214,7 +215,7 @@ def spherical_average_detailed(
     the product rule over it, whose node count is the points it evaluates.
     Past either budget of _sigma_many, BudgetError.
     """
-    values, nodes = _sigma_many(mu, [t], weight)
+    values, nodes = _sigma_many(mu, [t], weight, "lower t")
     return float(values[0]), int(nodes[0])
 
 
@@ -247,7 +248,7 @@ def spherical_average_series(
     ts = [float(t) for t in t_values]
     if len(ts) < 3:
         raise ValidationError("need at least 3 t values for a decay fit")
-    values, nodes = (a.tolist() for a in _sigma_many(mu, ts, weight))
+    values, nodes = (a.tolist() for a in _sigma_many(mu, ts, weight, "lower t"))
     fit = loglog_fit(ts, values)
     return SphericalAverageSeries(
         t_values=tuple(ts),

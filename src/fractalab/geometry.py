@@ -245,7 +245,7 @@ def mattila_truncated(
     nodes = [(coarse[:, None] + fine).ravel() for coarse, fine, _, _ in rules]
     hw = np.concatenate([np.tile(width * w, coarse.size) for coarse, _, w, width in rules])
     ts = np.concatenate(nodes)
-    sig = _sigma_many(mu, ts, "sin_theta" if weighted else "none")[0]
+    sig = _sigma_many(mu, ts, "sin_theta" if weighted else "none", "lower --truncation")[0]
     integ = sig**2 * ts ** (d - 1)
     partials = np.cumsum(hw * integ)
     at_ends = partials[np.cumsum([n.size for n in nodes]) - 1].tolist()

@@ -420,16 +420,23 @@ def frostman_fit(nu: GridMeasure, scales: Iterable[float]) -> tuple[float, float
 # Serialization: line-oriented `index,weight` with a header
 # ---------------------------------------------------------------------------
 
-def grid_measure_to_text(nu: GridMeasure) -> str:
-    """Serialize to the `index,weight` line format. Weights are written with
-    shortest round-trip float repr, so the round-trip is bit-exact."""
+def _text_blocks(nu: GridMeasure):
+    """The `index,weight` text of nu: the header, then the atom lines in
+    strings of at most 4096 atoms, so writing them holds one block."""
+    block = 1 << 12
     header = f"# grid-measure base={nu.base} level={nu.level}"
     if nu.dimension_hint is not None:
         header += f" dimension_hint={nu.dimension_hint!r}"
-    lines = [header, "index,weight"]
-    for i, w in zip(nu.indices.tolist(), nu.weights.tolist()):
-        lines.append(f"{i},{w!r}")
-    return "\n".join(lines) + "\n"
+    yield header + "\nindex,weight\n"
+    for start in range(0, nu.atom_count, block):
+        rows = zip(nu.indices[start : start + block].tolist(), nu.weights[start : start + block].tolist())
+        yield "".join(f"{i},{w!r}\n" for i, w in rows)
+
+
+def grid_measure_to_text(nu: GridMeasure) -> str:
+    """Serialize to the `index,weight` line format. Weights are written with
+    shortest round-trip float repr, so the round-trip is bit-exact."""
+    return "".join(_text_blocks(nu))
 
 
 def grid_measure_from_text(text: str) -> GridMeasure:
@@ -467,8 +474,9 @@ def grid_measure_from_text(text: str) -> GridMeasure:
 
 
 def save_grid_measure(nu: GridMeasure, path) -> None:
+    """grid_measure_to_text(nu) written to path a block at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(grid_measure_to_text(nu))
+        fh.writelines(_text_blocks(nu))
 
 
 def load_grid_measure(path) -> GridMeasure:

@@ -6,9 +6,11 @@ shortest round-trip reprs, sweeps run and reduce in index order, and the
 manifest records a content hash of every emitted file, so identical runs are
 byte-identical.
 
-Each experiment kind is one entry of ``_KINDS``: its runner, which writes the
-artifacts and results.json, and its summary, which turns that results.json
-into summary.txt lines. The two sit next to each other below.
+Each experiment kind is one entry of ``_KINDS``: its runner, which computes
+everything before it writes its artifacts and results.json, so a refused run
+leaves no files. Each runner also formats its own summary.txt lines from the
+values it computed and stores them in results.json under "summary";
+emit_report prints them and reads nothing else of a run but its kind and d.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .measures import (
     build_product,
     check_regularity,
     frostman_fit,
-    grid_measure_to_text,
+    save_grid_measure,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -107,6 +109,7 @@ class _Run:
         self.results: dict = {}
 
     def add_file(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         self.files[name] = path
         return path
@@ -146,8 +149,7 @@ def _run_cantor(config: ExperimentConfig, run: _Run) -> None:
     measures = _factor_measures(config)
     info = []
     for j, nu in enumerate(measures):
-        path = run.add_file(f"factor_{j}.measure")
-        path.write_text(grid_measure_to_text(nu), encoding="ascii")
+        save_grid_measure(nu, run.add_file(f"factor_{j}.measure"))
         info.append(
             {
                 "base": nu.base,
@@ -156,21 +158,16 @@ def _run_cantor(config: ExperimentConfig, run: _Run) -> None:
                 "dimension_hint": nu.dimension_hint,
             }
         )
-    run.results = {"kind": "cantor", "d": len(measures), "factors": info}
-
-
-def _summary_cantor(results: dict, rel: str) -> list[str]:
     parts = ", ".join(
-        f"base {f['base']} level {f['level']} ({f['atoms']} atoms, dim {f['dimension_hint']:.3f})"
-        for f in results["factors"]
+        f"base {nu.base} level {nu.level} ({nu.atom_count} atoms, dim {nu.dimension_hint:.3f})"
+        for nu in measures
     )
-    return [f"cantor [{rel}]: {parts}"]
+    run.results = {"kind": "cantor", "d": len(measures), "factors": info, "summary": [f": {parts}"]}
 
 
 def _run_regularity(config: ExperimentConfig, run: _Run) -> None:
     measures = _factor_measures(config)
-    rows = []
-    per_factor = []
+    rows, per_factor, summary = [], [], []
     for j, nu in enumerate(measures):
         alpha = config.alpha if config.alpha is not None else nu.dimension_hint
         scales = [float(nu.base) ** (-k) for k in range(1, min(nu.level, 12))]
@@ -191,20 +188,13 @@ def _run_regularity(config: ExperimentConfig, run: _Run) -> None:
                 "frostman_stderr": stderr,
             }
         )
-    _write_csv(run.add_file("regularity.csv"), ["factor", "scale", "min_ratio", "max_ratio"], rows)
-    run.results = {"kind": "regularity", "d": len(measures), "factors": per_factor}
-
-
-def _summary_regularity(results: dict, rel: str) -> list[str]:
-    lines = []
-    for f in results["factors"]:
-        verdict = "regular" if f["passed"] else "NOT regular"
-        lines.append(
-            f"regularity [{rel}] factor {f['factor']}: C_nu {f['c_nu']:.3f} vs cap {f['cap']} "
-            f"-> {verdict} at alpha {f['alpha']:.3f} (two-sided ball-mass bounds); "
-            f"frostman slope {f['frostman_slope']:.3f}"
+        summary.append(
+            f" factor {j}: C_nu {report.c_nu:.3f} vs cap {config.regularity_cap} "
+            f"-> {'regular' if report.passed else 'NOT regular'} at alpha {alpha:.3f} "
+            f"(two-sided ball-mass bounds); frostman slope {slope:.3f}"
         )
-    return lines
+    _write_csv(run.add_file("regularity.csv"), ["factor", "scale", "min_ratio", "max_ratio"], rows)
+    run.results = {"kind": "regularity", "d": len(measures), "factors": per_factor, "summary": summary}
 
 
 def _run_energy(config: ExperimentConfig, run: _Run) -> None:
@@ -216,12 +206,6 @@ def _run_energy(config: ExperimentConfig, run: _Run) -> None:
         (r, e, math.log(r), math.log(e))
         for r, e in zip(profile.r_values, profile.energies)
     ]
-    meta = {
-        "fitted_exponent": profile.fitted_exponent,
-        "stderr": profile.stderr,
-        "alpha_ref": profile.alpha_ref,
-    }
-    _write_csv(run.add_file("energy.csv"), ["r", "E", "log_r", "log_E"], rows, meta)
     results = {
         "kind": "energy",
         "d": 1,
@@ -230,26 +214,22 @@ def _run_energy(config: ExperimentConfig, run: _Run) -> None:
         "stderr": profile.stderr,
         "excess_over_alpha": profile.excess_over_alpha,
     }
-    if config.dz_c_nu is not None:
-        params = dz_beta(alpha, config.dz_c_nu, config.dz_k)
-        results["dz_beta"] = params.beta
-        results["dz_k"] = params.k
-        results["dz_c_nu"] = params.c_nu
-    run.results = results
-
-
-def _summary_energy(results: dict, rel: str) -> list[str]:
-    slope = results["fitted_exponent"]
-    alpha = results["alpha"]
-    margin = results["excess_over_alpha"]
     line = (
-        f"energy [{rel}]: E(r) slope {slope:.3f} vs alpha {alpha:.3f} "
-        f"(margin {margin:+.3f}; the trivial bound needs slope >= alpha, and the "
+        f": E(r) slope {profile.fitted_exponent:.3f} vs alpha {alpha:.3f} "
+        f"(margin {profile.excess_over_alpha:+.3f}; the trivial bound needs slope >= alpha, and the "
         f"Dyatlov-Zahl bound for regular sets predicts a strictly positive margin)"
     )
-    if "dz_beta" in results:
-        line += f"; closed-form beta = {results['dz_beta']:.3g} at K={results['dz_k']}, C_nu={results['dz_c_nu']}"
-    return [line]
+    if config.dz_c_nu is not None:
+        params = dz_beta(alpha, config.dz_c_nu, config.dz_k)
+        results.update(dz_beta=params.beta, dz_k=params.k, dz_c_nu=params.c_nu)
+        line += f"; closed-form beta = {params.beta:.3g} at K={params.k}, C_nu={params.c_nu}"
+    meta = {
+        "fitted_exponent": profile.fitted_exponent,
+        "stderr": profile.stderr,
+        "alpha_ref": profile.alpha_ref,
+    }
+    _write_csv(run.add_file("energy.csv"), ["r", "E", "log_r", "log_E"], rows, meta)
+    run.results = results | {"summary": [line]}
 
 
 def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
@@ -274,15 +254,12 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
         "weight": series.weight,
         "fitted_decay": series.fitted_decay,
         "fit_stderr": series.fit_stderr,
+        "summary": [
+            f": weight {series.weight}, decay slope {series.fitted_decay:.3f} "
+            "(weighted circular average is dominated by twice the solid average of the "
+            "larger-dimension factor)"
+        ],
     }
-
-
-def _summary_spherical(results: dict, rel: str) -> list[str]:
-    return [
-        f"spherical [{rel}]: weight {results['weight']}, decay slope {results['fitted_decay']:.3f} "
-        f"(weighted circular average is dominated by twice the solid average of the "
-        f"larger-dimension factor)"
-    ]
 
 
 def _run_solid(config: ExperimentConfig, run: _Run) -> None:
@@ -306,25 +283,24 @@ def _run_solid(config: ExperimentConfig, run: _Run) -> None:
         "interval": list(config.interval),
         "fitted_decay": fit.slope,
         "fit_stderr": fit.stderr,
+        "summary": [
+            f": decay slope {fit.slope:.3f}, target <= {-alpha + 0.1:.3f} "
+            "(solid average of a ball-regular measure decays like t^-alpha)"
+        ],
     }
 
 
-def _summary_solid(results: dict, rel: str) -> list[str]:
-    return [
-        f"solid [{rel}]: decay slope {results['fitted_decay']:.3f}, target <= "
-        f"{-results['alpha'] + 0.1:.3f} (solid average of a ball-regular measure decays like t^-alpha)"
-    ]
-
-
 def _run_stationary(config: ExperimentConfig, run: _Run) -> None:
-    gap_results = []
-    for k, gap in enumerate(config.gaps):
+    reports = []
+    for gap in config.gaps:
         norm = math.hypot(*gap)
         if config.sweep is not None:
             ts = config.sweep.values()
         else:
             ts = [float(x) / norm for x in np.geomspace(100.0, 10000.0, 13) * 1.0137]
-        report = stationary_phase_check(gap, ts)
+        reports.append(stationary_phase_check(gap, ts))
+    gap_results, summary = [], []
+    for k, (gap, report) in enumerate(zip(config.gaps, reports)):
         rows = [
             (t, e.real, e.imag, m, abs(r))
             for t, e, m, r in zip(report.t_values, report.exact, report.main, report.residuals)
@@ -346,19 +322,12 @@ def _run_stationary(config: ExperimentConfig, run: _Run) -> None:
                 "residual_stderr": report.residual_stderr,
             }
         )
-    run.results = {"kind": "stationary", "d": 2, "gaps": gap_results}
-
-
-def _summary_stationary(results: dict, rel: str) -> list[str]:
-    lines = []
-    for g in results["gaps"]:
-        slope = g["residual_slope"]
-        slope_txt = "n/a" if slope is None else f"{slope:.3f}"
-        lines.append(
-            f"stationary [{rel}] gap {tuple(g['gap'])}: residual slope {slope_txt} "
-            f"(main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)"
+        slope = "n/a" if report.residual_slope is None else f"{report.residual_slope:.3f}"
+        summary.append(
+            f" gap {tuple(gap)}: residual slope {slope} "
+            "(main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)"
         )
-    return lines
+    run.results = {"kind": "stationary", "d": 2, "gaps": gap_results, "summary": summary}
 
 
 def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
@@ -383,6 +352,8 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
             "weighted": str(est.weighted).lower(),
         },
     )
+    conv = "integrand slope < -1: truncations converging" if est.integrand_slope < -1 else \
+        "integrand slope >= -1: no convergence signal at this truncation"
     run.results = {
         "kind": "mattila",
         "d": mu.dimension,
@@ -392,22 +363,34 @@ def _run_mattila(config: ExperimentConfig, run: _Run) -> None:
         "integrand_slope": est.integrand_slope,
         "doubling_ratios": list(est.doubling_ratios),
         "t_nodes": est.t_nodes,
+        "summary": [
+            f": value {est.value:.6g} at T={T}, slope {est.integrand_slope:.3f} ({conv}); "
+            "a finite weighted integral implies a positive-measure distance set"
+        ],
     }
-
-
-def _summary_mattila(results: dict, rel: str) -> list[str]:
-    conv = "integrand slope < -1: truncations converging" if results["integrand_slope"] < -1 else \
-        "integrand slope >= -1: no convergence signal at this truncation"
-    return [
-        f"mattila [{rel}]: value {results['value']:.6g} at T={results['truncation']}, "
-        f"slope {results['integrand_slope']:.3f} ({conv}); a finite weighted integral "
-        "implies a positive-measure distance set"
-    ]
 
 
 def _run_distance(config: ExperimentConfig, run: _Run) -> None:
     mu = _product_for(config)
     dm = distance_measure(mu, config.bin_width, config.distance_weighted)
+    results = {
+        "kind": "distance",
+        "d": mu.dimension,
+        "bin_width": dm.bin_width,
+        "weighted": dm.weighted,
+        "total_mass": dm.total_mass,
+        "diagonal_mass": dm.diagonal_mass,
+        "summary": [
+            f": total mass {dm.total_mass:.6f} (diagonal {dm.diagonal_mass:.6f}), weighted={dm.weighted}"
+        ],
+    }
+    if config.coverage_widths:
+        cov = coverage_report(dm, config.coverage_widths)
+        results["coverage"] = {
+            "widths": list(cov.widths),
+            "covered_lengths": list(cov.covered_lengths),
+            "density_l2": list(cov.density_l2),
+        }
     rows = [(k, dm.bin_left(k), mass) for k, mass in dm.bins.items()]
     _write_csv(
         run.add_file("distance.csv"),
@@ -420,29 +403,7 @@ def _run_distance(config: ExperimentConfig, run: _Run) -> None:
             "diagonal_mass": dm.diagonal_mass,
         },
     )
-    results = {
-        "kind": "distance",
-        "d": mu.dimension,
-        "bin_width": dm.bin_width,
-        "weighted": dm.weighted,
-        "total_mass": dm.total_mass,
-        "diagonal_mass": dm.diagonal_mass,
-    }
-    if config.coverage_widths:
-        cov = coverage_report(dm, config.coverage_widths)
-        results["coverage"] = {
-            "widths": list(cov.widths),
-            "covered_lengths": list(cov.covered_lengths),
-            "density_l2": list(cov.density_l2),
-        }
     run.results = results
-
-
-def _summary_distance(results: dict, rel: str) -> list[str]:
-    return [
-        f"distance [{rel}]: total mass {results['total_mass']:.6f} "
-        f"(diagonal {results['diagonal_mass']:.6f}), weighted={results['weighted']}"
-    ]
 
 
 def _run_thresholds(config: ExperimentConfig, run: _Run) -> None:
@@ -457,52 +418,46 @@ def _run_thresholds(config: ExperimentConfig, run: _Run) -> None:
         f"sum_threshold={report.sum_threshold}",
         f"product_sum_margin={report.product_sum_margin}",
     ]
-    if report.mixed_margin is not None:
+    # a Fraction margin takes no +.4f format: each is formatted as the float results.json keeps
+    margin = float(report.product_sum_margin)
+    mixed = None if report.mixed_margin is None else float(report.mixed_margin)
+    line = f": sum s_j margin {margin:+.4f} over d^2/(2d-1) = {report.sum_threshold}"
+    if mixed is not None:
         lines.append(f"mixed_margin={report.mixed_margin}")
+        line += f"; mixed margin s_A+s_B+max-2 = {mixed:+.4f}"
     if report.regular_delta is not None:
         lines.append(f"dz_beta={report.dz_beta!r}")
         lines.append(f"gamma0={report.gamma0!r}")
         lines.append(f"regular_delta={report.regular_delta!r}")
         lines.append(f"regular_threshold={report.regular_threshold!r}")
+        line += f"; regular-route delta = {report.regular_delta:.3g}"
     lines.append(f"applicable={','.join(report.applicable) if report.applicable else 'none'}")
+    line += f"; applicable: {', '.join(report.applicable or ['none'])}"
     run.add_file("thresholds.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     run.results = {
         "kind": "thresholds",
         "d": report.d,
         "dims": [str(x) for x in report.dims],
         "sum_threshold": str(report.sum_threshold),
-        "product_sum_margin": float(report.product_sum_margin),
-        "mixed_margin": None if report.mixed_margin is None else float(report.mixed_margin),
+        "product_sum_margin": margin,
+        "mixed_margin": mixed,
         "regular_delta": report.regular_delta,
         "applicable": list(report.applicable),
+        "summary": [line],
     }
 
 
-def _summary_thresholds(results: dict, rel: str) -> list[str]:
-    margin = results["product_sum_margin"]
-    line = (
-        f"thresholds [{rel}]: sum s_j margin {margin:+.4f} over d^2/(2d-1) = {results['sum_threshold']}"
-    )
-    if results.get("mixed_margin") is not None:
-        line += f"; mixed margin s_A+s_B+max-2 = {results['mixed_margin']:+.4f}"
-    if results.get("regular_delta") is not None:
-        line += f"; regular-route delta = {results['regular_delta']:.3g}"
-    applicable = results.get("applicable") or ["none"]
-    line += f"; applicable: {', '.join(applicable)}"
-    return [line]
-
-
-# kind -> (runner, summary); full-report is the bundle of other kinds
+# kind -> runner; full-report is the bundle of other kinds
 _KINDS = {
-    "cantor": (_run_cantor, _summary_cantor),
-    "regularity": (_run_regularity, _summary_regularity),
-    "energy": (_run_energy, _summary_energy),
-    "spherical": (_run_spherical, _summary_spherical),
-    "solid": (_run_solid, _summary_solid),
-    "stationary": (_run_stationary, _summary_stationary),
-    "mattila": (_run_mattila, _summary_mattila),
-    "distance": (_run_distance, _summary_distance),
-    "thresholds": (_run_thresholds, _summary_thresholds),
+    "cantor": _run_cantor,
+    "regularity": _run_regularity,
+    "energy": _run_energy,
+    "spherical": _run_spherical,
+    "solid": _run_solid,
+    "stationary": _run_stationary,
+    "mattila": _run_mattila,
+    "distance": _run_distance,
+    "thresholds": _run_thresholds,
 }
 
 
@@ -515,12 +470,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, Path]:
     """
     config.validate()
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if config.kind == "full-report":
         return _run_full_report(config, out_dir)
     run = _Run(config, out_dir)
-    run_kind, _ = _KINDS[config.kind]
-    run_kind(config, run)
+    _KINDS[config.kind](config, run)
     return run.finalize()
 
 
@@ -540,7 +493,7 @@ def _run_full_report(config: ExperimentConfig, out_dir: Path) -> dict[str, Path]
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _load_run(manifest_path: Path) -> tuple[dict, dict]:
+def _load_results(manifest_path: Path) -> dict:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="ascii"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -555,33 +508,34 @@ def _load_run(manifest_path: Path) -> tuple[dict, dict]:
         raise ValidationError(f"missing or corrupt results next to {manifest_path}: {exc}") from exc
     if not isinstance(results, dict):
         raise ValidationError(f"corrupt results {results_path}: not a JSON object")
-    return manifest, results
+    return results
 
 
 def emit_report(directory) -> Path:
-    """Aggregate every run manifest under `directory` into summary.txt,
-    grouped by ambient dimension."""
+    """Aggregate every run under `directory` into summary.txt, grouped by
+    ambient dimension: each run's results.json gives its kind, its d and
+    the summary lines its runner wrote, and nothing else is read."""
     root = Path(directory)
     manifests = sorted(root.rglob(MANIFEST_NAME))
     if not manifests:
         raise ValidationError(f"no {MANIFEST_NAME} found under {root}")
     groups: dict[int, list[str]] = {}
     for mpath in manifests:
-        manifest, results = _load_run(mpath)
+        results = _load_results(mpath)
         where = mpath.parent / RESULTS_NAME
         kind = results.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValidationError(f"unknown experiment kind {kind!r} in {where}")
-        _, summarize = _KINDS[kind]
+        for key, want, ok in (
+            ("d", "an int", lambda v: type(v) is int),
+            ("summary", "a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v)),
+        ):
+            if key not in results:
+                raise ValidationError(f"incomplete results {where}: missing key {key!r}")
+            if not ok(results[key]):
+                raise ValidationError(f"malformed results {where}: {key!r} must be {want}, got {results[key]!r}")
         rel = str(mpath.parent.relative_to(root)) or "."
-        try:
-            d = int(results.get("d", 0))
-            lines = summarize(results, rel)
-        except KeyError as exc:
-            raise ValidationError(f"incomplete results {where}: missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed results {where}: {exc}") from exc
-        groups.setdefault(d, []).extend(lines)
+        groups.setdefault(results["d"], []).extend(f"{kind} [{rel}]{tail}" for tail in results["summary"])
     out = ["experiment summary", "==================", ""]
     for d in sorted(groups):
         label = f"[d = {d}]" if d > 1 else "[single-factor runs]"

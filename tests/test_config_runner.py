@@ -248,7 +248,7 @@ class TestRunner:
     def test_emit_report_rejects_incomplete_results(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
         (tmp_path / "results.json").write_text(json.dumps({"kind": "energy", "d": 1}))
-        with pytest.raises(ValidationError, match="results.json: missing key 'fitted_exponent'"):
+        with pytest.raises(ValidationError, match="results.json: missing key 'summary'"):
             fl.emit_report(tmp_path)
 
     @pytest.mark.parametrize(
@@ -257,11 +257,16 @@ class TestRunner:
             ([1, 2], "not a JSON object"),
             (
                 {"kind": "energy", "d": 1, "fitted_exponent": "x", "alpha": 0.6, "excess_over_alpha": 0.1},
-                "Unknown format code",
+                "missing key 'summary'",
             ),
-            ({"kind": "distance", "d": "x"}, "invalid literal"),
+            ({"kind": "distance", "d": "x"}, "'d' must be an int, got 'x'"),
+            ({"kind": "thresholds", "d": 2.9, "applicable": "abc", "summary": []}, "'d' must be an int, got 2.9"),
+            ({"kind": "cantor", "d": True, "summary": [": base 2"]}, "'d' must be an int, got True"),
+            ({"kind": "energy", "d": 1, "summary": "abc"}, "'summary' must be a list of strings"),
+            ({"kind": "energy", "d": 1, "summary": [": x", 2]}, "'summary' must be a list of strings"),
         ],
-        ids=["json-array", "text-exponent", "text-dimension"],
+        ids=["json-array", "text-exponent", "text-dimension", "float-dimension", "bool-dimension",
+             "text-summary", "number-in-summary"],
     )
     def test_emit_report_rejects_malformed_results(self, tmp_path, capsys, results, message):
         (tmp_path / "manifest.json").write_text(json.dumps({"config": {}, "files": {}, "seed": 1}))
@@ -287,7 +292,59 @@ class TestRunner:
         assert code == 2
         err = capsys.readouterr().err
         assert "validation error" in err and "Traceback" not in err
-        assert str(stale / "results.json") in err and "'fitted_exponent'" in err
+        assert str(stale / "results.json") in err and "'summary'" in err
+
+    def test_summary_lines_of_every_kind(self, tmp_path, capsys):
+        # one report over small runs of the nine kinds, byte for byte the
+        # summary.txt the report gave when it rebuilt each line from results.json
+        for name, argv in SUMMARY_RUNS.items():
+            assert cli_main([*argv, "--output", str(tmp_path / name)]) == 0, name
+        assert fl.emit_report(tmp_path).read_text() == SUMMARY_TEXT
+
+
+SUMMARY_RUNS = {
+    "cantor": ["cantor", "--factor", "3:0,2:4", "--factor", "2:0,1:3"],
+    "regularity": ["regularity", "--factor", "3:0,2:6", "--factor", "4:0,3:5"],
+    "energy": ["energy", "--factor", "3:0,2:6"],
+    "energy_dz": ["energy", "--factor", "3:0,2:6", "--dz-c-nu", "2", "--dz-k", "0.5"],
+    "spherical": ["spherical", *["--factor", "3:0,2:6"] * 2],
+    "spherical3": ["spherical", *["--factor", "3:0,2:4"] * 3, "--sweep", "1:8:3"],
+    "solid": ["solid", "--factor", "3:0,2:6"],
+    "stationary": ["stationary", "--gap", "0:1", "--gap", "0.6:0.8", "--sweep", "100:1000:4"],
+    "stationary_na": ["stationary", "--gap", "0:1", "--sweep", "1:4:3"],
+    "mattila": ["mattila", *["--factor", "3:0,2:4"] * 2, "--truncation", "8"],
+    "mattila3": ["mattila", *["--factor", "2:0:0"] * 3, "--truncation", "3", "--weight", "none"],
+    "distance": ["distance", *["--factor", "3:0,2:3"] * 2, "--bin-width", "0.05", "--weighted-distance"],
+    "thresholds": ["thresholds", "--dims", "3/4,2/3", "--alpha", "0.6", "--dz-c-nu", "1"],
+    "thresholds3": ["thresholds", "--dims", "0.5,0.5,0.5"],
+}
+
+SUMMARY_TEXT = """\
+experiment summary
+==================
+
+[single-factor runs]
+energy [energy]: E(r) slope 0.890 vs alpha 0.631 (margin +0.260; the trivial bound needs slope >= alpha, and the Dyatlov-Zahl bound for regular sets predicts a strictly positive margin)
+energy [energy_dz]: E(r) slope 0.890 vs alpha 0.631 (margin +0.260; the trivial bound needs slope >= alpha, and the Dyatlov-Zahl bound for regular sets predicts a strictly positive margin); closed-form beta = 0.0341 at K=0.5, C_nu=2.0
+solid [solid]: decay slope -0.628, target <= -0.531 (solid average of a ball-regular measure decays like t^-alpha)
+
+[d = 2]
+cantor [cantor]: base 3 level 4 (16 atoms, dim 0.631), base 2 level 3 (8 atoms, dim 1.000)
+distance [distance]: total mass 0.605550 (diagonal 0.000000), weighted=True
+mattila [mattila]: value 0.157201 at T=8.0, slope -2.970 (integrand slope < -1: truncations converging); a finite weighted integral implies a positive-measure distance set
+regularity [regularity] factor 0: C_nu 1.000 vs cap 4.0 -> regular at alpha 0.631 (two-sided ball-mass bounds); frostman slope 0.631
+regularity [regularity] factor 1: C_nu 1.000 vs cap 4.0 -> regular at alpha 0.500 (two-sided ball-mass bounds); frostman slope 0.500
+spherical [spherical]: weight sin_theta, decay slope -0.764 (weighted circular average is dominated by twice the solid average of the larger-dimension factor)
+stationary [stationary] gap (0.0, 1.0): residual slope -1.641 (main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)
+stationary [stationary] gap (0.6, 0.8): residual slope -1.673 (main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)
+stationary [stationary_na] gap (0.0, 1.0): residual slope n/a (main term 2(t|g|)^-1/2 cos(2pi(t|g|-1/8))|sin theta_g|)
+thresholds [thresholds]: sum s_j margin +0.0833 over d^2/(2d-1) = 4/3; mixed margin s_A+s_B+max-2 = +0.1667; regular-route delta = 0.00103; applicable: two_factor_mixed, product_sum
+
+[d = 3]
+mattila [mattila3]: value 1368.59 at T=3.0, slope 2.000 (integrand slope >= -1: no convergence signal at this truncation); a finite weighted integral implies a positive-measure distance set
+spherical [spherical3]: weight sin_theta, decay slope -2.406 (weighted circular average is dominated by twice the solid average of the larger-dimension factor)
+thresholds [thresholds3]: sum s_j margin -0.3000 over d^2/(2d-1) = 9/5; applicable: none
+"""
 
 
 def timed_cli(argv):
@@ -335,13 +392,26 @@ class TestCli:
          "sweep of 1000000000 points, past its 2**21 budget; lower the --sweep count"),
         # 88,896 t nodes of 3.0e9 circle samples in all, each t under 2**24
         (["mattila", *["--factor", "3:0,2:12"] * 2, "--truncation", "5000"], 3,
-         "needs 3e+09 circle samples, past its 2**27 budget"),
+         "needs 3e+09 circle samples, past its 2**27 budget; lower --truncation"),
+        (["mattila", *["--factor", "3:0,2:3"] * 5, "--truncation", "1.5"], 3,
+         "nodes in d = 5, past its 2**24 budget; lower --truncation"),
+        # beta = alpha exp(-exp(inner)) at inner = 3.2e5 is 0, where exp(inner) overflows
+        (["thresholds", "--dims", "1,1", "--alpha", "0.99999999999", "--dz-c-nu", "1"], 2,
+         "beta must be positive, got 0.0"),
+        (["distance", *["--factor", "3:0,2:4"] * 2, "--bin-width", "0.05", "--widths", "0.01"], 2,
+         "width 0.01 is below the native bin width 0.05"),
+        (["stationary", "--gap", "0:1", "--gap", "0:1e7", "--sweep", "1:1000:3"], 3,
+         "a circle sum needs 6.28359e+07 samples, past its 2**24 budget; lower t"),
+        # the full factor's dimension 1 is no alpha in (0, 1)
+        (["energy", "--factor", "2:0,1:5", "--dz-c-nu", "1"], 2, "alpha must lie in (0, 1), got 1.0"),
     ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
-            "infinite-interval", "atoms", "index", "sweep", "sigma-work"])
+            "infinite-interval", "atoms", "index", "sweep", "sigma-work", "sphere-rule-d5",
+            "beta-underflow", "coverage-width", "second-gap", "energy-alpha-one"])
     def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
-        # each refused before the work it bounds, with no traceback; a budget
-        # refusal runs in a child under a 512 MiB address-space cap, where a
-        # lost guard fails with MemoryError instead of being OOM-killed
+        # each refused before the work it bounds, with no traceback and no
+        # file written; a budget refusal runs in a child under a 512 MiB
+        # address-space cap, where a lost guard fails with MemoryError
+        # instead of being OOM-killed
         argv = [*argv, "--output", str(tmp_path / "out")]
         if code == 3:
             (got, seconds), err = in_capped_child(timed_cli, argv)
@@ -350,6 +420,15 @@ class TestCli:
         assert got == code and seconds < 1.0
         assert err.startswith({2: "validation error: ", 3: "budget error: "}[code])
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_energy_past_the_beta_underflow_reports_zero(self, tmp_path, capsys):
+        # exp(inner) would overflow at inner = 3.2e5; beta is 0.0 long before
+        argv = ["energy", "--factor", "3:0,2:6", "--alpha", "0.99999999999", "--dz-c-nu", "1"]
+        assert cli_main([*argv, "--output", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert results["dz_beta"] == 0.0
+        assert results["summary"][0].endswith("; closed-form beta = 0 at K=1.0, C_nu=1.0")
 
     def test_distance_level_eight_fits_the_budget(self, tmp_path):
         # ((3**8 + 1) / 2)**2 ~ 1.1e7 gap cells; the 4.3e9 atom pairs are never formed

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fractalab as fl
-from conftest import dense_copy, random_grid_measure, upsample_pmf
+from conftest import dense_copy, in_capped_child, random_grid_measure, upsample_pmf
 from fractalab import energy, quadrature
 from fractalab.energy import _fourth_moment_quadrature, _gap_correlation
 from fractalab.errors import BudgetError, ValidationError
@@ -24,6 +25,21 @@ def quadruple_energy_oracle(nu, r):
         if abs((pos[i] + pos[j]) - (pos[k] + pos[l])) < r:
             total += w[i] * w[j] * w[k] * w[l]
     return total
+
+
+def bruteforce_refusal():
+    """The BudgetError message of the O(N^4) oracle on 201 atoms, one past
+    its guard, or None when it ran."""
+    rng = np.random.default_rng(5)
+    idx = np.sort(rng.choice(1024, 201, replace=False))
+    w = np.full(201, 1.0 / 201.0)
+    w[-1] = 1.0 - w[:-1].sum()
+    nu = fl.GridMeasure(base=2, level=10, indices=idx, weights=w)
+    try:
+        fl.additive_energy(nu, 0.25, "bruteforce")
+    except BudgetError as exc:
+        return str(exc)
+    return None
 
 
 def sumset_oracle(nu):
@@ -434,13 +450,9 @@ class TestAdditiveEnergy:
             fl.additive_energy(two_atom_half, 0.0)
 
     def test_bruteforce_guard(self):
-        rng = np.random.default_rng(5)
-        idx = np.sort(rng.choice(1024, 201, replace=False))
-        w = np.full(201, 1.0 / 201.0)
-        w[-1] = 1.0 - w[:-1].sum()
-        nu = fl.GridMeasure(base=2, level=10, indices=idx, weights=w)
-        with pytest.raises(BudgetError, match="bruteforce"):
-            fl.additive_energy(nu, 0.25, "bruteforce")
+        # in a capped child: a lost guard fails at its 10 s timeout
+        message, _ = in_capped_child(bruteforce_refusal)
+        assert message is not None and re.search("bruteforce", message)
 
     def test_unknown_algorithm(self, two_atom_half):
         with pytest.raises(ValidationError, match="algorithm"):
@@ -868,6 +880,12 @@ class TestDzBeta:
         assume(inner < 6.5)
         beta = fl.dz_beta(alpha, c_nu, k).beta
         assert 0.0 < beta < alpha
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-5, 1.0 - 2e-6, 0.99999999999])
+    def test_underflows_to_zero_without_overflow(self, alpha):
+        # inner = 1 / sqrt(1 - alpha) at C_nu = 1: 316, 707 and 3.2e5, the
+        # last past the ~709.8 where exp(inner) would overflow
+        assert fl.dz_beta(alpha, 1.0, 1.0).beta == 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.3, -0.2])
     def test_rejects_alpha_outside_open_interval(self, alpha):

@@ -436,7 +436,7 @@ class TestSigmaBatch:
         counts = [fourier._circle_samples(2.0 * math.pi * t * math.hypot(a.diameter, b.diameter))
                   for t in ts]
         assert len(set(counts)) == 3
-        alone = [fourier._sigma_many(mu, [t], weight)[0][0] for t in ts]
+        alone = [fourier._sigma_many(mu, [t], weight, "lower t")[0][0] for t in ts]
         rows = []
         samples = fourier._quadrant_samples
 
@@ -451,12 +451,12 @@ class TestSigmaBatch:
                 group = [t for t, c in zip(ts, counts) if c == n]
                 for start in range(0, len(group), size):
                     chunk = group[start : start + size]
-                    values, nodes = fourier._sigma_many(mu, chunk, weight)
+                    values, nodes = fourier._sigma_many(mu, chunk, weight, "lower t")
                     want = [alone[list(ts).index(t)] for t in chunk]
                     assert values.tobytes() == np.array(want).tobytes()
                     assert list(nodes) == [2 * n] * len(chunk)
             assert max(rows) == size
-        values, _ = fourier._sigma_many(mu, ts, weight)  # all 51 at once
+        values, _ = fourier._sigma_many(mu, ts, weight, "lower t")  # all 51 at once
         assert values.tobytes() == np.array(alone).tobytes()
         assert sorted(rows[-3:]) == [17, 17, 17]
 
@@ -472,9 +472,9 @@ class TestSigmaBatch:
                               indices=np.sort(rng.choice(2**18, atoms, replace=False)))
         mu = fl.build_product([wide, fl.point_mass()], [0.5, 0.0])
         ts = [0.11, 0.23]
-        alone = [fourier._sigma_many(mu, [t], "sin_theta") for t in ts]
+        alone = [fourier._sigma_many(mu, [t], "sin_theta", "lower t") for t in ts]
         assert [nodes[0] for _, nodes in alone] == [128, 128]  # 64 samples, 33 in [0, pi/2]
-        values, _ = fourier._sigma_many(mu, ts, "sin_theta")
+        values, _ = fourier._sigma_many(mu, ts, "sin_theta", "lower t")
         assert values.tolist() == [v[0] for v, _ in alone]
 
     def test_blocks_keep_to_the_row_bound(self, monkeypatch):
@@ -490,7 +490,7 @@ class TestSigmaBatch:
         mu = fl.build_product([nu, nu], [0.5, 0.5])
         # 2500 t of 64 samples span three blocks of 32768 // 33 = 992 rows
         ts = np.concatenate((np.linspace(0.0, 0.6, 2500), batch_ts(mu)))
-        values, nodes = fourier._sigma_many(mu, ts, "sin_theta")
+        values, nodes = fourier._sigma_many(mu, ts, "sin_theta", "lower t")
         for rows, n in shapes:
             assert rows <= max(1, fourier._BLOCK // (n // 2 + 1))
         per_count = {n: sum(r for r, m in shapes if m == n) for _, n in shapes}
@@ -512,7 +512,7 @@ class TestSigmaBatch:
         mu = fl.build_product([wide, wide], [0.0, 0.0])
         start = time.perf_counter()
         with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
-            fourier._sigma_many(mu, [1.0, 2.0, 1e7, 3.0], "none")
+            fourier._sigma_many(mu, [1.0, 2.0, 1e7, 3.0], "none", "lower t")
         assert calls == []
         assert time.perf_counter() - start < 1.0
 
@@ -520,9 +520,9 @@ class TestSigmaBatch:
         nu = fl.build_cantor(fl.middle_thirds(4))
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         with pytest.raises(ValidationError, match="nonnegative and finite, got -1.0"):
-            fourier._sigma_many(mu, [1.0, 1e9, -1.0, math.nan], "none")
+            fourier._sigma_many(mu, [1.0, 1e9, -1.0, math.nan], "none", "lower t")
         with pytest.raises(ValidityCapError, match="t=2000000000.0 exceeds") as err:
-            fourier._sigma_many(mu, [1.0, 1e9, 2e9, 3.0], "none")
+            fourier._sigma_many(mu, [1.0, 1e9, 2e9, 3.0], "none", "lower t")
         assert err.value.cap == pytest.approx(8.1)
 
 
@@ -565,7 +565,7 @@ class TestSphereRule:
     def test_d3_matches_the_sinc_sum_up_to_the_cap(self, name):
         mu = SPHERE_PRODUCTS[name]()
         ts = np.linspace(0.5, fl.validity_cap(mu), 12)
-        values, _ = fourier._sigma_many(mu, ts, "none")
+        values, _ = fourier._sigma_many(mu, ts, "none", "lower t")
         oracle = space_side_sigma(mu, ts, sphere_kernel_3)
         assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
 
@@ -573,11 +573,11 @@ class TestSphereRule:
         # at t = 0.75 the rule would need 65**3 * 128 > 2**24 nodes
         mu = SPHERE_PRODUCTS["d=5 mixed"]()
         ts = [0.15, 0.4, 0.7]
-        values, _ = fourier._sigma_many(mu, ts, "none")
+        values, _ = fourier._sigma_many(mu, ts, "none", "lower t")
         oracle = space_side_sigma(mu, ts, sphere_kernel_5)
         assert np.max(np.abs(values - oracle) / oracle) <= 1e-10
         with pytest.raises(BudgetError, match=r"2\*\*24.*lower t"):
-            fourier._sigma_many(mu, [0.75], "none")
+            fourier._sigma_many(mu, [0.75], "none", "lower t")
 
     @pytest.mark.parametrize(
         "name, weight",
@@ -589,10 +589,10 @@ class TestSphereRule:
         # samples on every ring; d = 5 doubled is past 2**24 nodes at any t
         mu = SPHERE_PRODUCTS[name]()
         ts = np.linspace(0.5, fl.validity_cap(mu), 4)
-        at_n, nodes_n = fourier._sigma_many(mu, ts, weight)
+        at_n, nodes_n = fourier._sigma_many(mu, ts, weight, "lower t")
         samples = fourier._circle_samples
         monkeypatch.setattr(fourier, "_circle_samples", lambda x: 2 * samples(x))
-        at_2n, nodes_2n = fourier._sigma_many(mu, ts, weight)
+        at_2n, nodes_2n = fourier._sigma_many(mu, ts, weight, "lower t")
         assert (nodes_2n > 2 * nodes_n).all()
         assert np.max(np.abs(at_n - at_2n) / at_2n) <= 1e-10
 
@@ -602,8 +602,8 @@ class TestSphereRule:
         mu = fl.build_product([pm] * d, [0.0] * d)
         sphere = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
         ball = math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)  # the unit ball of R^(d-1)
-        values, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "none")
-        weighted, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "sin_theta")
+        values, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "none", "lower t")
+        weighted, _ = fourier._sigma_many(mu, [0.0, 3.0, 41.0], "sin_theta", "lower t")
         assert np.max(np.abs(values / sphere - 1.0)) <= 1e-12
         assert np.max(np.abs(weighted / (2.0 * ball) - 1.0)) <= 1e-12
 
@@ -612,13 +612,13 @@ class TestSphereRule:
         a = fl.build_cantor(fl.CantorSpec(3, (0, 2), 4))
         mu = fl.build_product([a, spec_less_measure(8, 9, 3, 4), a], [0.5] * 3)
         ts = np.random.default_rng(5).permutation(np.linspace(0.0, 5.0, 51))
-        alone = [fourier._sigma_many(mu, [t], weight) for t in ts]
+        alone = [fourier._sigma_many(mu, [t], weight, "lower t") for t in ts]
         want_v = np.array([v[0] for v, _ in alone])
         want_n = [n[0] for _, n in alone]
         assert len(set(want_n)) > 3
         for size in (2, 3, 17, ts.size):
             for start in range(0, ts.size, size):
-                values, nodes = fourier._sigma_many(mu, ts[start : start + size], weight)
+                values, nodes = fourier._sigma_many(mu, ts[start : start + size], weight, "lower t")
                 assert values.tobytes() == want_v[start : start + size].tobytes()
                 assert nodes.tolist() == want_n[start : start + size]
 
@@ -635,7 +635,7 @@ class TestSphereRule:
         start = time.perf_counter()
         with pytest.raises(BudgetError, match=r"sphere rule at t=1000.0 needs 1.34e\+08 nodes in d = 3, "
                                               r"past its 2\*\*24 budget; lower t"):
-            fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta")
+            fourier._sigma_many(mu, [1.0, 2.0, 1000.0, 3.0], "sin_theta", "lower t")
         assert calls == []
         assert time.perf_counter() - start < 1.0
 

@@ -540,9 +540,9 @@ class TestMattilaBatches:
         batches = []
         many = geometry._sigma_many
 
-        def recording(mu, ts, weight):
+        def recording(mu, ts, weight, remedy):
             batches.append(len(ts))
-            return many(mu, ts, weight)
+            return many(mu, ts, weight, remedy)
 
         monkeypatch.setattr(geometry, "_sigma_many", recording)
         est = fl.mattila_truncated(mu, T, weighted)

@@ -574,6 +574,28 @@ class TestSerialization:
             assert np.array_equal(back.weights, nu.weights)  # bit-exact
             assert back.dimension_hint == nu.dimension_hint
 
+    @pytest.mark.parametrize("spec, digest", [
+        ((2, (0, 1), 16), "e651906de67739927d4d6ad1b5bc6fdaf88e15b48fae7e60229220dec2fd8d9a"),
+        ((3, (0, 1, 2), 8), "73054c8fc72349c11ae8859991a5492aa5f1178831dc2274070669d0c9723e61"),
+    ], ids=["2**16-atoms", "3**8-atoms"])
+    def test_atoms_file_is_written_in_blocks(self, tmp_path, spec, digest):
+        # the bytes the one-string writer gave; its traced peak at 2**16
+        # atoms was 9.5 MiB, about 150 B per atom, where the blocks hold 0.6 MiB
+        import hashlib
+        import tracemalloc
+
+        nu = fl.build_cantor(fl.CantorSpec(*spec))
+        path = tmp_path / "atoms.measure"
+        tracemalloc.start()
+        try:
+            fl.save_grid_measure(nu, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert path.read_text() == fl.grid_measure_to_text(nu)
+        assert peak < 9.5 * 2**20 / 4
+
     def test_header_records_base_and_level(self):
         nu = fl.build_cantor(fl.middle_thirds(2))
         text = fl.grid_measure_to_text(nu)

@@ -208,7 +208,7 @@ class TestNonConvergenceRaises:
         mu = fl.build_product([nu, nu], [ALPHA_MT, ALPHA_MT])
         calls = []
         monkeypatch.setattr(fl.GridMeasure, "power_spectrum", lambda self, xi: calls.append(xi))
-        with pytest.raises(BudgetError, match=r"sigma at 88896 values of t needs 3e\+09 .*2\*\*27.*lower t"):
+        with pytest.raises(BudgetError, match=r"sigma at 88896 values of t needs 3e\+09 .*2\*\*27.*lower --truncation"):
             fl.mattila_truncated(mu, 5000.0)
         assert calls == []
 
