@@ -18,7 +18,8 @@ Two routes compute it:
   unordered atom pairs i <= j in tiles of about _BLOCK pairs, and E(r) is a
   window sum of q against one prefix sum of q, in blocks of _BLOCK entries,
   all scales per block. On build_cantor measures this route, over their
-  level-by-level q, is the DP's oracle.
+  level-by-level q, is the DP's oracle. The digit pmfs of the DP, that q and
+  the gap correlation below come from measures, beside CantorSpec.
 
 Every route decides the strict window on the same float expression
 (integer gap) * delta < r, so they agree to machine precision and the
@@ -43,7 +44,7 @@ import numpy as np
 from .cutoff import CutoffFunction
 from .errors import ValidationError, over_budget
 from .fitting import loglog_fit
-from .measures import CantorSpec, GridMeasure
+from .measures import CantorSpec, GridMeasure, _digit_expansion_pmf, _digit_pmf
 from .quadrature import gauss_legendre_panels
 
 BRUTEFORCE_ATOM_LIMIT = 200
@@ -72,42 +73,6 @@ class SumsetDistribution:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.values))
-
-
-def _digit_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
-    """pmf of e = sum_j signs[j] D_j, D_j iid uniform on the kept digits, at
-    index e + (base - 1) * (number of negative signs): the integer tuple
-    counts of one convolution, each divided once by |D|**len(signs), so
-    every entry is its exact value correctly rounded."""
-    d = np.zeros(spec.base)
-    d[list(spec.digits)] = 1.0
-    counts = np.ones(1)
-    for sign in signs:
-        counts = np.convolve(counts, d if sign > 0 else d[::-1])
-    return counts / len(spec.digits) ** len(signs)
-
-
-def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
-    """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid draws from
-    _digit_pmf, shifted to start at index 0. Built level by level,
-    polyphase: entry base*m + r of the next level is the pmf convolved with
-    phase r of the digit pmf, [r::base] trimmed of zero end taps (one tap: a
-    scaled strided copy); no FFT."""
-    base = spec.base
-    digit_pmf = _digit_pmf(spec, signs)
-    nonzero = [(r, np.flatnonzero(digit_pmf[r::base])) for r in range(base)]
-    phases = [(r + base * nz[0], digit_pmf[r::base][nz[0] : nz[-1] + 1])  # (first index, taps)
-              for r, nz in nonzero if nz.size]
-    pmf = np.ones(1)
-    for _ in range(spec.level):
-        out = np.zeros(base * (pmf.size - 1) + digit_pmf.size)
-        for start, taps in phases:
-            if taps.size == 1:
-                np.multiply(pmf, taps[0], out=out[start::base][: pmf.size])
-            else:
-                out[start::base][: pmf.size + taps.size - 1] = np.convolve(pmf, taps)
-        pmf = out
-    return pmf
 
 
 @lru_cache(maxsize=16)

@@ -11,10 +11,15 @@ Balls are closed, ``B(x, r) = [x - r, x + r]``, and regularity scans evaluate
 ball mass only at atom centers (points of the support). Both choices are part
 of the contract: the exhaustive oracles in the test suite use the same
 conventions.
+
+A CantorSpec's digit pmfs live beside it (_digit_pmf, _digit_expansion_pmf):
+power_spectrum's Riesz product and the digit routes of ``energy`` read them.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -58,6 +63,42 @@ class CantorSpec:
     def dimension(self) -> float:
         """Nominal dimension log |digits| / log base, in [0, 1]."""
         return math.log(len(self.digits)) / math.log(self.base)
+
+
+def _digit_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
+    """pmf of e = sum_j signs[j] D_j, D_j iid uniform on the kept digits, at
+    index e + (base - 1) * (number of negative signs): the integer tuple
+    counts of one convolution, each divided once by |D|**len(signs), so
+    every entry is its exact value correctly rounded."""
+    d = np.zeros(spec.base)
+    d[list(spec.digits)] = 1.0
+    counts = np.ones(1)
+    for sign in signs:
+        counts = np.convolve(counts, d if sign > 0 else d[::-1])
+    return counts / len(spec.digits) ** len(signs)
+
+
+def _digit_expansion_pmf(spec: CantorSpec, signs: tuple[int, ...]) -> np.ndarray:
+    """pmf of sum_{k=1..level} e_k base**(level-k), e_k iid draws from
+    _digit_pmf, shifted to start at index 0. Built level by level,
+    polyphase: entry base*m + r of the next level is the pmf convolved with
+    phase r of the digit pmf, [r::base] trimmed of zero end taps (one tap: a
+    scaled strided copy); no FFT."""
+    base = spec.base
+    digit_pmf = _digit_pmf(spec, signs)
+    nonzero = [(r, np.flatnonzero(digit_pmf[r::base])) for r in range(base)]
+    phases = [(r + base * nz[0], digit_pmf[r::base][nz[0] : nz[-1] + 1])  # (first index, taps)
+              for r, nz in nonzero if nz.size]
+    pmf = np.ones(1)
+    for _ in range(spec.level):
+        out = np.zeros(base * (pmf.size - 1) + digit_pmf.size)
+        for start, taps in phases:
+            if taps.size == 1:
+                np.multiply(pmf, taps[0], out=out[start::base][: pmf.size])
+            else:
+                out[start::base][: pmf.size + taps.size - 1] = np.convolve(pmf, taps)
+        pmf = out
+    return pmf
 
 
 def middle_thirds(level: int) -> CantorSpec:
@@ -157,8 +198,8 @@ class GridMeasure:
         exact dense sum over the atoms for every measure, O(atoms) per
         frequency in a fixed order with no FFT, so a frequency gets the same
         bits alone and in any batch; its float phases round to about 1e-15
-        |xi|. It is the oracle of power_spectrum and transform_on_grid, not a
-        fast path.
+        |xi|. It is the oracle of power_spectrum and transform_on_grid, and
+        power_spectrum of a measure without a spec is abs(transform)**2.
         """
         xi_arr = np.asarray(xi, dtype=float)
         flat = xi_arr.ravel()
@@ -180,34 +221,32 @@ class GridMeasure:
 
         A measure from build_cantor takes the real Riesz product
         prod_{k=1..level} P(xi base**-k) with P(x) = |mean_d e(-d x)|^2 =
-        1/|D| + (2/|D|^2) sum_{g>0} c_g cos(2 pi g x), c_g the number of digit
-        pairs (d, d') with d - d' = g: one cosine per distinct digit gap and
-        level, levels multiplied in order k = 1..level, no FFT; each cycle
-        count xi g base**-k is reduced mod 1 exactly before its cosine. Each
-        level factor is clamped at 0 against rounding (a no-op for two
-        digits), so the result is never negative. Every other measure returns
-        abs(transform(xi))**2. Oracle: abs(transform)**2, the dense sum over
-        the same atoms, within 2e-11 for |xi| up to 1e4.
+        p_0 + 2 sum_{g>0} p_g cos(2 pi g x), p the D - D digit pmf
+        _digit_pmf(spec, (1, -1)) at gaps g >= 0: one cosine per distinct
+        digit gap and level, levels multiplied in order k = 1..level, no FFT;
+        each cycle count xi g base**-k is reduced mod 1 exactly before its
+        cosine. Each level factor is clamped at 0 against rounding (a no-op
+        for two digits), so the result is never negative. Every other
+        measure returns abs(transform(xi))**2. Oracle: abs(transform)**2,
+        the dense sum over the same atoms, within 2e-11 for |xi| up to 1e4.
         """
         xi_arr = np.asarray(xi, dtype=float)
         spec = self.spec
         if spec is None:
             out = np.square(np.abs(self.transform(xi_arr)))  # x * x: a scalar's ** 2 is pow
         else:
-            n = len(spec.digits)
-            diffs = np.subtract.outer(spec.digits, spec.digits)
-            pairs = np.bincount(diffs[diffs > 0])  # c_g at index g
-            gaps = np.flatnonzero(pairs).tolist()
+            p = _digit_pmf(spec, (1, -1))[spec.base - 1 :]  # c_g / |D|^2 at index g >= 0
+            gaps = (np.flatnonzero(p[1:]) + 1).tolist()
             out = np.ones(xi_arr.shape)
             phase, whole = np.empty(xi_arr.shape), np.empty(xi_arr.shape)
             for k in range(1, spec.level + 1):
-                level = np.full(xi_arr.shape, 1.0 / n)
+                level = np.full(xi_arr.shape, p[0])
                 for g in gaps:
                     np.multiply(xi_arr, g / spec.base**k, out=phase)
                     phase -= np.rint(phase, out=whole)
                     phase *= 2.0 * np.pi
                     np.cos(phase, out=phase)
-                    phase *= 2.0 * pairs[g] / n**2
+                    phase *= 2.0 * p[g]
                     level += phase
                 out *= np.maximum(level, 0.0, out=level)
         return float(out) if xi_arr.ndim == 0 else out
@@ -440,37 +479,38 @@ def grid_measure_to_text(nu: GridMeasure) -> str:
 
 
 def grid_measure_from_text(text: str) -> GridMeasure:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# grid-measure"):
+    return _parse_measure(text.splitlines())
+
+
+def _parse_measure(lines) -> GridMeasure:
+    """The grid measure of `index,weight` text lines, parsed 4096 at a time
+    into int64 and float64 arrays, so a file streams: about 30 B per atom."""
+    lines = filter(None, map(str.strip, lines))
+    head = next(lines, "")
+    if not head.startswith("# grid-measure"):
         raise ValidationError("missing grid-measure header line")
-    fields = {}
-    for token in lines[0].split()[2:]:
-        key, _, value = token.partition("=")
-        fields[key] = value
+    fields = dict(token.partition("=")[::2] for token in head.split()[2:])
     try:
-        base = int(fields["base"])
-        level = int(fields["level"])
+        base, level = int(fields["base"]), int(fields["level"])
+        hint = float(fields["dimension_hint"]) if "dimension_hint" in fields else None
     except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad grid-measure header: {lines[0]!r}") from exc
-    hint = float(fields["dimension_hint"]) if "dimension_hint" in fields else None
-    body = lines[1:]
-    if body and body[0].lower() == "index,weight":
-        body = body[1:]
-    indices, weights = [], []
-    for ln in body:
-        si, _, sw = ln.partition(",")
-        try:
-            indices.append(int(si))
-            weights.append(float(sw))
-        except ValueError as exc:
-            raise ValidationError(f"bad atom line: {ln!r}") from exc
-    return GridMeasure(
-        base=base,
-        level=level,
-        indices=np.array(indices, dtype=np.int64),
-        weights=np.array(weights, dtype=float),
-        dimension_hint=hint,
-    )
+        raise ValidationError(f"bad grid-measure header: {head!r}") from exc
+    first = next(lines, "index,weight")  # an empty body reads as the bare column line
+    if first.lower() != "index,weight":
+        lines = itertools.chain([first], lines)
+    indices, weights = array("q"), array("d")
+    while block := [_atom(ln) for ln in itertools.islice(lines, 1 << 12)]:
+        indices.extend([i for i, _ in block])
+        weights.extend([w for _, w in block])
+    return GridMeasure(base, level, np.frombuffer(indices, dtype=np.int64), np.frombuffer(weights), hint)
+
+
+def _atom(ln: str) -> tuple[int, float]:
+    si, _, sw = ln.partition(",")
+    try:
+        return int(si), float(sw)
+    except ValueError as exc:
+        raise ValidationError(f"bad atom line: {ln!r}") from exc
 
 
 def save_grid_measure(nu: GridMeasure, path) -> None:
@@ -481,4 +521,4 @@ def save_grid_measure(nu: GridMeasure, path) -> None:
 
 def load_grid_measure(path) -> GridMeasure:
     with open(path, "r", encoding="ascii") as fh:
-        return grid_measure_from_text(fh.read())
+        return _parse_measure(fh)

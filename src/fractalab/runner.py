@@ -140,9 +140,7 @@ def _factor_measures(config: ExperimentConfig):
 
 
 def _product_for(config: ExperimentConfig):
-    measures = _factor_measures(config)
-    dims = [m.dimension_hint for m in measures]
-    return build_product(measures, dims)
+    return build_product(_factor_measures(config), [spec.dimension for spec in config.factors])
 
 
 def _run_cantor(config: ExperimentConfig, run: _Run) -> None:
@@ -198,7 +196,7 @@ def _run_regularity(config: ExperimentConfig, run: _Run) -> None:
 
 
 def _run_energy(config: ExperimentConfig, run: _Run) -> None:
-    nu = _factor_measures(config)[0]
+    nu = build_cantor(config.factors[0])
     alpha = config.alpha if config.alpha is not None else nu.dimension_hint
     rs = config.sweep.values() if config.sweep is not None else dyadic_r_sweep(nu)
     profile = energy_profile(nu, rs, alpha)
@@ -263,7 +261,7 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
 
 
 def _run_solid(config: ExperimentConfig, run: _Run) -> None:
-    nu = _factor_measures(config)[0]
+    nu = build_cantor(config.factors[0])
     alpha = config.alpha if config.alpha is not None else nu.dimension_hint
     cap = validity_cap(nu)
     ts = _default_t_sweep(config, cap, nu.base)
@@ -407,10 +405,7 @@ def _run_distance(config: ExperimentConfig, run: _Run) -> None:
 
 
 def _run_thresholds(config: ExperimentConfig, run: _Run) -> None:
-    if config.dims:
-        dims = config.dims
-    else:
-        dims = [str(build_cantor(s).dimension_hint) for s in config.factors]
+    dims = config.dims or [str(spec.dimension) for spec in config.factors]
     report = threshold_report(dims, alpha=config.alpha, c_nu=config.dz_c_nu, k=config.dz_k)
     lines = [
         f"d={report.d}",

@@ -192,7 +192,7 @@ def solid_average_oracle(nu, t, a, b):
 
 
 def upsample_pmf(spec, signs):
-    """The digit-expansion pmf of energy._digit_expansion_pmf built the
+    """The digit-expansion pmf of measures._digit_expansion_pmf built the
     direct way: each level upsamples the pmf by the base (zeros between its
     entries), then convolves it with the whole digit pmf."""
     d = np.zeros(spec.base)

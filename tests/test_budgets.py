@@ -1,5 +1,6 @@
 """The one budget rule: errors.over_budget, the only maker of a BudgetError in
-the package, and the README's table of the caps it is called with."""
+the package, and the README's table of the caps it is called with. Also the
+one home of the Cantor digit arithmetic, measures."""
 import ast
 import importlib
 import math
@@ -59,3 +60,19 @@ def test_readme_budget_table_matches_the_constants():
     named = {f"{module}.{node.args[2].id}" for module, node in _calls("over_budget")
              if isinstance(node.args[2], ast.Name) and node.args[2].id != "pair_budget"}
     assert named == {constant for _, constant in budgets} - {"geometry.DEFAULT_PAIR_BUDGET"}
+
+
+def test_digit_arithmetic_is_defined_only_in_measures():
+    names = {"_digit_pmf", "_digit_expansion_pmf"}
+    defined, spectrum = set(), None
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                defined.add((path.stem, node.name))
+            if isinstance(node, ast.FunctionDef) and node.name == "power_spectrum":
+                spectrum = node
+    assert defined == {("measures", name) for name in names}
+    # the Riesz product reads the D - D digit pmf and counts no digit pairs itself
+    called = {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+              for n in ast.walk(spectrum) if isinstance(n, ast.Call)}
+    assert "_digit_pmf" in called and not called & {"bincount", "outer"}

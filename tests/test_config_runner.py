@@ -459,6 +459,21 @@ class TestCli:
         assert code == 0
         assert "sum_threshold=4/3" in (tmp_path / "thresholds.txt").read_text()
 
+    def test_thresholds_from_factors_builds_no_atoms(self, tmp_path):
+        # 2**25 atoms a factor, past the atom budget: the kind reads log |D| / log b
+        argv = ["thresholds", "--factor", "2:0,1:25", "--factor", "2:0,1:25", "--output", str(tmp_path)]
+        assert cli_main(argv) == 0
+        lines = (tmp_path / "thresholds.txt").read_text().splitlines()
+        assert "dims=1,1" in lines and "product_sum_margin=2/3" in lines
+
+    @pytest.mark.parametrize("kind", ["energy", "solid"])
+    def test_single_factor_kind_builds_only_its_factor(self, tmp_path, kind):
+        # the 2**30-atom second factor is past the atom budget and read by neither kind
+        for name, extra in (("one", []), ("two", ["--factor", "2:0,1:30"])):
+            assert cli_main([kind, "--factor", "3:0,2:6", *extra, "--output", str(tmp_path / name)]) == 0
+        csv = f"{kind}.csv"
+        assert (tmp_path / "two" / csv).read_bytes() == (tmp_path / "one" / csv).read_bytes()
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_bad_config_file_exits_two(self, tmp_path, capsys, content):
         cfg = tmp_path / "config.json"

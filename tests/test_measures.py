@@ -1,5 +1,5 @@
 import math
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 import pytest
@@ -231,7 +231,52 @@ def power_spectrum_spec_st(draw):
     return fl.CantorSpec(base, tuple(sorted(digits)), draw(st.integers(0, top)))
 
 
+def pair_table_spectrum(spec, xi):
+    """The Riesz product with its level coefficients from a table of digit
+    pairs: c_g counted by np.bincount over the gaps d - d' > 0, then 1/|D|
+    and 2 c_g/|D|^2, in power_spectrum's own loop order."""
+    n = len(spec.digits)
+    diffs = np.subtract.outer(spec.digits, spec.digits)
+    pairs = np.bincount(diffs[diffs > 0])
+    out = np.ones(xi.shape)
+    for k in range(1, spec.level + 1):
+        level = np.full(xi.shape, 1.0 / n)
+        for g in np.flatnonzero(pairs).tolist():
+            phase = xi * (g / spec.base**k)
+            phase = np.cos((phase - np.rint(phase)) * (2.0 * np.pi))
+            level += phase * (2.0 * pairs[g] / n**2)
+        out *= np.maximum(level, 0.0)
+    return out
+
+
+def riesz_spec_grid():
+    """Bases 2-12 with 1-6 digits: every digit set where a (base, count)
+    has at most 6, else 6 drawn at a fixed seed; each at levels 0, 1, 3, 7."""
+    rng = np.random.default_rng(7)
+    for base in range(2, 13):
+        for k in range(1, min(6, base) + 1):
+            sets = list(combinations(range(base), k))
+            if len(sets) > 6:
+                sets = [sets[i] for i in sorted(rng.choice(len(sets), 6, replace=False))]
+            for digits in sets:
+                for level in (0, 1, 3, 7):
+                    yield fl.CantorSpec(base, digits, level)
+
+
 class TestPowerSpectrum:
+    def test_digit_pmf_coefficients_match_the_pair_table_bitwise(self):
+        xi = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 125), -np.geomspace(1e-3, 1e4, 125)))
+        specs = list(riesz_spec_grid())
+        assert len(specs) == 1180
+        for spec in specs:
+            # the D - D digit pmf at gaps g >= 0 is c_g / |D|^2: its double rounds like 2 c_g / |D|^2
+            n, diffs = len(spec.digits), np.subtract.outer(spec.digits, spec.digits)
+            p = measures._digit_pmf(spec, (1, -1))[spec.base - 1 :]
+            pairs = np.bincount(diffs[diffs > 0], minlength=spec.base)
+            assert p[0] == 1.0 / n and np.array_equal(2.0 * p[1:], 2.0 * pairs[1:] / n**2), spec
+            fast = fl.build_cantor(spec).power_spectrum(xi)
+            assert fast.tobytes() == pair_table_spectrum(spec, xi).tobytes(), spec
+
     @settings(max_examples=80, deadline=None)
     @given(power_spectrum_spec_st(), st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=24))
     def test_matches_dense_transform_squared(self, spec, freqs):
@@ -595,6 +640,34 @@ class TestSerialization:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert path.read_text() == fl.grid_measure_to_text(nu)
         assert peak < 9.5 * 2**20 / 4
+
+    def test_load_streams_the_file(self, tmp_path):
+        # the whole-text loader's traced peak at 2**16 atoms was 12.9 MiB, 206 B an atom
+        import tracemalloc
+
+        nu = fl.build_cantor(fl.CantorSpec(2, (0, 1), 16))
+        path = tmp_path / "atoms.measure"
+        fl.save_grid_measure(nu, path)
+        tracemalloc.start()
+        try:
+            back = fl.load_grid_measure(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.9 * 2**20 / 4
+        fl.save_grid_measure(back, tmp_path / "again.measure")
+        assert (tmp_path / "again.measure").read_bytes() == path.read_bytes()
+        # blank lines, surrounding spaces and the column line in any case
+        loose = "\n  # grid-measure base=3 level=2 \n\n INDEX,Weight\n 0 , 0.5 \n\n4,0.5\n"
+        (tmp_path / "loose.measure").write_text(loose)
+        for got in (fl.grid_measure_from_text(loose), fl.load_grid_measure(tmp_path / "loose.measure")):
+            assert got.indices.tolist() == [0, 4] and got.weights.tolist() == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="atom line"):  # the column line only leads the body
+            fl.grid_measure_from_text("# grid-measure base=3 level=2\n0,0.5\nindex,weight\n4,0.5\n")
+
+    def test_bad_dimension_hint_names_the_header(self):
+        with pytest.raises(ValidationError, match="bad grid-measure header.*dimension_hint=x"):
+            fl.grid_measure_from_text("# grid-measure base=2 level=1 dimension_hint=x\n0,1.0\n")
 
     def test_header_records_base_and_level(self):
         nu = fl.build_cantor(fl.middle_thirds(2))
