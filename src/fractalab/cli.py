@@ -31,16 +31,16 @@ _FLAGGED = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
 def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
-    """The subcommand ``kind`` alone when it names one, else all ten, with
-    flags on all only when kind is None; the usage line and error texts are
-    the same either way."""
+    """The subcommand ``kind`` alone when it names one, else every kind's,
+    with flags on all only when kind is None; the usage line and error texts
+    are the same either way."""
     parser = argparse.ArgumentParser(
         prog="fractalab",
         description="Desk-scale experiments on Cantor-type measures: Fourier decay, "
         "additive energy, distance sets.",
     )
     lean = kind in EXPERIMENT_KINDS
-    # the usage line names all ten kinds; with no metavar, an unknown kind's error says 'kind'
+    # the usage line names every kind; with no metavar, an unknown kind's error says 'kind'
     metavar = "{" + ",".join(EXPERIMENT_KINDS) + "}" if lean else None
     sub = parser.add_subparsers(dest="kind", required=True, metavar=metavar)
     for name in [kind] if lean else EXPERIMENT_KINDS:

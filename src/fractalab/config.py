@@ -43,6 +43,7 @@ EXPERIMENT_KINDS = {
     "regularity": 1,
     "energy": 1,
     "spherical": 2,
+    "angular": 2,
     "solid": 1,
     "stationary": 0,
     "mattila": 2,
@@ -98,6 +99,7 @@ class ExperimentConfig:
     dz_c_nu: float | None = _flagged(
         None, "--dz-c-nu", "regularity constant fed to the energy bound")
     alpha: float | None = _flagged(None, "--alpha", "reference dimension override")
+    gamma0: float | None = _flagged(None, "--gamma0", "angular cut exponent in (0, 1/2)")
     regularity_cap: float = _flagged(4.0, "--cap", "regularity pass cap")
     truncation: float | None = _flagged(None, "--truncation", "Mattila truncation T")
     bin_width: float = _flagged(0.01, "--bin-width", "distance histogram bin width")
@@ -128,6 +130,8 @@ class ExperimentConfig:
             raise ValidationError(f"dz_k: must be positive, got {self.dz_k}")
         if not self.bin_width > 0:
             raise ValidationError(f"bin_width: must be positive, got {self.bin_width}")
+        if self.gamma0 is not None and not 0.0 < self.gamma0 < 0.5:
+            raise ValidationError(f"gamma0: must lie in (0, 1/2), got {self.gamma0}")
         if self.interval[0] >= self.interval[1]:
             raise ValidationError(f"interval: empty interval {self.interval}")
         if self.mc_nodes < 4:
@@ -147,6 +151,8 @@ class ExperimentConfig:
             )
         if self.kind == "thresholds" and not self.dims and not self.factors:
             raise ValidationError("dims: thresholds experiment needs dims or factors")
+        if self.kind == "angular" and self.gamma0 is None:
+            raise ValidationError("gamma0: angular experiment needs --gamma0")
         if self.kind == "stationary" and not self.gaps:
             raise ValidationError("gaps: stationary experiment needs at least one gap vector")
         for k, gap in enumerate(self.gaps):

@@ -399,6 +399,15 @@ class AngularDecomposition:
     cs_bound: float
 
 
+def angular_cut(gamma0: float) -> float:
+    """t_min = (4/pi)^(1/gamma0), in logs so that one past the floats is inf:
+    the three sectors are disjoint, t^(-gamma0) < pi/4, just when t > t_min."""
+    try:
+        return math.exp(math.log(4.0 / math.pi) / gamma0)
+    except OverflowError:
+        return math.inf
+
+
 def angular_decomposition(
     mu: ProductMeasure, t: float, gamma0: float, cutoff: CutoffFunction
 ) -> AngularDecomposition:
@@ -428,10 +437,9 @@ def angular_decomposition(
     require_under_cap(mu, t, f"t={t}")
     eps = t ** (-gamma0)
     if not eps < np.pi / 4:
-        t_min = (4.0 / np.pi) ** (1.0 / gamma0)
         raise ValidationError(
             f"t^(-gamma0) = {eps:.4f} >= pi/4; the three sectors are not "
-            f"disjoint (need t > {t_min:.4g} for gamma0 = {gamma0})"
+            f"disjoint (need t > {angular_cut(gamma0):.4g} for gamma0 = {gamma0})"
         )
     psi_hat_min = cutoff.transform_min_on_unit_interval()
     if psi_hat_min <= 0.0:

@@ -508,9 +508,12 @@ def _parse_measure(lines) -> GridMeasure:
 def _atom(ln: str) -> tuple[int, float]:
     si, _, sw = ln.partition(",")
     try:
-        return int(si), float(sw)
+        index, weight = int(si), float(sw)
     except ValueError as exc:
         raise ValidationError(f"bad atom line: {ln!r}") from exc
+    if not -(1 << 63) <= index < 1 << 63:
+        raise ValidationError(f"bad atom line: {ln!r}: index past int64")
+    return index, weight
 
 
 def save_grid_measure(nu: GridMeasure, path) -> None:

@@ -11,6 +11,8 @@ everything before it writes its artifacts and results.json, so a refused run
 leaves no files. Each runner also formats its own summary.txt lines from the
 values it computed and stores them in results.json under "summary";
 emit_report prints them and reads nothing else of a run but its kind and d.
+spherical, solid and angular take one t ladder, _default_t_sweep: at most 8
+powers of the base under the validity cap, for angular above its cut.
 """
 from __future__ import annotations
 
@@ -25,10 +27,13 @@ import numpy as np
 
 from ._version import __version__
 from .config import ExperimentConfig
+from .cutoff import CutoffFunction
 from .energy import dyadic_r_sweep, dz_beta, energy_profile
 from .errors import ValidationError
 from .fitting import loglog_fit
 from .fourier import (
+    angular_cut,
+    angular_decomposition,
     solid_average,
     spherical_average_series,
     stationary_phase_check,
@@ -50,6 +55,7 @@ from .measures import (
 
 MANIFEST_NAME = "manifest.json"
 RESULTS_NAME = "results.json"
+_ANGULAR_CUTOFF = CutoffFunction("fejer", 2.0)  # the majorant's smoothing, at every cut
 
 
 def _fmt(x) -> str:
@@ -78,7 +84,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _default_t_sweep(config: ExperimentConfig, cap: float, base: int) -> list[float]:
+def _default_t_sweep(config: ExperimentConfig, cap: float, base: int, floor: float = 0.0) -> list[float]:
     if config.sweep is not None:
         ts = config.sweep.values()
         if ts[-1] > cap:
@@ -88,12 +94,14 @@ def _default_t_sweep(config: ExperimentConfig, cap: float, base: int) -> list[fl
         return ts
     ts = []
     t = float(base)
-    while t <= cap and len(ts) < 8:
-        ts.append(t)
+    while t <= cap and t < math.inf and len(ts) < 8:
+        if t > floor:
+            ts.append(t)
         t *= base
-    if len(ts) < 3:
+    if len(ts) < 3:  # with 3 powers under the cap, the floor left fewer
+        cut = f" above the angular cut {floor:.6g} (raise --gamma0) and" if base**3 <= cap else ""
         raise ValidationError(
-            "sweep: fewer than 3 power-of-base frequencies fit under the "
+            f"sweep: fewer than 3 power-of-base frequencies fit{cut} under the "
             f"validity cap {cap:.6g}; deepen the level or pass an explicit sweep"
         )
     return ts
@@ -256,6 +264,39 @@ def _run_spherical(config: ExperimentConfig, run: _Run) -> None:
             f": weight {series.weight}, decay slope {series.fitted_decay:.3f} "
             "(weighted circular average is dominated by twice the solid average of the "
             "larger-dimension factor)"
+        ],
+    }
+
+
+def _run_angular(config: ExperimentConfig, run: _Run) -> None:
+    mu = _product_for(config)
+    # the second factor is the sin theta side, whose decay the near-zero sector reads
+    alpha = config.alpha if config.alpha is not None else mu.dims[1]
+    ts = _default_t_sweep(config, validity_cap(mu), mu.factors[0].base, angular_cut(config.gamma0))
+    decs = [angular_decomposition(mu, t, config.gamma0, _ANGULAR_CUTOFF) for t in ts]
+    fit = loglog_fit(ts, [dec.near_zero for dec in decs])
+    bound = -(config.gamma0 * (1.0 - alpha) + alpha)
+    ratio = max(dec.middle / dec.cs_bound for dec in decs)
+    _write_csv(
+        run.add_file("angular.csv"),
+        ["t", "eps", "near_zero", "middle", "near_half_pi", "cs_bound"],
+        [(d.t, d.eps, d.near_zero, d.middle, d.near_half_pi, d.cs_bound) for d in decs],
+        {"near_zero_slope": fit.slope, "slope_stderr": fit.stderr, "bound_exponent": bound},
+    )
+    run.results = {
+        "kind": "angular",
+        "d": mu.dimension,
+        "gamma0": config.gamma0,
+        "alpha": alpha,
+        "cutoff_scale": _ANGULAR_CUTOFF.scale,
+        "near_zero_slope": fit.slope,
+        "slope_stderr": fit.stderr,
+        "bound_exponent": bound,
+        "max_middle_over_cs": ratio,
+        "summary": [
+            f": gamma0 {config.gamma0}, near-zero slope {fit.slope:.3f} vs bound {bound:.3f} "
+            f"({'no slower' if fit.slope <= bound else 'SLOWER than the bound'}); "
+            f"max middle/CS {ratio:.3g} ({'majorant holds' if ratio <= 1.0 else 'BROKEN majorant'})"
         ],
     }
 
@@ -448,6 +489,7 @@ _KINDS = {
     "regularity": _run_regularity,
     "energy": _run_energy,
     "spherical": _run_spherical,
+    "angular": _run_angular,
     "solid": _run_solid,
     "stationary": _run_stationary,
     "mattila": _run_mattila,

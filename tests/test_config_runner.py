@@ -2,9 +2,11 @@ import argparse
 import inspect
 import json
 import math
+import re
 import time
 import typing
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -295,8 +297,9 @@ class TestRunner:
         assert str(stale / "results.json") in err and "'summary'" in err
 
     def test_summary_lines_of_every_kind(self, tmp_path, capsys):
-        # one report over small runs of the nine kinds, byte for byte the
-        # summary.txt the report gave when it rebuilt each line from results.json
+        # one report over small runs of every kind but full-report, byte for
+        # byte the summary.txt the report gave when it rebuilt each line from
+        # results.json
         for name, argv in SUMMARY_RUNS.items():
             assert cli_main([*argv, "--output", str(tmp_path / name)]) == 0, name
         assert fl.emit_report(tmp_path).read_text() == SUMMARY_TEXT
@@ -309,6 +312,9 @@ SUMMARY_RUNS = {
     "energy_dz": ["energy", "--factor", "3:0,2:6", "--dz-c-nu", "2", "--dz-k", "0.5"],
     "spherical": ["spherical", *["--factor", "3:0,2:6"] * 2],
     "spherical3": ["spherical", *["--factor", "3:0,2:4"] * 3, "--sweep", "1:8:3"],
+    "angular": ["angular", *["--factor", "3:0,2:9"] * 2, "--gamma0", "0.1"],
+    # --alpha 0.99 sets the bound to -0.991, past the measured -0.797
+    "angular_slow": ["angular", *["--factor", "3:0,2:9"] * 2, "--gamma0", "0.1", "--alpha", "0.99"],
     "solid": ["solid", "--factor", "3:0,2:6"],
     "stationary": ["stationary", "--gap", "0:1", "--gap", "0.6:0.8", "--sweep", "100:1000:4"],
     "stationary_na": ["stationary", "--gap", "0:1", "--sweep", "1:4:3"],
@@ -329,6 +335,8 @@ energy [energy_dz]: E(r) slope 0.890 vs alpha 0.631 (margin +0.260; the trivial 
 solid [solid]: decay slope -0.628, target <= -0.531 (solid average of a ball-regular measure decays like t^-alpha)
 
 [d = 2]
+angular [angular]: gamma0 0.1, near-zero slope -0.797 vs bound -0.668 (no slower); max middle/CS 3.21e-05 (majorant holds)
+angular [angular_slow]: gamma0 0.1, near-zero slope -0.797 vs bound -0.991 (SLOWER than the bound); max middle/CS 3.21e-05 (majorant holds)
 cantor [cantor]: base 3 level 4 (16 atoms, dim 0.631), base 2 level 3 (8 atoms, dim 1.000)
 distance [distance]: total mass 0.605550 (diagonal 0.000000), weighted=True
 mattila [mattila]: value 0.157201 at T=8.0, slope -2.970 (integrand slope < -1: truncations converging); a finite weighted integral implies a positive-measure distance set
@@ -404,9 +412,33 @@ class TestCli:
          "a circle sum needs 6.28359e+07 samples, past its 2**24 budget; lower t"),
         # the full factor's dimension 1 is no alpha in (0, 1)
         (["energy", "--factor", "2:0,1:5", "--dz-c-nu", "1"], 2, "alpha must lie in (0, 1), got 1.0"),
+        *((["angular", *["--factor", "3:0,2:8"] * 2, *gamma0], 2, message) for gamma0, message in (
+            (["--gamma0", "0"], "gamma0: must lie in (0, 1/2), got 0.0"),
+            (["--gamma0", "0.7"], "gamma0: must lie in (0, 1/2), got 0.7"),
+            (["--gamma0=-0.1"], "gamma0: must lie in (0, 1/2), got -0.1"),
+            ([], "gamma0: angular experiment needs --gamma0"),
+            # the cut (4/pi)^10000 is past the floats; 3, 9 and 27 fit under the cap 656.1
+            (["--gamma0", "1e-4"], "fit above the angular cut inf (raise --gamma0) and under the "
+             "validity cap 656.1"),
+            (["--gamma0", "0.1", "--sweep", "2:20:3"], "need t > 11.2 for gamma0 = 0.1"),
+            (["--gamma0", "0.1", "--factor", "3:0,2:8"], "angular decomposition is defined for d = 2"),
+        )),
+        (["angular", "--factor", "3:0,5:8", "--factor", "3:0,2:8", "--gamma0", "0.1"], 2,
+         "factors[0]: digits must lie in [0, base)"),
+        (["angular", *["--factor", "3:0,2:3"] * 2, "--gamma0", "0.1"], 2,
+         "fewer than 3 power-of-base frequencies fit under the validity cap 2.7"),
+        (["angular", *["--factor", "3:0,2:30"] * 2, "--gamma0", "0.1"], 3,
+         "factor 3:0,2:30 has 2**30 atoms"),
+        # point masses have no cap: the ladder stops where the powers overflow to inf
+        (["angular", *["--factor", "2:0:0"] * 2, "--gamma0", "1e-4"], 2,
+         "fit above the angular cut inf (raise --gamma0) and under the validity cap inf"),
     ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
             "infinite-interval", "atoms", "index", "sweep", "sigma-work", "sphere-rule-d5",
-            "beta-underflow", "coverage-width", "second-gap", "energy-alpha-one"])
+            "beta-underflow", "coverage-width", "second-gap", "energy-alpha-one",
+            "angular-gamma0-zero", "angular-gamma0-high", "angular-gamma0-negative",
+            "angular-gamma0-missing", "angular-cut-overflow", "angular-sweep-under-cut",
+            "angular-three-factors", "angular-digit", "angular-shallow", "angular-atoms",
+            "angular-point-mass-cut"])
     def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
         # each refused before the work it bounds, with no traceback and no
         # file written; a budget refusal runs in a child under a 512 MiB
@@ -485,12 +517,77 @@ class TestCli:
         assert "validation error" in err and "config" in err
 
 
+# criterion 8's products, each run at three cuts
+ANGULAR_SPECS = [fl.CantorSpec(3, (0, 2), 10), fl.CantorSpec(4, (0, 3), 9), fl.CantorSpec(5, (0, 2), 8)]
+
+
+def _spec_text(spec):
+    return f"{spec.base}:{','.join(map(str, spec.digits))}:{spec.level}"
+
+
+def _angular_csv(path):
+    """(rows of floats, # key=value floats) of an angular.csv."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,eps,near_zero,middle,near_half_pi,cs_bound"
+    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:] if not ln.startswith("#")]
+    meta = dict(ln[2:].split("=") for ln in lines if ln.startswith("# "))
+    return rows, {key: float(value) for key, value in meta.items()}
+
+
+class TestAngularKind:
+    @pytest.mark.parametrize("spec", ANGULAR_SPECS, ids=_spec_text)
+    def test_rows_are_the_library_values(self, tmp_path, spec):
+        nu = fl.build_cantor(spec)
+        mu = fl.build_product([nu, nu], [spec.dimension] * 2)
+        cap = fl.validity_cap(mu)
+        for gamma0 in (0.05, 0.1, 0.2):
+            out = tmp_path / str(gamma0)
+            assert cli_main(["angular", *["--factor", _spec_text(spec)] * 2, "--gamma0", str(gamma0),
+                             "--output", str(out)]) == 0
+            rows, meta = _angular_csv(out / "angular.csv")
+            ts = [row[0] for row in rows]
+            # the powers of the base above the cut and under the cap, at most 8
+            powers = [float(spec.base**k) for k in range(1, 40) if spec.base**k <= cap]
+            assert ts == [t for t in powers if t > (4.0 / math.pi) ** (1.0 / gamma0)][:8]
+            decs = [fl.angular_decomposition(mu, t, gamma0, fl.CutoffFunction("fejer", 2.0)) for t in ts]
+            for row, dec in zip(rows, decs):
+                want = [dec.t, dec.eps, dec.near_zero, dec.middle, dec.near_half_pi, dec.cs_bound]
+                assert [x.hex() for x in row] == [x.hex() for x in want]
+            fit = fl.loglog_fit(ts, [dec.near_zero for dec in decs])
+            bound = -(gamma0 * (1.0 - spec.dimension) + spec.dimension)
+            assert meta == {"near_zero_slope": fit.slope, "slope_stderr": fit.stderr, "bound_exponent": bound}
+            results = json.loads((out / "results.json").read_text())
+            assert results["max_middle_over_cs"] == max(dec.middle / dec.cs_bound for dec in decs)
+            assert (results["gamma0"], results["alpha"], results["cutoff_scale"]) == (gamma0, spec.dimension, 2.0)
+            assert results["near_zero_slope"] <= results["bound_exponent"]
+            assert results["max_middle_over_cs"] <= 1.0
+
+    def test_three_runs_are_byte_identical(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["angular", *["--factor", "3:0,2:9"] * 2, "--gamma0", "0.1", "--output", str(out)]
+        runs = []
+        for _ in range(3):
+            assert cli_main(argv) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1] == runs[2]
+        assert sorted(runs[0]) == ["angular.csv", "manifest.json", "results.json"]
+
+
+def test_readme_usage_block_names_every_kind_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^fractalab \{([^}]*)\} \[options\]$", section, re.MULTILINE)
+    assert re.split(r",\s*", block) == list(fl.EXPERIMENT_KINDS)
+
+
 # Each config value with a wrong type or a missing key must exit 2 and name
 # its field, instead of running another integral or crashing.
 BAD_CONFIG_VALUES = [
     ({"mattila_weighted": "no"}, "mattila_weighted"),
     ({"distance_weighted": "no"}, "distance_weighted"),
     ({"gamma0": "0.1"}, "gamma0"),
+    # every kind refuses a set gamma0 outside (0, 1/2), as angular_decomposition does
+    ({"gamma0": 0.5}, "gamma0: must lie in (0, 1/2)"),
     ({"interval": 5}, "interval"),
     ({"factors": [{"base": 3}]}, "factors"),
     ({"sweep": {"start": 3, "stop": 9}}, "sweep"),
@@ -498,7 +595,6 @@ BAD_CONFIG_VALUES = [
     ({"seed": "abc"}, "seed"),
     # removed options are unknown keys now
     ({"parallelism": 1}, "parallelism"),
-    ({"gamma0": 0.1}, "gamma0"),
     ({"cutoff_scale": 2.0}, "cutoff_scale"),
     ({"mattila_weighted": False}, "mattila_weighted"),
     ({"weight": "cos_theta"}, "weight"),
@@ -521,6 +617,7 @@ FLAG_CASES = {
     "--dz-k": (["--dz-k", "2"], "dz_k", 2.0),
     "--dz-c-nu": (["--dz-c-nu", "4"], "dz_c_nu", 4.0),
     "--alpha": (["--alpha", "0.6"], "alpha", 0.6),
+    "--gamma0": (["--gamma0", "0.1"], "gamma0", 0.1),
     "--cap": (["--cap", "5"], "regularity_cap", 5.0),
     "--truncation": (["--truncation", "2"], "truncation", 2.0),
     "--bin-width": (["--bin-width", "0.02"], "bin_width", 0.02),

@@ -1035,11 +1035,14 @@ class TestAngularDecomposition:
         with pytest.raises(ValidationError, match="gamma0"):
             fl.angular_decomposition(mu, 81.0, 0.7, cut)
 
-    def test_sectors_must_be_disjoint(self, middle_thirds_8):
+    @pytest.mark.parametrize("t, gamma0, shown", [(2.0, 0.05, "125.4"), (27.0, 1e-4, "inf")])
+    def test_sectors_must_be_disjoint(self, middle_thirds_8, t, gamma0, shown):
+        # the cut (4/pi)^(1/gamma0) is taken in logs: at gamma0 = 1e-4 it is
+        # 10^1049, past the floats, and shown as inf instead of overflowing
         mu = fl.build_product([middle_thirds_8, middle_thirds_8], [ALPHA_MT, ALPHA_MT])
         cut = fl.CutoffFunction("fejer", 2.0)
-        with pytest.raises(ValidationError, match="disjoint"):
-            fl.angular_decomposition(mu, 2.0, 0.05, cut)
+        with pytest.raises(ValidationError, match=rf"disjoint \(need t > {shown} for gamma0 = {gamma0}\)"):
+            fl.angular_decomposition(mu, t, gamma0, cut)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_t(self, middle_thirds_8, t):

@@ -683,6 +683,18 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="atom line"):
             fl.grid_measure_from_text("# grid-measure base=2 level=1\nxyz\n")
 
+    @pytest.mark.parametrize("index", [2**63, -(2**63) - 1])
+    def test_index_past_int64_names_the_atom_line(self, tmp_path, index):
+        # each side of int64 once, by text and by file; the last int64 value still loads
+        text = f"# grid-measure base=2 level=70\nindex,weight\n{2**63 - 1},0.5\n{index},0.5\n"
+        path = tmp_path / "wide.measure"
+        path.write_text(text)
+        for load in (lambda: fl.grid_measure_from_text(text), lambda: fl.load_grid_measure(path)):
+            with pytest.raises(ValidationError, match=rf"bad atom line: '{index},0.5': index past int64"):
+                load()
+        top = fl.grid_measure_from_text(f"# grid-measure base=2 level=70\n{2**63 - 1},1.0\n")
+        assert top.indices.tolist() == [2**63 - 1]
+
 
 @settings(max_examples=30, deadline=None)
 @given(cantor_spec_st)
