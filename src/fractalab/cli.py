@@ -1,13 +1,14 @@
 """Command line entry point.
 
-One subcommand per experiment kind, with the flags that ExperimentConfig's
-field metadata declares. Values come from an optional JSON config file
-(--config); any flag given on the command line overrides the file.
+One subcommand per experiment kind on one parser, built once per process,
+with the flags that ExperimentConfig's field metadata declares. Values come
+from an optional JSON config file (--config); any flag overrides the file.
 Exit codes: 0 success, 2 validation error, 3 budget error (refused()).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -30,23 +31,17 @@ EXIT_BUDGET = 3
 _FLAGGED = [f for f in fields(ExperimentConfig) if "flag" in f.metadata]
 
 
-def _build_parser(kind: str | None = None) -> argparse.ArgumentParser:
-    """The subcommand ``kind`` alone when it names one, else every kind's,
-    with flags on all only when kind is None; the usage line and error texts
-    are the same either way."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """Every kind's subcommand with every flag, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fractalab",
         description="Desk-scale experiments on Cantor-type measures: Fourier decay, "
         "additive energy, distance sets.",
     )
-    lean = kind in EXPERIMENT_KINDS
-    # the usage line names every kind; with no metavar, an unknown kind's error says 'kind'
-    metavar = "{" + ",".join(EXPERIMENT_KINDS) + "}" if lean else None
-    sub = parser.add_subparsers(dest="kind", required=True, metavar=metavar)
-    for name in [kind] if lean else EXPERIMENT_KINDS:
+    sub = parser.add_subparsers(dest="kind", required=True)
+    for name in EXPERIMENT_KINDS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        if kind not in (None, name):
-            continue
         p.add_argument("--config", type=Path, help="JSON config file; flags override it")
         for f in _FLAGGED:
             options = dict(f.metadata)
@@ -101,8 +96,7 @@ def refused(exc: ValidationError | BudgetError) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         files = run_experiment(config)

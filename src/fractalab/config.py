@@ -132,6 +132,10 @@ class ExperimentConfig:
             raise ValidationError(f"bin_width: must be positive, got {self.bin_width}")
         if self.gamma0 is not None and not 0.0 < self.gamma0 < 0.5:
             raise ValidationError(f"gamma0: must lie in (0, 1/2), got {self.gamma0}")
+        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
+            raise ValidationError(f"alpha: must lie in (0, 1], got {self.alpha}")
+        if not self.regularity_cap >= 1.0:
+            raise ValidationError(f"regularity_cap: must be >= 1, got {self.regularity_cap}")
         if self.interval[0] >= self.interval[1]:
             raise ValidationError(f"interval: empty interval {self.interval}")
         if self.mc_nodes < 4:

@@ -83,15 +83,19 @@ def _circle_samples(x):
     return 1 << np.frexp(np.ceil(need) - 1.0)[1].astype(int)
 
 
+def _share_key(f: GridMeasure) -> object:
+    """Factors with one key have one transform: their CantorSpec, else their id."""
+    return f.spec if f.spec is not None else id(f)
+
+
 def _quadrant_samples(fa: GridMeasure, fb: GridMeasure, tr: np.ndarray, n: int) -> np.ndarray:
     """F(theta) = |nu_a_hat(t cos theta)|^2 |nu_b_hat(t sin theta)|^2 at
     theta_m = pi m / n, m = 0..n/2, a row per t of the column tr. sin theta_m
-    is read as cos theta_(n/2 - m), the same angle, so one cosine table
-    serves both factors; when fb is fa, or both carry the same CantorSpec,
-    fb's values are fa's reversed and the Riesz product runs once."""
+    is read as cos theta_(n/2 - m), so one cosine table serves both factors;
+    factors of one _share_key run one Riesz product, fb's values fa's reversed."""
     cos_h = np.cos(np.pi * np.arange(n // 2 + 1) / n)
     fa_values = fa.power_spectrum(tr * cos_h)
-    if fb is fa or (fb.spec is not None and fb.spec == fa.spec):
+    if _share_key(fb) == _share_key(fa):
         return fa_values * fa_values[:, ::-1]
     return fa_values * fb.power_spectrum(tr * cos_h[::-1])
 
@@ -449,22 +453,16 @@ def angular_decomposition(
     fa, fb = mu.factors
     n = _circle_samples(2.0 * np.pi * t * math.hypot(fa.diameter, fb.diameter))
     # wider factor first: its panel budget bounds the other's; A x A shares one
-    factors = {id(f): f for f in sorted((fa, fb), key=lambda f: -f.diameter)}
+    factors = {_share_key(f): f for f in sorted((fa, fb), key=lambda f: -f.diameter)}
     moments = {key: _fourth_moment_quadrature(f, t, cutoff) for key, f in factors.items()}
-    moment_a, moment_b = moments[id(fa)], moments[id(fb)]
+    moment_a, moment_b = moments[_share_key(fa)], moments[_share_key(fb)]
     f = _quadrant_samples(fa, fb, np.array([[t]]), n)[0]
     near_zero, near_half_pi, middle = np.einsum("ij,j->i", _sector_weights(n, eps), f).tolist()
     cs_constant = (np.pi / 2.0) / psi_hat_min
     cs_bound = cs_constant * t**gamma0 * math.sqrt(moment_a * moment_b)
     return AngularDecomposition(
-        t=float(t),
-        gamma0=float(gamma0),
-        eps=float(eps),
-        near_zero=near_zero,
-        near_half_pi=near_half_pi,
-        middle=middle,
-        smoothed_moment_a=moment_a,
-        smoothed_moment_b=moment_b,
-        cs_constant=float(cs_constant),
-        cs_bound=float(cs_bound),
+        t=float(t), gamma0=float(gamma0), eps=float(eps),
+        near_zero=near_zero, near_half_pi=near_half_pi, middle=middle,
+        smoothed_moment_a=moment_a, smoothed_moment_b=moment_b,
+        cs_constant=float(cs_constant), cs_bound=float(cs_bound),
     )

@@ -432,13 +432,16 @@ class TestCli:
         # point masses have no cap: the ladder stops where the powers overflow to inf
         (["angular", *["--factor", "2:0:0"] * 2, "--gamma0", "1e-4"], 2,
          "fit above the angular cut inf (raise --gamma0) and under the validity cap inf"),
+        (["solid", "--factor", "3:0,2:6", "--alpha=-3"], 2, "alpha: must lie in (0, 1], got -3.0"),
+        # C_nu = max(C_upper, 1/C_lower) >= 1, so no run passes a cap below 1
+        (["regularity", "--factor", "3:0,2:6", "--cap=-1"], 2, "regularity_cap: must be >= 1, got -1.0"),
     ], ids=["digit", "gap-cells", "bins", "circle-samples", "zero-gap", "grid-step-underflow",
             "infinite-interval", "atoms", "index", "sweep", "sigma-work", "sphere-rule-d5",
             "beta-underflow", "coverage-width", "second-gap", "energy-alpha-one",
             "angular-gamma0-zero", "angular-gamma0-high", "angular-gamma0-negative",
             "angular-gamma0-missing", "angular-cut-overflow", "angular-sweep-under-cut",
             "angular-three-factors", "angular-digit", "angular-shallow", "angular-atoms",
-            "angular-point-mass-cut"])
+            "angular-point-mass-cut", "solid-alpha-negative", "regularity-cap-below-one"])
     def test_refusals_exit_two_or_three(self, tmp_path, capsys, argv, code, message):
         # each refused before the work it bounds, with no traceback and no
         # file written; a budget refusal runs in a child under a 512 MiB
@@ -505,6 +508,24 @@ class TestCli:
             assert cli_main([kind, "--factor", "3:0,2:6", *extra, "--output", str(tmp_path / name)]) == 0
         csv = f"{kind}.csv"
         assert (tmp_path / "two" / csv).read_bytes() == (tmp_path / "one" / csv).read_bytes()
+
+    def test_full_report_too_shallow_exits_two(self, tmp_path, capsys):
+        # at level 5 only t = 3, 9 fit under the validity cap 24.3; the
+        # sub-runs before the refused one stay, but no summary is written
+        out = tmp_path / "out"
+        code = cli_main(["full-report", *["--factor", "3:0,2:5"] * 2, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.splitlines()) == 1
+        assert err.startswith("validation error: ") and "validity cap" in err
+        assert "Traceback" not in err and not (out / "summary.txt").exists()
+
+    def test_a_value_starting_with_a_dash_is_written_flag_equals(self, capsys):
+        args = _build_parser().parse_args(["stationary", "--gap=-1:0.5"])
+        assert _config_from_args(args).gaps == [(-1.0, 0.5)]
+        for argv in (["--gap", "-1:1"], ["--interval", "-1:1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["stationary", *argv])
+            assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_bad_config_file_exits_two(self, tmp_path, capsys, content):
@@ -588,6 +609,10 @@ BAD_CONFIG_VALUES = [
     ({"gamma0": "0.1"}, "gamma0"),
     # every kind refuses a set gamma0 outside (0, 1/2), as angular_decomposition does
     ({"gamma0": 0.5}, "gamma0: must lie in (0, 1/2)"),
+    # every kind refuses a set alpha outside (0, 1] and a regularity cap below 1
+    ({"alpha": 0.0}, "alpha: must lie in (0, 1], got 0.0"),
+    ({"alpha": 1.5}, "alpha: must lie in (0, 1], got 1.5"),
+    ({"regularity_cap": 0.5}, "regularity_cap: must be >= 1, got 0.5"),
     ({"interval": 5}, "interval"),
     ({"factors": [{"base": 3}]}, "factors"),
     ({"sweep": {"start": 3, "stop": 9}}, "sweep"),
@@ -720,8 +745,8 @@ class TestConfigFields:
          ["spherical", "--bogus"], ["nokind"], [], ["spherical", "--weight", "cos"]],
     )
     def test_help_matches_the_full_parser(self, argv, capsys, monkeypatch):
-        # main builds only the chosen subcommand; its help and error texts
-        # are the full parser's, byte for byte
+        # main parses with the full parser: its help and error texts are
+        # the parser's own, byte for byte
         monkeypatch.setenv("COLUMNS", "80")
         outcomes = []
         for parse in (cli_main, _build_parser().parse_args):
@@ -742,11 +767,8 @@ class TestConfigFields:
             cli_main(argv)
         assert exc.value.code == 2 and message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, built", [
-        *(([k, "--help"], [k]) for k in fl.EXPERIMENT_KINDS),
-        *((argv, list(fl.EXPERIMENT_KINDS)) for argv in (["--help"], [], ["nokind"])),
-    ])
-    def test_main_adds_only_the_chosen_subparser(self, argv, built, monkeypatch):
+    def test_main_builds_each_subparser_once(self, tmp_path, monkeypatch):
+        # the parser is built on the first call and reused by the second
         names = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -755,18 +777,10 @@ class TestConfigFields:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
-        with pytest.raises(SystemExit):
-            cli_main(argv)
-        assert names == built
-
-    @pytest.mark.parametrize("kind", fl.EXPERIMENT_KINDS)
-    def test_lean_subparser_has_the_full_options(self, kind):
-        def options(parser):
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            return [(a.option_strings, a.dest, a.default, a.choices, a.nargs, a.const, a.type,
-                     a.metavar, a.help, type(a)) for a in sub.choices[kind]._actions]
-
-        assert options(_build_parser(kind)) == options(_build_parser())
+        _build_parser.cache_clear()
+        for k in range(2):
+            assert cli_main(["thresholds", "--dims", "1/2,1/2", "--output", str(tmp_path / str(k))]) == 0
+        assert names == list(fl.EXPERIMENT_KINDS)
 
     def test_type_hints_resolve_once_per_record_class(self, tmp_path):
         # the annotations are static: two runs call get_type_hints once per

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -965,6 +966,25 @@ class TestAngularDecomposition:
         assert a.smoothed_moment_b == pytest.approx(b.smoothed_moment_b, rel=1e-12)
         assert a.smoothed_moment_a == a.smoothed_moment_b
         assert a.cs_bound == pytest.approx(b.cs_bound, rel=1e-12)
+
+    def test_twin_specs_take_one_moment_per_t(self, monkeypatch):
+        # --factor S --factor S builds two measures of one spec: they share
+        # the smoothed moment as they share the Riesz product, and every
+        # field is the shared factor's to the bit
+        spec = fl.CantorSpec(4, (0, 3), 9)
+        nu = fl.build_cantor(spec)
+        twins = fl.build_product([nu, fl.build_cantor(spec)], [spec.dimension] * 2)
+        shared = fl.build_product([nu, nu], [spec.dimension] * 2)
+        cut = fl.CutoffFunction("fejer", 2.0)
+        moment, calls = fourier._fourth_moment_quadrature, []
+        monkeypatch.setattr(fourier, "_fourth_moment_quadrature",
+                            lambda f, *args: calls.append(f) or moment(f, *args))
+        for t in (4.0**k for k in range(1, 7)):
+            got = fl.angular_decomposition(twins, t, 0.2, cut)
+            assert len(calls) == 1
+            want = fl.angular_decomposition(shared, t, 0.2, cut)
+            assert [x.hex() for x in dataclasses.astuple(got)] == [x.hex() for x in dataclasses.astuple(want)]
+            calls.clear()
 
     @pytest.mark.parametrize("spec, gamma0, ts", [
         (spec, gamma0, ts) for spec, sweeps in CS_SWEEPS.items() for gamma0, ts in sweeps.items()
