@@ -767,8 +767,13 @@ class TestConfigFields:
             cli_main(argv)
         assert exc.value.code == 2 and message in capsys.readouterr().err
 
-    def test_main_builds_each_subparser_once(self, tmp_path, monkeypatch):
-        # the parser is built on the first call and reused by the second
+    @pytest.mark.parametrize("argv", [
+        *([k, "--help"] for k in fl.EXPERIMENT_KINDS), ["--help"], [], ["nokind"],
+        ["thresholds", "--dims", "1/2,1/2"],
+    ], ids=str)
+    def test_main_builds_each_subparser_once(self, argv, tmp_path, monkeypatch):
+        # whatever the first call asks for, it builds every kind's subcommand
+        # once, and the second call reuses that parser
         names = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -779,8 +784,32 @@ class TestConfigFields:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
         _build_parser.cache_clear()
         for k in range(2):
-            assert cli_main(["thresholds", "--dims", "1/2,1/2", "--output", str(tmp_path / str(k))]) == 0
+            if "--dims" in argv:  # a run that writes its artifacts
+                assert cli_main([*argv, "--output", str(tmp_path / str(k))]) == 0
+            else:
+                with pytest.raises(SystemExit):
+                    cli_main(argv)
         assert names == list(fl.EXPERIMENT_KINDS)
+
+    @pytest.mark.parametrize("kind", fl.EXPERIMENT_KINDS)
+    def test_each_subparser_declares_every_flag_as_its_field_does(self, kind):
+        # every kind's subcommand carries each flag with exactly the options
+        # its field's metadata gives, so no kind's help or parse can drift
+        def described(action):
+            return (action.option_strings, action.dest, action.default, action.choices,
+                    action.nargs, action.const, action.type, action.metavar, action.help,
+                    type(action))
+
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        actions = {a.option_strings[0]: a for a in subparsers.choices[kind]._actions}
+        for f in fields(fl.ExperimentConfig):
+            if "flag" in f.metadata:
+                options = dict(f.metadata)
+                flag = options.pop("flag")
+                want = argparse.ArgumentParser().add_argument(flag, **options)
+                assert described(actions[flag]) == described(want), flag
 
     def test_type_hints_resolve_once_per_record_class(self, tmp_path):
         # the annotations are static: two runs call get_type_hints once per
